@@ -314,7 +314,8 @@ def cmd_sector_check(config: RunConfig) -> int:
 
 def _config_optimize(args) -> RunConfig:
     _require(args.d >= 2, f"d must be >= 2, got {args.d}")
-    _require(args.t_target > 0, f"t-target must be positive, got {args.t_target!r}")
+    _require(0 < args.t_target < math.inf,
+             f"t-target must be positive and finite, got {args.t_target!r}")
     _require(args.max_iters >= 1, f"max-iters must be >= 1, got {args.max_iters}")
     _require(args.tol > 0, f"tol must be positive, got {args.tol!r}")
     params = dict(d=args.d, t_target=args.t_target, max_iters=args.max_iters,

@@ -67,13 +67,13 @@ class Operator:
             raise ValueError(f"unknown operator tag {self.tag!r}")
         if self.tag == HERMITIAN:
             dev = max_abs(m - m.conj().T)
-            if dev > HERMITIAN_RTOL * max_abs(m):
+            if not dev <= HERMITIAN_RTOL * max_abs(m):  # NaN fails too
                 raise NonHermitianInputError(
                     f"hermiticity violated: max |M - M^dag| = {dev:.3e}"
                 )
         elif self.tag == UNITARY:
             dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
-            if dev > UNITARY_ATOL:
+            if not dev <= UNITARY_ATOL:
                 raise ValueError(f"unitarity violated: max |M^dag M - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -107,7 +107,7 @@ class StateVector:
             raise DimensionMismatchError("state vector must have dimension >= 1")
         if check_norm:
             norm_sq = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm_sq - 1.0) > STATE_NORM_ATOL:
+            if not abs(norm_sq - 1.0) <= STATE_NORM_ATOL:
                 raise NotNormalizedError(f"state norm^2 = {norm_sq!r}, expected 1")
         self.amplitudes = _freeze(amps)
 

@@ -9,6 +9,7 @@ chains, whose dispersion is nonlinear, never reach fidelity 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ def pst_hamiltonian(d: int, vartheta: float, hbar: float = 1.0) -> Operator:
     so its spectrum is equidistant with gap 2*vartheta*hbar."""
     if d < 2:
         raise DimensionTooSmallError(f"chain needs d >= 2, got {d}")
-    if vartheta <= 0:
-        raise ZeroThetaError(f"vartheta must be positive, got {vartheta!r}")
+    if not 0 < vartheta < math.inf:
+        raise ZeroThetaError(f"vartheta must be positive and finite, got {vartheta!r}")
     hop = vartheta * hbar * pst_couplings(d, 1.0)
     h = np.zeros((d, d), dtype=complex)
     idx = np.arange(d - 1)

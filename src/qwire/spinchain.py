@@ -5,6 +5,12 @@ Basis convention is big-endian: site 0 is the most significant bit, so
 the basis state with only site k excited has index 2^(n-1-k).  The XY
 chain conserves total excitation number, which is what makes the n of
 2^n dimensions carrying one excitation a closed sector.
+
+The chain and the number operator are built by bit arithmetic on basis
+indices: a bond swaps the bits of its two sites where they differ, and
+the excitation number is the popcount of the index.  The Kronecker
+products of the ladder operators remain only as the small-n oracle
+behind `ladder_algebra_check`.
 """
 
 from __future__ import annotations
@@ -68,17 +74,13 @@ def sector_map(n: int) -> SectorMap:
     return SectorMap(n=register.n, indices=tuple(2 ** (n - 1 - k) for k in range(n)))
 
 
-def _site_operator(n: int, site: int, op: np.ndarray) -> np.ndarray:
-    factors = [op if k == site else _EYE2 for k in range(n)]
-    return reduce(np.kron, factors)
-
-
 def lowering_operator(n: int, site: int) -> Operator:
     """Annihilation operator on one site of an n-qubit register."""
     register = QubitRegister(n)
     if not 0 <= site < register.n:
         raise IndexOutOfRangeError(f"site {site} outside register of {n} qubits")
-    return Operator(_site_operator(n, site, _LOWER), tag=GENERAL)
+    factors = [_LOWER if k == site else _EYE2 for k in range(n)]
+    return Operator(reduce(np.kron, factors), tag=GENERAL)
 
 
 def ladder_algebra_check(n: int, site: int) -> bool:
@@ -106,25 +108,22 @@ def xy_chain_hamiltonian(couplings, hbar: float = 1.0) -> Operator:
     del hbar
     couplings = [float(a) for a in couplings]
     n = len(couplings) + 1
-    register = QubitRegister(n)
-    dim = register.dim
-    h = np.zeros((dim, dim), dtype=complex)
+    index = np.arange(QubitRegister(n).dim)
+    h = np.zeros((index.size, index.size), dtype=complex)
     for j, amplitude in enumerate(couplings):
-        a_here = _site_operator(n, j, _LOWER)
-        a_next = _site_operator(n, j + 1, _LOWER)
-        hop = a_here.conj().T @ a_next
-        h += amplitude * (hop + hop.conj().T)
+        here, after = 1 << (n - 1 - j), 1 << (n - 2 - j)
+        # the bond hops wherever sites j and j+1 differ: swap their bits
+        hop = index[((index & here) == 0) != ((index & after) == 0)]
+        h[hop ^ (here | after), hop] = amplitude
     return Operator(h, tag=HERMITIAN)
 
 
 def number_operator(n: int) -> Operator:
-    """Total excitation number sum_j a^dag_j a_j."""
-    register = QubitRegister(n)
-    total = np.zeros((register.dim, register.dim), dtype=complex)
-    for site in range(n):
-        a = _site_operator(n, site, _LOWER)
-        total += a.conj().T @ a
-    return Operator(total, tag=HERMITIAN)
+    """Total excitation number sum_j a^dag_j a_j: the popcount of each
+    basis index on the diagonal."""
+    index = np.arange(QubitRegister(n).dim)
+    popcount = sum((index >> k) & 1 for k in range(n))
+    return Operator(np.diag(popcount.astype(complex)), tag=HERMITIAN)
 
 
 def single_excitation_sector(h_full: Operator, smap: SectorMap) -> Operator:

@@ -180,6 +180,13 @@ class TestOptimizeCommand:
         proc = run_cli("optimize", "--d", "4", "--t-target", "-1")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("t_target", ["inf", "nan"])
+    def test_non_finite_t_target_rejected(self, t_target):
+        proc = run_cli("optimize", "--d", "4", "--t-target", t_target)
+        assert proc.returncode == 2
+        assert "t-target" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestExitCodesAndDeterminism:
     CASES = [

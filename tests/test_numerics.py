@@ -55,6 +55,51 @@ class TestOperator:
             op.matrix[0, 0] = 5.0
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+
+
+class TestNonFiniteRejected:
+    """A NaN or inf entry must fail every structural check, whether it
+    fills the whole input or sits in one place."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 8), bad=NON_FINITE,
+           where=st.integers(0, 63), whole=st.booleans())
+    def test_hermitian_tag(self, seed, d, bad, where, whole):
+        m = random_hermitian(np.random.default_rng(seed), d).matrix.copy()
+        i, j = divmod(where % (d * d), d)
+        m[i, j] = bad
+        m[j, i] = np.conj(bad)  # keep the input symmetric under the dagger
+        if whole:
+            m[:] = bad
+        with pytest.raises(NonHermitianInputError):
+            Operator(m, tag=HERMITIAN)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 8), bad=NON_FINITE,
+           where=st.integers(0, 63), whole=st.booleans())
+    def test_unitary_tag(self, seed, d, bad, where, whole):
+        m = evolve(random_hermitian(np.random.default_rng(seed), d), 0.7).matrix.copy()
+        m[divmod(where % (d * d), d)] = bad
+        if whole:
+            m[:] = bad
+        with pytest.raises(ValueError):
+            Operator(m, tag=UNITARY)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 8), bad=NON_FINITE,
+           where=st.integers(0, 63), whole=st.booleans())
+    def test_state_vector(self, seed, d, bad, where, whole):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+        amps /= np.linalg.norm(amps)
+        amps[where % d] = bad
+        if whole:
+            amps[:] = bad
+        with pytest.raises(NotNormalizedError):
+            StateVector(amps)
+
+
 class TestStateVector:
     def test_norm_enforced(self):
         with pytest.raises(NotNormalizedError):

@@ -77,6 +77,11 @@ class TestHamiltonian:
         with pytest.raises(ZeroThetaError):
             pst_hamiltonian(4, 0.0)
 
+    @pytest.mark.parametrize("vartheta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vartheta(self, vartheta):
+        with pytest.raises(ZeroThetaError):
+            pst_hamiltonian(4, vartheta)
+
 
 class TestEvolution:
     def test_zero_time(self):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from qwire.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    NonHermitianInputError,
     RegisterTooLargeError,
 )
 from qwire.numerics import HERMITIAN, Operator, identity, max_abs
@@ -37,6 +40,26 @@ def lowering_oracle(n: int, site: int) -> np.ndarray:
 
 def popcount(x: int) -> int:
     return bin(x).count("1")
+
+
+def kronecker_xy_chain(couplings) -> np.ndarray:
+    """Reference build of the exchange chain from the Kronecker-product
+    ladder operators: sum_j A_j (a^dag_j a_{j+1} + h.c.)."""
+    n = len(couplings) + 1
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    for j, amplitude in enumerate(couplings):
+        hop = lowering_operator(n, j).matrix.conj().T @ lowering_operator(n, j + 1).matrix
+        h += amplitude * (hop + hop.conj().T)
+    return h
+
+
+def kronecker_number_operator(n: int) -> np.ndarray:
+    """Reference sum_j a^dag_j a_j from the Kronecker-product ladder operators."""
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for site in range(n):
+        a = lowering_operator(n, site).matrix
+        total += a.conj().T @ a
+    return total
 
 
 class TestLoweringOperator:
@@ -128,6 +151,26 @@ class TestXYChain:
         h = xy_chain_hamiltonian(couplings).matrix
         n_op = number_operator(n).matrix
         assert max_abs(h @ n_op - n_op @ h) <= 1e-12
+
+
+class TestBitArithmeticBuild:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_chain_equals_kronecker_build(self, n):
+        couplings = np.random.default_rng(200 + n).uniform(-2.0, 2.0, size=n - 1)
+        couplings[0] = -abs(couplings[0])
+        if n > 2:
+            couplings[-1] = 0.0
+        expected = kronecker_xy_chain(couplings)
+        assert np.array_equal(xy_chain_hamiltonian(couplings).matrix, expected)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_number_operator_equals_kronecker_sum(self, n):
+        assert np.array_equal(number_operator(n).matrix, kronecker_number_operator(n))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coupling_rejected(self, bad):
+        with pytest.raises(NonHermitianInputError):
+            xy_chain_hamiltonian([1.0, bad, 0.5])
 
 
 class TestSectorMap:
