@@ -72,21 +72,27 @@ def build_hamiltonian(spec: ChainSpec) -> Operator:
     return Operator(h, tag=HERMITIAN)
 
 
-def dispersion(topology: str, d: int, E0: float, A: float) -> np.ndarray:
-    """Closed-form single-particle energies E_j = E0 - 2A cos(k_j b).
+def wave_numbers(topology: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode labels j and wave numbers k_j b of a d-site chain.
 
-    Ring wave numbers are k_j b = 2*pi*j/d for j = 0..d-1; line wave
-    numbers are k_j b = pi*j/(d+1) for j = 1..d.  Values come back in j
-    order, not sorted.
+    Ring: k_j b = 2*pi*j/d for j = 0..d-1; line: k_j b = pi*j/(d+1) for
+    j = 1..d.
     """
     if d < 2:
         raise DimensionTooSmallError(f"dispersion needs d >= 2, got {d}")
     if topology == RING:
-        kb = 2 * np.pi * np.arange(d) / d
-    elif topology == LINE:
-        kb = np.pi * np.arange(1, d + 1) / (d + 1)
-    else:
-        raise ValueError(f"topology must be 'ring' or 'line', got {topology!r}")
+        j = np.arange(d)
+        return j, 2 * np.pi * j / d
+    if topology == LINE:
+        j = np.arange(1, d + 1)
+        return j, np.pi * j / (d + 1)
+    raise ValueError(f"topology must be 'ring' or 'line', got {topology!r}")
+
+
+def dispersion(topology: str, d: int, E0: float, A: float) -> np.ndarray:
+    """Closed-form single-particle energies E_j = E0 - 2A cos(k_j b) at the
+    wave numbers of `wave_numbers`, in j order (not sorted)."""
+    _, kb = wave_numbers(topology, d)
     return E0 - 2 * A * np.cos(kb)
 
 

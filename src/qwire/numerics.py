@@ -3,8 +3,15 @@
 Everything downstream (shift/clock algebra, chain Hamiltonians, transfer
 fidelities) is built on the three operations here: hermitian
 eigendecomposition, unitary time evolution through the spectral theorem,
-and matrix-vector application.  All values are immutable after
-construction and safe to share between threads.
+and matrix-vector application.
+
+All time evolution goes through `evolution_phases`, which checks its
+input, diagonalizes H once and returns the eigenvectors V with the phases
+exp(-i lambda_k t / hbar) for every requested time.  `evolve` builds the
+propagator V diag(phases) V^dag from them; the transfer amplitudes in
+`pst` contract the phases with V[target] * conj(V[source]) and never form
+the d x d propagator.  All values are immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -187,18 +194,34 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     return EigenSystem(values=values, vectors=Operator(vectors, tag=UNITARY))
 
 
+def evolution_phases(
+    hamiltonian: Operator, times, hbar: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral factors of exp(-i H t / hbar) = V diag(phases) V^dag.
+
+    Returns (V, phases), where phases has shape times.shape + (d,).  Raises
+    NonHermitianInputError unless H is tagged hermitian, and ValueError for
+    a non-finite time or an hbar outside (0, inf).  When every time is zero
+    the propagator is exactly the identity, so no eigensolve is made and
+    (I, ones) comes back.
+    """
+    if hamiltonian.tag != HERMITIAN:
+        raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("evolution times must be finite")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+    d = hamiltonian.dim
+    if not times.any():
+        return np.eye(d, dtype=complex), np.ones(times.shape + (d,), dtype=complex)
+    values, vectors = np.linalg.eigh(hamiltonian.matrix)
+    return vectors, np.exp(-1j * np.multiply.outer(times, values) / hbar)
+
+
 def evolve(hamiltonian: Operator, t: float, hbar: float = 1.0) -> Operator:
     """Unitary time evolution exp(-i H t / hbar) via the spectral theorem."""
-    if hamiltonian.tag != HERMITIAN:
-        raise NonHermitianInputError("evolve requires a hermitian-tagged operator")
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t!r}")
-    if hbar <= 0 or not math.isfinite(hbar):
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
-    if t == 0.0:
-        return identity(hamiltonian.dim)
-    values, vectors = np.linalg.eigh(hamiltonian.matrix)
-    phases = np.exp(-1j * values * (t / hbar))
+    vectors, phases = evolution_phases(hamiltonian, t, hbar)
     return Operator((vectors * phases) @ vectors.conj().T, tag=UNITARY)
 
 

@@ -9,6 +9,7 @@ start and leave untouched when given as the initial point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -55,12 +56,12 @@ class OptimizeConfig:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"optimization needs d >= 2, got {self.d}")
-        if self.t_target <= 0:
-            raise ValueError(f"t_target must be positive, got {self.t_target!r}")
+        if not 0 < self.t_target < math.inf:
+            raise ValueError(f"t_target must be positive and finite, got {self.t_target!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .errors import (
     IndexOutOfRangeError,
     ZeroThetaError,
 )
-from .numerics import HERMITIAN, Operator, evolve
+from .numerics import HERMITIAN, Operator, evolution_phases, evolve
 
 MIRROR_ATOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
@@ -59,15 +59,22 @@ def _check_site(dim: int, name: str, site: int) -> None:
         raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
 
 
+def _fidelities(hamiltonian: Operator, times, source: int, target: int, hbar: float):
+    """|<target| exp(-iHt/hbar) |source>|^2 at each time, from the spectral
+    sum of V[target,k] conj(V[source,k]) exp(-i lambda_k t / hbar) over k."""
+    _check_site(hamiltonian.dim, "source", source)
+    _check_site(hamiltonian.dim, "target", target)
+    vectors, phases = evolution_phases(hamiltonian, times, hbar)
+    amplitudes = phases @ (vectors[target] * vectors[source].conj())
+    return np.minimum(np.abs(amplitudes) ** 2, 1.0)
+
+
 def transfer_fidelity(
     hamiltonian: Operator, t: float, source: int, target: int, hbar: float = 1.0
 ) -> float:
     """Probability |<target| exp(-iHt/hbar) |source>|^2 of finding the
-    excitation at the target site at time t."""
-    _check_site(hamiltonian.dim, "source", source)
-    _check_site(hamiltonian.dim, "target", target)
-    u = evolve(hamiltonian, t, hbar)
-    return min(float(abs(u.matrix[target, source]) ** 2), 1.0)
+    excitation at the target site at time t (exactly 1 or 0 at t = 0)."""
+    return float(_fidelities(hamiltonian, t, source, target, hbar))
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,10 @@ class FidelityCurve:
         fidelities = np.array(self.fidelities, dtype=float)
         if times.shape != fidelities.shape or times.ndim != 1:
             raise ValueError("times and fidelities must be 1-d arrays of equal length")
-        if times.size >= 2 and np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(fidelities < 0) or np.any(fidelities > 1 + 1e-12):
+        # written so that NaN fails each check
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError("times must be finite and strictly increasing")
+        if not ((0 <= fidelities) & (fidelities <= 1 + 1e-12)).all():
             raise ValueError("fidelities must lie in [0, 1]")
         for arr in (times, fidelities):
             arr.setflags(write=False)
@@ -108,14 +116,8 @@ def fidelity_curve(
     hbar: float = 1.0,
 ) -> FidelityCurve:
     """Transfer fidelity at every grid time, via one eigendecomposition."""
-    _check_site(hamiltonian.dim, "source", source)
-    _check_site(hamiltonian.dim, "target", target)
     times = np.array(t_grid, dtype=float).reshape(-1)
-    values, vectors = np.linalg.eigh(hamiltonian.matrix)
-    weights = vectors[target, :] * vectors[source, :].conj()
-    phases = np.exp(-1j * np.outer(times, values) / hbar)
-    amplitudes = phases @ weights
-    fidelities = np.minimum(np.abs(amplitudes) ** 2, 1.0)
+    fidelities = _fidelities(hamiltonian, times, source, target, hbar)
     return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
 
 

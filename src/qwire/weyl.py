@@ -3,7 +3,7 @@ Hamiltonian whose one-step evolution reproduces the shift."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -127,12 +127,17 @@ def verify_shift_identity(d: int, theta: float) -> ShiftIdentityResult:
 class WeylPair:
     """The (shift, clock) pair for dimension d with its measured
     commutation phase, validated at construction: both operators have
-    order d and the phase is a primitive d-th root of unity."""
+    order d and the phase is a primitive d-th root of unity.  The
+    certification residuals max |U^d - I|, max |V^d - I| and
+    max |U V - lambda V U| are kept on the pair."""
 
     dim: int
     shift: Operator
     clock: Operator
     commutation_phase: complex
+    shift_pow_residual: float = field(init=False)
+    clock_pow_residual: float = field(init=False)
+    commutation_residual: float = field(init=False)
 
     def __post_init__(self) -> None:
         eye = np.eye(self.dim)
@@ -140,8 +145,9 @@ class WeylPair:
             if op.dim != self.dim:
                 raise DimensionMismatchError(f"{name} dim {op.dim} != {self.dim}")
             dev = max_abs(np.linalg.matrix_power(op.matrix, self.dim) - eye)
-            if dev > IDENTITY_ATOL:
+            if not dev <= IDENTITY_ATOL:  # NaN fails too
                 raise ValueError(f"{name}^d deviates from identity by {dev:.3e}")
+            object.__setattr__(self, f"{name}_pow_residual", dev)
         lam = self.commutation_phase
         if abs(abs(lam) - 1.0) > COMMUTATION_ATOL:
             raise ValueError(f"commutation phase must be unit modulus, got {lam!r}")
@@ -149,8 +155,9 @@ class WeylPair:
             self.shift.matrix @ self.clock.matrix
             - lam * self.clock.matrix @ self.shift.matrix
         )
-        if residual > COMMUTATION_ATOL:
+        if not residual <= COMMUTATION_ATOL:
             raise ValueError(f"commutation relation residual {residual:.3e}")
+        object.__setattr__(self, "commutation_residual", residual)
         powers = lam ** np.arange(1, self.dim)
         if np.any(np.abs(powers - 1.0) <= COMMUTATION_ATOL):
             raise ValueError("commutation phase is not a primitive d-th root of unity")

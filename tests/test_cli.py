@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from qwire import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -117,6 +119,13 @@ class TestPstCommand:
         summary = json.loads(proc.stdout)
         assert abs(summary["t_star"] - math.pi / 2) <= 1e-12
 
+    @pytest.mark.parametrize("flags", [("--t-max", "inf"), ("--vartheta", "inf", "--t-max", "1")])
+    def test_non_finite_time_scale_rejected(self, flags):
+        proc = run_cli("pst", "--d", "4", "--samples", "3", *flags)
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_samples_rejected(self):
         proc = run_cli("pst", "--d", "4", "--samples", "1")
         assert proc.returncode == 2
@@ -211,3 +220,95 @@ class TestExitCodesAndDeterminism:
 
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli("weyl-check").returncode == 2
+
+
+class TestInProcessFormats:
+    """Every subcommand through `cli.main` in both formats: the JSON and CSV
+    forms of one run carry the same numbers."""
+
+    @staticmethod
+    def _main(capsys, *args):
+        code = cli.main(list(args))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_dispersion(self, capsys):
+        args = ("dispersion", "--topology", "line", "--d", "5", "--E0", "0.5")
+        code, csv_text, _ = self._main(capsys, *args)
+        assert code == 0
+        code, json_text, _ = self._main(capsys, *args, "--format", "json")
+        assert code == 0
+        header, rows = parse_csv(csv_text)
+        payload = json.loads(json_text)
+        assert list(payload) == ["topology", "d", "E0", "A", "max_deviation", "rows"]
+        assert [list(r) for r in payload["rows"]] == [header] * 5
+        for row, record in zip(rows, payload["rows"]):
+            assert row == [repr(v) for v in record.values()]
+
+    def test_weyl_check_csv(self, capsys):
+        code, json_text, _ = self._main(capsys, "weyl-check", "--d", "6")
+        code_csv, csv_text, _ = self._main(capsys, "weyl-check", "--d", "6", "--format", "csv")
+        assert code == code_csv == 0
+        payload = json.loads(json_text)
+        header, rows = parse_csv(csv_text)
+        assert header == list(payload)
+        assert rows == [[json.dumps(v) for v in payload.values()]]
+
+    def test_pst_json(self, capsys, tmp_path):
+        args = ("pst", "--d", "5", "--t-max", "3.0", "--samples", "31")
+        code, csv_text, csv_summary = self._main(capsys, *args)
+        assert code == 0
+        code, json_text, json_summary = self._main(capsys, *args, "--format", "json")
+        assert code == 0
+        assert csv_summary == json_summary
+        assert json.loads(json_summary)["uniform"] is False
+        payload = json.loads(json_text)
+        assert list(payload) == ["source", "target", "times", "fidelities"]
+        assert (payload["source"], payload["target"]) == (0, 4)
+        _, rows = parse_csv(csv_text)
+        assert rows == [[repr(t), repr(f)] for t, f in
+                        zip(payload["times"], payload["fidelities"])]
+        # with --output the summary moves to stdout
+        out = tmp_path / "curve.json"
+        code, stdout, stderr = self._main(capsys, *args, "--format", "json",
+                                          "--output", str(out))
+        assert code == 0 and stderr == ""
+        assert stdout == json_summary
+        assert out.read_text() == json_text
+
+    def test_sector_check_csv(self, capsys):
+        _, json_text, _ = self._main(capsys, "sector-check", "--n", "5", "--pst")
+        code, csv_text, _ = self._main(capsys, "sector-check", "--n", "5", "--pst",
+                                       "--format", "csv")
+        assert code == 0
+        header, rows = parse_csv(csv_text)
+        payload = json.loads(json_text)
+        assert header == ["n", "pst", "max_deviation", "holds"]
+        assert rows == [[json.dumps(v) for v in payload.values()]]
+
+    def test_optimize_csv(self, capsys):
+        args = ("optimize", "--d", "3", "--t-target", "2.0", "--seed", "1")
+        _, json_text, _ = self._main(capsys, *args)
+        code, csv_text, _ = self._main(capsys, *args, "--format", "csv")
+        assert code == 0
+        header, rows = parse_csv(csv_text)
+        assert header == ["j", "coupling"]
+        couplings = json.loads(json_text)["couplings"]
+        assert rows == [[str(j + 1), repr(a)] for j, a in enumerate(couplings)]
+
+    def test_uncertified_weyl_pair_exits_one(self, capsys, monkeypatch):
+        def refuse(d):
+            raise ValueError("clock^d deviates from identity")
+
+        monkeypatch.setattr(cli.weyl, "weyl_pair", refuse)
+        code, out, err = self._main(capsys, "weyl-check", "--d", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "certification" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_bad_tol_exits_two(self, capsys, tol):
+        code, out, err = self._main(capsys, "optimize", "--d", "3", "--t-target", "1",
+                                    "--tol", tol)
+        assert code == 2
+        assert out == "" and "tol" in err

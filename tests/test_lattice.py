@@ -17,6 +17,7 @@ from qwire.lattice import (
     dispersion_check,
     ring_position_spread,
     uniform_chain,
+    wave_numbers,
 )
 from qwire.numerics import StateVector, basis_state, hermitian_eig, max_abs
 from qwire.weyl import momentum_basis
@@ -85,6 +86,29 @@ class TestDispersion:
     def test_rejects_small_d(self):
         with pytest.raises(DimensionTooSmallError):
             dispersion(RING, 1, 0.0, 1.0)
+
+
+class TestWaveNumbers:
+    def test_ring(self):
+        j, kb = wave_numbers(RING, 4)
+        assert j.tolist() == [0, 1, 2, 3]
+        assert np.allclose(kb, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], atol=1e-15)
+
+    def test_line(self):
+        j, kb = wave_numbers(LINE, 3)
+        assert j.tolist() == [1, 2, 3]
+        assert np.allclose(kb, [math.pi / 4, math.pi / 2, 3 * math.pi / 4], atol=1e-15)
+
+    @pytest.mark.parametrize("topology", [RING, LINE])
+    def test_dispersion_uses_them(self, topology):
+        _, kb = wave_numbers(topology, 7)
+        assert np.array_equal(dispersion(topology, 7, 0.5, 1.5), 0.5 - 2 * 1.5 * np.cos(kb))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DimensionTooSmallError):
+            wave_numbers(LINE, 1)
+        with pytest.raises(ValueError):
+            wave_numbers("star", 4)
 
 
 class TestDispersionCheck:

@@ -57,6 +57,12 @@ class TestConfig:
             OptimizeConfig(d=4, t_target=1.0, tol=0.0)
         with pytest.raises(ValueError):
             OptimizeConfig(d=1, t_target=1.0)
+        for t_target in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                OptimizeConfig(d=4, t_target=t_target)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                OptimizeConfig(d=4, t_target=1.0, tol=tol)
 
     def test_result_fidelity_range(self):
         with pytest.raises(ValueError):

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import expm_series
+from conftest import expm_series, random_hermitian
 from qwire.errors import (
     DimensionTooSmallError,
     IndexOutOfRangeError,
+    NonHermitianInputError,
     ZeroThetaError,
 )
 from qwire.lattice import LINE, ChainSpec, build_hamiltonian, uniform_chain
-from qwire.numerics import HERMITIAN, Operator, hermitian_eig, max_abs
+from qwire.numerics import GENERAL, HERMITIAN, Operator, hermitian_eig, max_abs
 from qwire.pst import (
     FidelityCurve,
     TransferReport,
@@ -177,6 +178,83 @@ class TestFidelityCurve:
         with pytest.raises(ValueError):
             FidelityCurve(times=np.array([0.0, 1.0]), fidelities=np.array([0.0, 1.5]),
                           source=0, target=1)
+
+    @pytest.mark.parametrize("times,fidelities", [
+        ([0.0, math.nan], [0.0, 0.5]),
+        ([math.nan, 1.0], [0.0, 0.5]),
+        ([math.nan], [0.5]),
+        ([0.0, math.inf], [0.0, 0.5]),
+        ([0.0, 1.0], [math.nan, 0.5]),
+        ([0.0, 1.0], [0.0, math.nan]),
+    ])
+    def test_curve_rejects_nan(self, times, fidelities):
+        with pytest.raises(ValueError):
+            FidelityCurve(times=np.array(times), fidelities=np.array(fidelities),
+                          source=0, target=1)
+
+
+class TestEvolutionInputChecks:
+    """transfer_fidelity and fidelity_curve share one evolution routine, so
+    both reject the same inputs."""
+
+    @staticmethod
+    def _call(route, h, t, hbar=1.0):
+        if route == "curve":
+            return fidelity_curve(h, [0.0, t], 0, h.dim - 1, hbar)
+        return transfer_fidelity(h, t, 0, h.dim - 1, hbar)
+
+    @pytest.mark.parametrize("route", ["point", "curve"])
+    def test_rejects_general_tag(self, route):
+        h = Operator(np.triu(pst_hamiltonian(4, 1.0).matrix), tag=GENERAL)
+        with pytest.raises(NonHermitianInputError):
+            self._call(route, h, 1.0)
+
+    @pytest.mark.parametrize("route", ["point", "curve"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, route, t):
+        with pytest.raises(ValueError):
+            self._call(route, pst_hamiltonian(4, 1.0), t)
+
+    @pytest.mark.parametrize("route", ["point", "curve"])
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_hbar(self, route, hbar):
+        with pytest.raises(ValueError):
+            self._call(route, pst_hamiltonian(4, 1.0), 1.0, hbar)
+
+    @pytest.mark.parametrize("hbar", [0.0, math.nan])
+    def test_zero_time_still_checks_hbar(self, hbar):
+        with pytest.raises(ValueError):
+            transfer_fidelity(pst_hamiltonian(4, 1.0), 0.0, 0, 3, hbar)
+
+    def test_curve_rejects_nan_inside_grid(self):
+        with pytest.raises(ValueError):
+            fidelity_curve(pst_hamiltonian(4, 1.0), [0.0, 0.5, math.nan, 1.5], 0, 3)
+
+
+class TestAmplitudeOracle:
+    """Direct spectral amplitudes against a power-series exponential on
+    complex hermitian H, where a conjugate on the wrong eigenvector row
+    changes the result (on real chains it would not)."""
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_transfer_fidelity(self, d):
+        rng = np.random.default_rng(100 + d)
+        h = random_hermitian(rng, d, scale=0.5)
+        for source, target in [(0, d - 1), (d - 1, 0), (1, 0)]:
+            for t in (0.4, 1.3):
+                oracle = abs(expm_series(-1j * h.matrix * t)[target, source]) ** 2
+                assert abs(transfer_fidelity(h, t, source, target) - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_fidelity_curve(self, d):
+        rng = np.random.default_rng(200 + d)
+        h = random_hermitian(rng, d, scale=0.5)
+        source, target = d - 1, 0
+        grid = np.linspace(0.0, 2.0, 11)
+        curve = fidelity_curve(h, grid, source, target, hbar=1.5)
+        for t, fid in zip(curve.times, curve.fidelities):
+            oracle = abs(expm_series(-1j * h.matrix * t / 1.5)[target, source]) ** 2
+            assert abs(fid - oracle) <= 1e-12
 
 
 class TestTransferTime:

@@ -214,3 +214,20 @@ class TestWeylPair:
     def test_rejects_small_dimension(self):
         with pytest.raises(DimensionTooSmallError):
             weyl_pair(1)
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_keeps_certification_residuals(self, d):
+        pair = weyl_pair(d)
+        eye = np.eye(d)
+        assert pair.shift_pow_residual == max_abs(
+            np.linalg.matrix_power(pair.shift.matrix, d) - eye)
+        assert pair.clock_pow_residual == max_abs(
+            np.linalg.matrix_power(pair.clock.matrix, d) - eye)
+        assert pair.commutation_residual <= 1e-12
+        assert pair.shift_pow_residual <= 1e-10 and pair.clock_pow_residual <= 1e-10
+
+    def test_rejects_nan_operator(self):
+        nan_shift = Operator(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError):
+            WeylPair(dim=3, shift=nan_shift, clock=clock_matrix(3),
+                     commutation_phase=commutation_phase(shift_matrix(3), clock_matrix(3)))
