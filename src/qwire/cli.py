@@ -8,7 +8,7 @@ Subcommands
     optimize      coupling-profile search at a fixed transfer time
 
 Exit codes: 0 success, 1 tolerance or convergence failure, 2 argument
-error, 3 resource cap.  Every command is deterministic given its flags
+error (a flag the CLI or the library rejects), 3 resource cap.  Every command is deterministic given its flags
 (including --seed), floats print as shortest round-trip decimals, and
 complex values serialize as paired _re/_im fields.
 """
@@ -287,6 +287,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # a numerical result that missed its tolerance is exit 1
         return getattr(exc, "exit_code", EXIT_TOLERANCE)
+    except QwireError as exc:
+        # input that passes the checks here but not the library's
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.format == "csv":
         text = _csv(*(result.table or (list(result.payload), [result.payload.values()])))

@@ -3,6 +3,7 @@ dispersion E_j = E0 - 2A cos(k_j b), and the ring position spread."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +36,17 @@ class ChainSpec:
             raise DimensionTooSmallError(f"chain needs d >= 2, got {self.d}")
         if self.topology not in (RING, LINE):
             raise ValueError(f"topology must be 'ring' or 'line', got {self.topology!r}")
-        couplings = tuple(float(a) for a in self.couplings)
+        couplings = tuple(map(float, self.couplings))
         expected = self.d if self.topology == RING else self.d - 1
         if len(couplings) != expected:
             raise BadCouplingCountError(
                 f"{self.topology} chain with d={self.d} needs {expected} couplings, "
                 f"got {len(couplings)}"
             )
-        if not all(np.isfinite(couplings)):
+        if not all(map(math.isfinite, couplings)):
             raise ValueError("couplings must be finite")
+        if not math.isfinite(self.E0):
+            raise ValueError(f"E0 must be finite, got {self.E0!r}")
         object.__setattr__(self, "couplings", couplings)
 
     @property
@@ -63,12 +66,18 @@ def build_hamiltonian(spec: ChainSpec) -> Operator:
     Lines are tridiagonal; rings add the wraparound corner (for d=2 the
     two ring bonds share one matrix element and accumulate).
     """
-    h = np.zeros((spec.d, spec.d), dtype=complex)
-    np.fill_diagonal(h, spec.E0)
-    for bond, amplitude in enumerate(spec.couplings):
-        i, j = bond, (bond + 1) % spec.d
-        h[i, j] += -amplitude
-        h[j, i] += -amplitude
+    d = spec.d
+    h = np.zeros((d, d), dtype=complex)
+    flat = h.reshape(-1)  # a view: strided writes fill whole diagonals
+    flat[:: d + 1] = spec.E0
+    # 0.0 - A, as adding into the zero matrix gives: a zero coupling stays +0.0
+    hopping = [0.0 - a for a in spec.couplings[: d - 1]]
+    flat[1 :: d + 1] = hopping  # h[l, l+1]
+    flat[d :: d + 1] = hopping  # h[l+1, l]
+    if spec.topology == RING:
+        wrap = spec.couplings[d - 1]
+        h[d - 1, 0] += -wrap
+        h[0, d - 1] += -wrap
     return Operator(h, tag=HERMITIAN)
 
 

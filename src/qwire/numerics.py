@@ -12,6 +12,14 @@ propagator V diag(phases) V^dag from them; the transfer amplitudes in
 `pst` contract the phases with V[target] * conj(V[source]) and never form
 the d x d propagator.  All values are immutable after construction and
 safe to share between threads.
+
+The hermitian tag is checked on every construction, and most matrices
+built here (chain Hamiltonians, symmetrized sums) are exactly hermitian.
+So the deviation max |M - M^dag| is computed first, and when it is
+exactly 0 the relative bound needs no max |M|: a deviation of exactly 0
+also proves every entry finite, because a NaN or inf entry makes its
+difference NaN or inf.  A nonzero deviation is held to the full rule,
+which rejects any non-finite entry.
 """
 
 from __future__ import annotations
@@ -55,10 +63,12 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 class Operator:
     """Dense complex square matrix with a declared structural tag.
 
-    The tag is verified at construction: hermitian means
-    max |M[i,j] - conj(M[j,i])| <= 1e-12 * (max entry magnitude), unitary
-    means max |M^dag M - I| <= 1e-10.  Use GENERAL when neither structure
-    is claimed.
+    The tag is verified at construction: hermitian means every entry is
+    finite and max |M[i,j] - conj(M[j,i])| <= 1e-12 * (max entry
+    magnitude), where a deviation of exactly 0 passes without the max
+    entry magnitude being read (it already implies finite entries);
+    unitary means max |M^dag M - I| <= 1e-10.  Use GENERAL when neither
+    structure is claimed.
     """
 
     matrix: np.ndarray
@@ -73,8 +83,11 @@ class Operator:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown operator tag {self.tag!r}")
         if self.tag == HERMITIAN:
-            dev = max_abs(m - m.conj().T)
-            if not dev <= HERMITIAN_RTOL * max_abs(m):  # NaN fails too
+            dev = float(abs(m - m.conj().T).max())
+            # dev == 0 implies finite entries; otherwise NaN and inf fail too
+            if dev != 0 and not (
+                np.isfinite(m).all() and dev <= HERMITIAN_RTOL * float(abs(m).max())
+            ):
                 raise NonHermitianInputError(
                     f"hermiticity violated: max |M - M^dag| = {dev:.3e}"
                 )
@@ -207,14 +220,19 @@ def evolution_phases(
     """
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
-    times = np.asarray(times, dtype=float)
-    if not np.isfinite(times).all():
+    if isinstance(times, (int, float)):  # one time: the same checks on a Python float
+        times = float(times)
+        finite, nonzero, shape = math.isfinite(times), times != 0, ()
+    else:
+        times = np.asarray(times, dtype=float)
+        finite, nonzero, shape = np.isfinite(times).all(), times.any(), times.shape
+    if not finite:
         raise ValueError("evolution times must be finite")
     if not 0 < hbar < math.inf:
         raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
     d = hamiltonian.dim
-    if not times.any():
-        return np.eye(d, dtype=complex), np.ones(times.shape + (d,), dtype=complex)
+    if not nonzero:
+        return np.eye(d, dtype=complex), np.ones(shape + (d,), dtype=complex)
     values, vectors = np.linalg.eigh(hamiltonian.matrix)
     return vectors, np.exp(-1j * np.multiply.outer(times, values) / hbar)
 

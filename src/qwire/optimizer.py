@@ -38,7 +38,7 @@ def objective(couplings, t: float, d: int, hbar: float = 1.0) -> float:
         raise BadCouplingCountError(
             f"line chain with d={d} needs {d - 1} couplings, got {couplings.shape[0]}"
         )
-    spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=tuple(couplings))
+    spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings.tolist())
     return transfer_fidelity(build_hamiltonian(spec), t, 0, d - 1, hbar)
 
 
@@ -92,7 +92,8 @@ class _SimplexRun(NamedTuple):
 
 
 def _clip(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, -COUPLING_BOUND, COUPLING_BOUND)
+    # np.clip's own arithmetic, without its argument handling
+    return np.minimum(np.maximum(x, -COUPLING_BOUND), COUPLING_BOUND)
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
@@ -119,15 +120,15 @@ def _simplex_descent(
     simplex = _initial_simplex(x0)
     fvals = np.array([f(x) for x in simplex])
     sweep = n + 1
-    checkpoint = float(np.min(fvals))
+    checkpoint = float(fvals.min())
     iterations = 0
     converged = False
 
     while iterations < max_iters:
-        order = np.argsort(fvals, kind="stable")
+        order = fvals.argsort(kind="stable")
         simplex, fvals = simplex[order], fvals[order]
 
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n  # the sum and division of mean
         reflected = _clip(centroid + _REFLECT * (centroid - simplex[-1]))
         f_reflected = f(reflected)
 
@@ -159,18 +160,18 @@ def _simplex_descent(
 
         iterations += 1
 
-        size = float(np.max(np.abs(simplex - simplex[np.argmin(fvals)])))
+        size = float(abs(simplex - simplex[fvals.argmin()]).max())
         if size < tol:
             converged = True
             break
         if iterations % sweep == 0:
-            best_now = float(np.min(fvals))
+            best_now = float(fvals.min())
             if checkpoint - best_now < tol:
                 converged = True
                 break
             checkpoint = best_now
 
-    k = int(np.argmin(fvals))
+    k = int(fvals.argmin())
     return _SimplexRun(simplex[k].copy(), float(fvals[k]), iterations, converged)
 
 

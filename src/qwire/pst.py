@@ -59,14 +59,13 @@ def _check_site(dim: int, name: str, site: int) -> None:
         raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
 
 
-def _fidelities(hamiltonian: Operator, times, source: int, target: int, hbar: float):
-    """|<target| exp(-iHt/hbar) |source>|^2 at each time, from the spectral
-    sum of V[target,k] conj(V[source,k]) exp(-i lambda_k t / hbar) over k."""
+def _amplitudes(hamiltonian: Operator, times, source: int, target: int, hbar: float):
+    """<target| exp(-iHt/hbar) |source> at each time, the spectral sum of
+    V[target,k] conj(V[source,k]) exp(-i lambda_k t / hbar) over k."""
     _check_site(hamiltonian.dim, "source", source)
     _check_site(hamiltonian.dim, "target", target)
     vectors, phases = evolution_phases(hamiltonian, times, hbar)
-    amplitudes = phases @ (vectors[target] * vectors[source].conj())
-    return np.minimum(np.abs(amplitudes) ** 2, 1.0)
+    return phases @ (vectors[target] * vectors[source].conj())
 
 
 def transfer_fidelity(
@@ -74,7 +73,8 @@ def transfer_fidelity(
 ) -> float:
     """Probability |<target| exp(-iHt/hbar) |source>|^2 of finding the
     excitation at the target site at time t (exactly 1 or 0 at t = 0)."""
-    return float(_fidelities(hamiltonian, t, source, target, hbar))
+    amplitude = complex(_amplitudes(hamiltonian, t, source, target, hbar))
+    return min(abs(amplitude) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,8 @@ def fidelity_curve(
 ) -> FidelityCurve:
     """Transfer fidelity at every grid time, via one eigendecomposition."""
     times = np.array(t_grid, dtype=float).reshape(-1)
-    fidelities = _fidelities(hamiltonian, times, source, target, hbar)
+    amplitudes = _amplitudes(hamiltonian, times, source, target, hbar)
+    fidelities = np.minimum(np.abs(amplitudes) ** 2, 1.0)
     return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
 
 
@@ -135,7 +136,8 @@ class TransferReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.peak_fidelity <= 1.0 + 1e-12:
             raise ValueError(f"peak fidelity {self.peak_fidelity!r} outside [0, 1]")
-        if abs(self.period - 2 * self.t_star) > 1e-9 * max(abs(self.period), 1.0):
+        # written so that NaN fails the check
+        if not abs(self.period - 2 * self.t_star) <= 1e-9 * max(abs(self.period), 1.0):
             raise ValueError("period must equal twice the transfer time")
 
 

@@ -40,14 +40,16 @@ def clock_matrix(d: int) -> Operator:
 def commutation_phase(u: Operator, v: Operator) -> complex:
     """Scalar lambda with U V = lambda V U, measured from the matrices.
 
-    Raises NotProportionalError if no scalar relates the two products
-    within 1e-12 entrywise.
+    Raises ValueError if either operator is not unitary within 1e-10
+    (NaN and inf entries included), and NotProportionalError if no scalar
+    relates the two products within 1e-12 entrywise.
     """
     if u.dim != v.dim:
         raise DimensionMismatchError(f"operator dims differ: {u.dim} vs {v.dim}")
+    # both checks are written so that NaN fails them
     for name, op in (("U", u), ("V", v)):
         dev = max_abs(op.matrix.conj().T @ op.matrix - np.eye(op.dim))
-        if dev > IDENTITY_ATOL:
+        if not dev <= IDENTITY_ATOL:
             raise ValueError(f"{name} is not unitary (deviation {dev:.3e})")
     uv = u.matrix @ v.matrix
     vu = v.matrix @ u.matrix
@@ -56,7 +58,7 @@ def commutation_phase(u: Operator, v: Operator) -> complex:
         raise NotProportionalError("V U is the zero matrix")
     lam = complex(uv[pivot] / vu[pivot])
     residual = max_abs(uv - lam * vu)
-    if residual > COMMUTATION_ATOL:
+    if not residual <= COMMUTATION_ATOL:
         raise NotProportionalError(
             f"U V and V U are not proportional: residual {residual:.3e}"
         )

@@ -45,6 +45,13 @@ class TestChainSpec:
         assert spec.couplings == (0.5,) * 5
         assert spec.is_uniform
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1.0, bad))
+        with pytest.raises(ValueError, match="E0 must be finite"):
+            ChainSpec(d=3, topology=LINE, E0=bad, couplings=(1.0, 1.0))
+
 
 class TestBuildHamiltonian:
     def test_single_bond(self):
@@ -68,6 +75,42 @@ class TestBuildHamiltonian:
     def test_ring_has_corners(self):
         h = build_hamiltonian(uniform_chain(6, RING)).matrix
         assert h[0, 5] == -1.0 and h[5, 0] == -1.0
+
+
+def _bond_loop_hamiltonian(spec):
+    """The chain Hamiltonian one bond at a time: E0 on the diagonal, then
+    -A_l added to both entries of bond l (a d=2 ring adds twice)."""
+    h = np.zeros((spec.d, spec.d), dtype=complex)
+    np.fill_diagonal(h, spec.E0)
+    for bond, amplitude in enumerate(spec.couplings):
+        i, j = bond, (bond + 1) % spec.d
+        h[i, j] += -amplitude
+        h[j, i] += -amplitude
+    return h
+
+
+class TestBuildMatchesBondLoop:
+    """The strided build gives exactly the matrix of the per-bond loop."""
+
+    @pytest.mark.parametrize("topology", [LINE, RING])
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_signed_couplings(self, topology, d):
+        rng = np.random.default_rng(300 + d)
+        n_bonds = d if topology == RING else d - 1
+        couplings = rng.uniform(-2.0, 2.0, n_bonds)
+        couplings[rng.integers(n_bonds)] = 0.0  # a cut bond
+        spec = ChainSpec(d=d, topology=topology, E0=float(rng.normal()),
+                         couplings=tuple(couplings))
+        built = build_hamiltonian(spec).matrix
+        oracle = _bond_loop_hamiltonian(spec)
+        assert np.array_equal(built, oracle)
+        assert built.tobytes() == oracle.tobytes()  # signed zeros included
+
+    def test_two_site_ring_accumulates_both_bonds(self):
+        spec = ChainSpec(d=2, topology=RING, E0=0.25, couplings=(0.5, 1.75))
+        built = build_hamiltonian(spec).matrix
+        assert np.array_equal(built, _bond_loop_hamiltonian(spec))
+        assert built[0, 1] == built[1, 0] == -2.25
 
 
 class TestDispersion:

@@ -20,6 +20,7 @@ from qwire.numerics import (
     StateVector,
     apply,
     basis_state,
+    evolution_phases,
     evolve,
     hermitian_eig,
     identity,
@@ -98,6 +99,79 @@ class TestNonFiniteRejected:
             amps[:] = bad
         with pytest.raises(NotNormalizedError):
             StateVector(amps)
+
+
+class TestHermitianRule:
+    """`Operator(m, HERMITIAN)` accepts exactly the matrices the rule
+    written out here accepts: finite entries and
+    max |M - M^dag| <= 1e-12 * max |M|."""
+
+    @staticmethod
+    def _reference(m):
+        if not np.isfinite(m).all():
+            return False
+        return np.max(np.abs(m - m.conj().T)) <= 1e-12 * np.max(np.abs(m))
+
+    @staticmethod
+    def _accepted(m):
+        try:
+            Operator(m, tag=HERMITIAN)
+        except NonHermitianInputError:
+            return False
+        return True
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 8), where=st.integers(0, 63),
+           kind=st.sampled_from(["exact", "bound", "zero", "bad"]),
+           factor=st.sampled_from([0.5, 0.999999, 1.0, 1.000001, 2.0]),
+           imaginary=st.booleans(), mirror=st.booleans(),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                                complex(0.0, -math.inf), complex(math.nan, 0.0)]))
+    def test_accepts_exactly_the_rule(self, seed, d, where, kind, factor, imaginary,
+                                      mirror, bad):
+        m = random_hermitian(np.random.default_rng(seed), d).matrix.copy()
+        i, j = divmod(where % (d * d), d)
+        if kind == "zero":
+            m[:] = 0.0
+        elif kind == "bound":
+            # a perturbation just inside, at and just outside the bound
+            step = factor * 1e-12 * np.max(np.abs(m))
+            m[i, j] += 1j * step if imaginary else step
+        elif kind == "bad":
+            m[i, j] = bad
+            if mirror:
+                m[j, i] = np.conj(bad)
+        assert self._accepted(m) == self._reference(m)
+
+    @pytest.mark.parametrize("m", [
+        [[0.0, math.inf], [0.0, 0.0]],
+        [[0.0, math.inf], [-math.inf, 0.0]],
+        [[math.inf * 1j, 0.0], [0.0, 0.0]],
+        [[complex(0.0, math.inf), 0.0], [0.0, 0.0]],
+    ])
+    def test_infinite_entries_rejected(self, m):
+        with pytest.raises(NonHermitianInputError):
+            Operator(np.array(m, dtype=complex), tag=HERMITIAN)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), d=st.integers(2, 8), where=st.integers(0, 63),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_unmirrored_inf_rejected(self, seed, d, where, sign):
+        m = random_hermitian(np.random.default_rng(seed), d).matrix.copy()
+        i, j = divmod(where % (d * (d - 1)), d - 1)
+        m[i, j + (j >= i)] = sign * math.inf  # off the diagonal, partner left finite
+        with pytest.raises(NonHermitianInputError):
+            Operator(m, tag=HERMITIAN)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 8), where=st.integers(0, 63),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_imaginary_inf_on_diagonal_rejected(self, seed, d, where, sign):
+        m = random_hermitian(np.random.default_rng(seed), d).matrix.copy()
+        k = where % d
+        m[k, k] = complex(0.0, sign * math.inf)
+        with pytest.raises(NonHermitianInputError):
+            Operator(m, tag=HERMITIAN)
 
 
 class TestStateVector:
@@ -185,6 +259,16 @@ class TestEvolve:
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             evolve(Operator(X, tag=HERMITIAN), math.inf)
+
+    @pytest.mark.parametrize("t", [0.7, -2, 0, np.float64(1.25)])
+    def test_one_time_matches_the_array_route(self, t):
+        # a scalar time takes the Python-float checks; the phases are the same
+        h = random_hermitian(np.random.default_rng(8), 5)
+        vectors, phases = evolution_phases(h, t)
+        array_vectors, array_phases = evolution_phases(h, np.array([t]))
+        assert phases.shape == (5,)
+        assert np.array_equal(vectors, array_vectors)
+        assert phases.tobytes() == array_phases[0].tobytes()
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expm_series
 from qwire.errors import BadCouplingCountError
 from qwire.optimizer import (
     OptimizeConfig,
@@ -45,6 +46,16 @@ class TestObjective:
     def test_coupling_count_checked(self):
         with pytest.raises(BadCouplingCountError):
             objective([1.0, 1.0], 1.0, 4)
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_matches_power_series_propagator(self, d):
+        # |exp(-iHt)[d-1, 0]|^2 with H = -A_l on the bonds, summed term by term
+        rng = np.random.default_rng(400 + d)
+        couplings = rng.uniform(-1.5, 1.5, d - 1)
+        h = np.diag(-couplings, 1) + np.diag(-couplings, -1)
+        for t in (0.4, 1.3):
+            oracle = abs(expm_series(-1j * h * t)[d - 1, 0]) ** 2
+            assert abs(objective(couplings, t, d) - oracle) <= 1e-12
 
 
 class TestConfig:

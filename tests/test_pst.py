@@ -300,6 +300,13 @@ class TestTransferTime:
         with pytest.raises(ValueError):
             TransferReport(d=4, vartheta=1.0, t_star=1.0, peak_fidelity=1.5, period=2.0)
 
+    @pytest.mark.parametrize("t_star, period", [
+        (math.nan, math.nan), (1.0, math.nan), (math.nan, 2.0), (math.inf, math.inf),
+    ])
+    def test_report_rejects_non_finite_times(self, t_star, period):
+        with pytest.raises(ValueError):
+            TransferReport(d=4, vartheta=1.0, t_star=t_star, peak_fidelity=1.0, period=period)
+
 
 class TestMirrorCheck:
     def test_transfer_chain_is_symmetric(self):

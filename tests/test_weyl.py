@@ -93,6 +93,18 @@ class TestCommutationPhase:
         with pytest.raises(NotProportionalError):
             commutation_phase(u, v)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_non_finite_operator_rejected(self, bad, whole):
+        m = shift_matrix(3).matrix.copy()
+        if whole:
+            m[:] = bad
+        else:
+            m[1, 0] = bad
+        for u, v in [(Operator(m), clock_matrix(3)), (clock_matrix(3), Operator(m))]:
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+                commutation_phase(u, v)
+
 
 class TestMomentumBasis:
     def test_d2_columns(self):
