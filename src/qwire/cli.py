@@ -87,7 +87,6 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_dispersion(args) -> Result:
-    _require(args.topology in (lattice.RING, lattice.LINE), "topology must be ring or line")
     _require(args.d >= 2, f"d must be >= 2, got {args.d}")
     _require(math.isfinite(args.E0), "E0 must be finite")
     _require(math.isfinite(args.A), "A must be finite")
@@ -139,10 +138,9 @@ def cmd_weyl_check(args) -> Result:
 def cmd_pst(args) -> Result:
     d, vartheta = args.d, args.vartheta
     _require(d >= 2, f"d must be >= 2, got {d}")
-    _require(vartheta > 0, f"vartheta must be positive, got {vartheta!r}")
+    _require(0 < vartheta < math.inf, f"vartheta must be positive and finite, got {vartheta!r}")
     t_max = args.t_max if args.t_max is not None else math.pi / vartheta
-    _require(t_max > 0, f"t-max must be positive, got {t_max!r}")
-    _require(math.isfinite(vartheta) and math.isfinite(t_max), "vartheta and t-max must be finite")
+    _require(0 < t_max < math.inf, f"t-max must be positive and finite, got {t_max!r}")
     _require(args.samples >= 2, f"samples must be >= 2, got {args.samples}")
     if args.uniform:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
@@ -203,8 +201,7 @@ def cmd_optimize(args) -> Result:
     _require(0 < args.t_target < math.inf,
              f"t-target must be positive and finite, got {args.t_target!r}")
     _require(args.max_iters >= 1, f"max-iters must be >= 1, got {args.max_iters}")
-    _require(args.tol > 0, f"tol must be positive, got {args.tol!r}")
-    _require(math.isfinite(args.tol), f"tol must be finite, got {args.tol!r}")
+    _require(0 < args.tol < math.inf, f"tol must be positive and finite, got {args.tol!r}")
     config = OptimizeConfig(d=d, t_target=args.t_target, max_iters=args.max_iters,
                             tol=args.tol, seed=args.seed)
     rng = np.random.default_rng(args.seed)

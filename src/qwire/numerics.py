@@ -101,15 +101,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, tag=self.tag)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"cannot multiply dims {self.dim} and {other.dim}")
-        tag = UNITARY if self.tag == UNITARY and other.tag == UNITARY else GENERAL
-        return Operator(self.matrix @ other.matrix, tag=tag)
-
 
 class StateVector:
     """Complex amplitude vector over basis states.

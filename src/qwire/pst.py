@@ -37,11 +37,10 @@ def pst_hamiltonian(d: int, vartheta: float, hbar: float = 1.0) -> Operator:
     """Tridiagonal Hamiltonian with zero diagonal and off-diagonal entries
     vartheta*hbar*sqrt(j*(d-j)); equals 2*vartheta*J_x for spin (d-1)/2,
     so its spectrum is equidistant with gap 2*vartheta*hbar."""
-    if d < 2:
-        raise DimensionTooSmallError(f"chain needs d >= 2, got {d}")
+    profile = pst_couplings(d, 1.0)  # raises for d < 2
     if not 0 < vartheta < math.inf:
         raise ZeroThetaError(f"vartheta must be positive and finite, got {vartheta!r}")
-    hop = vartheta * hbar * pst_couplings(d, 1.0)
+    hop = vartheta * hbar * profile
     h = np.zeros((d, d), dtype=complex)
     idx = np.arange(d - 1)
     h[idx, idx + 1] = hop

@@ -96,16 +96,14 @@ def ladder_algebra_check(n: int, site: int) -> bool:
     )
 
 
-def xy_chain_hamiltonian(couplings, hbar: float = 1.0) -> Operator:
+def xy_chain_hamiltonian(couplings) -> Operator:
     """Exchange chain sum_j A_j (a^dag_j a_{j+1} + a^dag_{j+1} a_j) on
     2^n states, n = len(couplings) + 1.
 
-    Couplings are energies, so hbar never scales the matrix; the argument
-    is accepted only to mirror the other Hamiltonian builders (fold any
+    Couplings are energies, so the builder takes no hbar (fold any
     hbar*rate convention into the coupling values).  The result commutes
     with the total excitation number.
     """
-    del hbar
     couplings = [float(a) for a in couplings]
     n = len(couplings) + 1
     index = np.arange(QubitRegister(n).dim)

@@ -3,6 +3,7 @@ Hamiltonian whose one-step evolution reproduces the shift."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,17 +41,17 @@ def clock_matrix(d: int) -> Operator:
 def commutation_phase(u: Operator, v: Operator) -> complex:
     """Scalar lambda with U V = lambda V U, measured from the matrices.
 
-    Raises ValueError if either operator is not unitary within 1e-10
-    (NaN and inf entries included), and NotProportionalError if no scalar
-    relates the two products within 1e-12 entrywise.
+    Both operators must be tagged unitary (the tag certifies
+    max |M^dag M - I| <= 1e-10 with NaN and inf failing); ValueError is
+    raised otherwise, even for a unitary matrix tagged GENERAL.
+    NotProportionalError is raised if no scalar relates the two products
+    within 1e-12 entrywise.
     """
     if u.dim != v.dim:
         raise DimensionMismatchError(f"operator dims differ: {u.dim} vs {v.dim}")
-    # both checks are written so that NaN fails them
     for name, op in (("U", u), ("V", v)):
-        dev = max_abs(op.matrix.conj().T @ op.matrix - np.eye(op.dim))
-        if not dev <= IDENTITY_ATOL:
-            raise ValueError(f"{name} is not unitary (deviation {dev:.3e})")
+        if op.tag != UNITARY:
+            raise ValueError(f"{name} must be a unitary-tagged operator, got {op.tag!r}")
     uv = u.matrix @ v.matrix
     vu = v.matrix @ u.matrix
     pivot = np.unravel_index(np.argmax(np.abs(vu)), vu.shape)
@@ -84,8 +85,8 @@ def equidistant_hamiltonian(d: int, theta: float, hbar: float = 1.0) -> Operator
     acquires a direct transition amplitude.
     """
     _require_dim(d)
-    if theta == 0:
-        raise ZeroThetaError("theta must be nonzero")
+    if not 0 < abs(theta) < math.inf:  # negative theta is allowed
+        raise ZeroThetaError(f"theta must be nonzero and finite, got {theta!r}")
     plane_waves = momentum_basis(d).matrix.conj()
     levels = hbar * theta * np.arange(d, dtype=float)
     h = (plane_waves * levels) @ plane_waves.conj().T
@@ -95,8 +96,8 @@ def equidistant_hamiltonian(d: int, theta: float, hbar: float = 1.0) -> Operator
 def time_step(d: int, theta: float) -> float:
     """Step 2*pi/(theta*d) after which the equidistant evolution is a shift."""
     _require_dim(d)
-    if theta <= 0:
-        raise ZeroThetaError(f"theta must be positive, got {theta!r}")
+    if not 0 < theta < math.inf:
+        raise ZeroThetaError(f"theta must be positive and finite, got {theta!r}")
     return 2 * np.pi / (theta * d)
 
 

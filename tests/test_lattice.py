@@ -19,7 +19,7 @@ from qwire.lattice import (
     uniform_chain,
     wave_numbers,
 )
-from qwire.numerics import StateVector, basis_state, hermitian_eig, max_abs
+from qwire.numerics import Operator, StateVector, apply, basis_state, hermitian_eig, max_abs
 from qwire.weyl import momentum_basis
 
 
@@ -222,7 +222,17 @@ class TestRingPositionSpread:
         ]
         assert all(a < b for a, b in zip(spreads, spreads[1:]))
 
-    def test_rejects_unnormalized(self):
-        bad = StateVector(np.ones(4), check_norm=False)
+    @pytest.mark.parametrize(
+        "bad",
+        [StateVector(np.ones(4), check_norm=False)]
+        + [StateVector(amps, check_norm=False)
+           for value in (math.nan, math.inf, -math.inf)
+           for amps in ([0.5, value, 0.5, 0.5], [value] * 4)]
+        + [apply(Operator(np.full((3, 3), np.nan)), basis_state(3, 0))],
+        ids=["norm-4"]
+        + [f"{value}-{where}" for value in ("nan", "inf", "-inf") for where in ("one", "every")]
+        + ["apply-nan-operator"],
+    )
+    def test_rejects_unnormalized(self, bad):
         with pytest.raises(NotNormalizedError):
             ring_position_spread(bad)

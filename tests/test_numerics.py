@@ -44,12 +44,6 @@ class TestOperator:
         with pytest.raises(ValueError):
             Operator(2 * np.eye(2), tag=UNITARY)
 
-    def test_matmul_propagates_unitary_tag(self):
-        u = shift_matrix(4) @ clock_matrix(4)
-        assert u.tag == UNITARY
-        general = Operator(np.ones((4, 4))) @ shift_matrix(4)
-        assert general.tag == GENERAL
-
     def test_matrix_is_immutable(self):
         op = identity(3)
         with pytest.raises(ValueError):

@@ -105,6 +105,13 @@ class TestCommutationPhase:
             with np.errstate(invalid="ignore"), pytest.raises(ValueError):
                 commutation_phase(u, v)
 
+    def test_untagged_unitary_rejected(self):
+        # the unitary tag is the certificate: the same matrix tagged GENERAL fails
+        general = Operator(shift_matrix(3).matrix)
+        for u, v in [(general, clock_matrix(3)), (clock_matrix(3), general)]:
+            with pytest.raises(ValueError, match="unitary-tagged"):
+                commutation_phase(u, v)
+
 
 class TestMomentumBasis:
     def test_d2_columns(self):
@@ -157,6 +164,10 @@ class TestEquidistantHamiltonian:
         with pytest.raises(ZeroThetaError):
             equidistant_hamiltonian(4, 0.0)
 
+    def test_negative_theta_reverses_spectrum(self):
+        system = hermitian_eig(equidistant_hamiltonian(3, -1.0))
+        assert np.allclose(system.values, [-2.0, -1.0, 0.0])
+
 
 class TestTimeStep:
     def test_arithmetic_cases(self):
@@ -176,6 +187,12 @@ class TestTimeStep:
             time_step(4, 0.0)
         with pytest.raises(ZeroThetaError):
             time_step(4, -1.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [time_step, equidistant_hamiltonian, verify_shift_identity])
+    def test_non_finite_theta_rejected(self, call, theta):
+        with pytest.raises(ZeroThetaError, match="theta"):
+            call(4, theta)
 
 
 class TestShiftIdentity:
