@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCouplingCountError, DimensionTooSmallError
+from .errors import BadCouplingCountError, DimensionTooSmallError, NonHermitianInputError
 from .numerics import HERMITIAN, Operator, StateVector, hermitian_eig
 
 RING = "ring"
@@ -39,8 +39,9 @@ class ChainSpec:
             )
         if not all(map(math.isfinite, couplings)):
             raise ValueError("couplings must be finite")
-        if not math.isfinite(self.E0):
-            raise ValueError(f"E0 must be finite, got {self.E0!r}")
+        # numpy complex scalars convert to float with a warning; refuse them
+        if np.iscomplexobj(self.E0) or not math.isfinite(self.E0):
+            raise ValueError(f"E0 must be finite and real, got {self.E0!r}")
         object.__setattr__(self, "couplings", couplings)
 
     @property
@@ -54,25 +55,42 @@ def uniform_chain(d: int, topology: str, E0: float = 0.0, A: float = 1.0) -> Cha
     return ChainSpec(d=d, topology=topology, E0=E0, couplings=(A,) * max(n_bonds, 0))
 
 
+def _line_matrix(d: int, E0: float, couplings) -> np.ndarray:
+    """Fresh d x d complex matrix with E0 on the diagonal and -A_l on both
+    entries of bond l, for the first d-1 couplings.
+
+    One real float goes to each entry and to its mirror, so the matrix is
+    exactly hermitian, and finite whenever E0 and the couplings are."""
+    h = np.zeros((d, d), dtype=complex)
+    flat = h.reshape(-1)  # a view: strided writes fill whole diagonals
+    flat[:: d + 1] = E0
+    # 0.0 - A, as adding into the zero matrix gives: a zero coupling stays +0.0
+    hopping = np.subtract(0.0, couplings[: d - 1])
+    flat[1 :: d + 1] = hopping  # h[l, l+1]
+    flat[d :: d + 1] = hopping  # h[l+1, l]
+    return h
+
+
 def build_hamiltonian(spec: ChainSpec) -> Operator:
     """Nearest-neighbor Hamiltonian: E0 on the diagonal, -A_l on bond l.
 
     Lines are tridiagonal; rings add the wraparound corner (for d=2 the
-    two ring bonds share one matrix element and accumulate).
+    two ring bonds share one matrix element and accumulate).  ChainSpec
+    certifies finite E0 and couplings, so the matrix is hermitian and
+    finite by construction; only a d=2 ring's sum of two bonds can
+    overflow, and NonHermitianInputError is raised for it.
     """
     d = spec.d
-    h = np.zeros((d, d), dtype=complex)
-    flat = h.reshape(-1)  # a view: strided writes fill whole diagonals
-    flat[:: d + 1] = spec.E0
-    # 0.0 - A, as adding into the zero matrix gives: a zero coupling stays +0.0
-    hopping = [0.0 - a for a in spec.couplings[: d - 1]]
-    flat[1 :: d + 1] = hopping  # h[l, l+1]
-    flat[d :: d + 1] = hopping  # h[l+1, l]
+    h = _line_matrix(d, spec.E0, spec.couplings)
     if spec.topology == RING:
-        wrap = spec.couplings[d - 1]
-        h[d - 1, 0] += -wrap
-        h[0, d - 1] += -wrap
-    return Operator(h, tag=HERMITIAN)
+        # Python floats: an overflowing sum becomes inf without a numpy warning
+        corner = float(h[0, d - 1].real) - spec.couplings[d - 1]
+        if not math.isfinite(corner):
+            raise NonHermitianInputError(
+                f"ring bonds {spec.couplings} sum to a non-finite corner entry {corner!r}"
+            )
+        h[0, d - 1] = h[d - 1, 0] = corner
+    return Operator._certified(h, HERMITIAN)
 
 
 def wave_numbers(topology: str, d: int) -> tuple[np.ndarray, np.ndarray]:

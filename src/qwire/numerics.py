@@ -13,13 +13,24 @@ propagator V diag(phases) V^dag from them; the transfer amplitudes in
 the d x d propagator.  All values are immutable after construction and
 safe to share between threads.
 
-The hermitian tag is checked on every construction, and most matrices
-built here (chain Hamiltonians, symmetrized sums) are exactly hermitian.
-So the deviation max |M - M^dag| is computed first, and when it is
-exactly 0 the relative bound needs no max |M|: a deviation of exactly 0
-also proves every entry finite, because a NaN or inf entry makes its
-difference NaN or inf.  A nonzero deviation is held to the full rule,
-which rejects any non-finite entry.
+The public `Operator` constructor copies its matrix and checks the tag.
+For the hermitian tag the deviation max |M - M^dag| is computed first,
+and when it is exactly 0 the relative bound needs no max |M|: a deviation
+of exactly 0 also proves every entry finite, because a NaN or inf entry
+makes its difference NaN or inf.  A nonzero deviation is held to the full
+rule, which rejects any non-finite entry.
+
+Four builders are hermitian and finite by construction and skip that
+check through the private `Operator._certified`, which freezes their
+freshly made matrix without copying or re-checking it:
+`lattice.build_hamiltonian`, `pst.pst_hamiltonian`,
+`spinchain.xy_chain_hamiltonian` and `spinchain.number_operator` (the
+line-chain evaluator behind `optimizer` shares the lattice fill).  Each
+writes one real float to an entry and to its mirror, or only real floats
+to the diagonal, so M equals M^dag exactly; each rejects non-finite or
+complex input up front and checks any sum or product of finite inputs
+that could overflow, so every entry is finite and the real floats stay
+real.  The check could not fail on them.
 """
 
 from __future__ import annotations
@@ -96,6 +107,17 @@ class Operator:
             if not dev <= UNITARY_ATOL:
                 raise ValueError(f"unitarity violated: max |M^dag M - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
+
+    @classmethod
+    def _certified(cls, matrix: np.ndarray, tag: str) -> Operator:
+        """Freeze a square complex matrix whose tag holds by construction,
+        without copying it or checking it.  Only the builders named in the
+        module docstring may call this; everything else goes through the
+        checked constructor."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", _freeze(matrix))
+        object.__setattr__(op, "tag", tag)
+        return op
 
     @property
     def dim(self) -> int:

@@ -15,8 +15,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import LINE, ChainSpec, build_hamiltonian
-from .pst import transfer_fidelity
+from .lattice import LINE, ChainSpec, _line_matrix
+from .numerics import HERMITIAN, Operator
+from .pst import _fidelity
 
 COUPLING_BOUND = 10.0
 
@@ -26,16 +27,26 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 
 
+def _line_fidelity(couplings, t: float, d: int, hbar: float = 1.0) -> float:
+    """End-to-end transfer fidelity of a d-site line chain at time t, for
+    couplings that ChainSpec's rule already certified (d-1 finite values),
+    so the tridiagonal is hermitian and finite by construction.  Time and
+    hbar are still checked by `numerics.evolution_phases`."""
+    chain = Operator._certified(_line_matrix(d, 0.0, couplings), HERMITIAN)
+    return _fidelity(chain, t, 0, d - 1, hbar)
+
+
 def objective(couplings, t: float, d: int, hbar: float = 1.0) -> float:
     """End-to-end transfer fidelity of a line chain at time t.
 
     Invariant under flipping the sign of any coupling (the alternating
     sign gauge) and under the joint rescaling (c*couplings, t/c).
-    ChainSpec raises BadCouplingCountError unless there are d-1 couplings.
+    ChainSpec raises BadCouplingCountError unless there are d-1 couplings,
+    and ValueError unless they are finite.
     """
     couplings = np.asarray(couplings, dtype=float).reshape(-1)
     spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings.tolist())
-    return transfer_fidelity(build_hamiltonian(spec), t, 0, d - 1, hbar)
+    return _line_fidelity(spec.couplings, t, spec.d, hbar)
 
 
 @dataclass(frozen=True)
@@ -171,6 +182,17 @@ def _simplex_descent(
     return _SimplexRun(simplex[k].copy(), float(fvals[k]), iterations, converged)
 
 
+def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
+    """The negated `objective` at config's d and t_target, without the
+    per-call ChainSpec: for coupling arrays whose count and finiteness
+    were checked once per search."""
+
+    def negated(x: np.ndarray) -> float:
+        return -_line_fidelity(x, config.t_target, config.d)
+
+    return negated
+
+
 def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     """Search for the coupling profile maximizing end-to-end fidelity at
     config.t_target.
@@ -182,12 +204,14 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     give identical results.
     """
     initial = np.asarray(initial, dtype=float).reshape(-1)
-
-    def negated(x: np.ndarray) -> float:
-        return -objective(x, config.t_target, config.d)
-
-    rng = np.random.default_rng(config.seed)
     x_start = _clip(initial)
+    # Validated once per search: ChainSpec checks the coupling count and
+    # finiteness of the start, and clipped simplex moves and jitter of
+    # finite points keep both; OptimizeConfig certifies d and t_target,
+    # and the end sites 0 and d-1 exist for every d >= 2.
+    ChainSpec(d=config.d, topology=LINE, E0=0.0, couplings=x_start.tolist())
+    negated = _search_objective(config)
+    rng = np.random.default_rng(config.seed)
     best_x = x_start.copy()
     best_f = negated(best_x)
     iterations = 0

@@ -19,6 +19,7 @@ from .errors import (
     IndexOutOfRangeError,
     ZeroThetaError,
 )
+from .lattice import _line_matrix
 from .numerics import HERMITIAN, Operator, evolution_phases, evolve
 
 MIRROR_ATOL = 1e-12
@@ -36,16 +37,23 @@ def pst_couplings(d: int, A: float) -> np.ndarray:
 def pst_hamiltonian(d: int, vartheta: float, hbar: float = 1.0) -> Operator:
     """Tridiagonal Hamiltonian with zero diagonal and off-diagonal entries
     vartheta*hbar*sqrt(j*(d-j)); equals 2*vartheta*J_x for spin (d-1)/2,
-    so its spectrum is equidistant with gap 2*vartheta*hbar."""
+    so its spectrum is equidistant with gap 2*vartheta*hbar.
+
+    ZeroThetaError is raised unless 0 < vartheta < inf and every entry
+    vartheta*hbar*sqrt(j*(d-j)) is finite and real; the matrix is then
+    hermitian and finite by construction."""
     profile = pst_couplings(d, 1.0)  # raises for d < 2
     if not 0 < vartheta < math.inf:
         raise ZeroThetaError(f"vartheta must be positive and finite, got {vartheta!r}")
-    hop = vartheta * hbar * profile
-    h = np.zeros((d, d), dtype=complex)
-    idx = np.arange(d - 1)
-    h[idx, idx + 1] = hop
-    h[idx + 1, idx] = hop
-    return Operator(h, tag=HERMITIAN)
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        hop = vartheta * hbar * profile
+    if np.iscomplexobj(hop) or not np.isfinite(hop).all():
+        raise ZeroThetaError(
+            f"vartheta*hbar*sqrt(j(d-j)) must be finite and real, got vartheta={vartheta!r}, "
+            f"hbar={hbar!r} at d={d}"
+        )
+    # a line chain carries -A on bond l, so A = -hop puts +hop off the diagonal
+    return Operator._certified(_line_matrix(d, 0.0, -hop), HERMITIAN)
 
 
 def evolution(d: int, vartheta: float, t: float, hbar: float = 1.0) -> Operator:
@@ -53,18 +61,24 @@ def evolution(d: int, vartheta: float, t: float, hbar: float = 1.0) -> Operator:
     return evolve(pst_hamiltonian(d, vartheta, hbar), t, hbar)
 
 
-def _check_site(dim: int, name: str, site: int) -> None:
-    if not 0 <= site < dim:
-        raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
+def _check_sites(dim: int, source: int, target: int) -> None:
+    for name, site in (("source", source), ("target", target)):
+        if not 0 <= site < dim:
+            raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
 
 
 def _amplitudes(hamiltonian: Operator, times, source: int, target: int, hbar: float):
     """<target| exp(-iHt/hbar) |source> at each time, the spectral sum of
-    V[target,k] conj(V[source,k]) exp(-i lambda_k t / hbar) over k."""
-    _check_site(hamiltonian.dim, "source", source)
-    _check_site(hamiltonian.dim, "target", target)
+    V[target,k] conj(V[source,k]) exp(-i lambda_k t / hbar) over k, for
+    sites already checked."""
     vectors, phases = evolution_phases(hamiltonian, times, hbar)
     return phases @ (vectors[target] * vectors[source].conj())
+
+
+def _fidelity(hamiltonian: Operator, t: float, source: int, target: int, hbar: float) -> float:
+    """`transfer_fidelity` for sites already checked."""
+    amplitude = complex(_amplitudes(hamiltonian, t, source, target, hbar))
+    return min(abs(amplitude) ** 2, 1.0)
 
 
 def transfer_fidelity(
@@ -72,8 +86,8 @@ def transfer_fidelity(
 ) -> float:
     """Probability |<target| exp(-iHt/hbar) |source>|^2 of finding the
     excitation at the target site at time t (exactly 1 or 0 at t = 0)."""
-    amplitude = complex(_amplitudes(hamiltonian, t, source, target, hbar))
-    return min(abs(amplitude) ** 2, 1.0)
+    _check_sites(hamiltonian.dim, source, target)
+    return _fidelity(hamiltonian, t, source, target, hbar)
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,7 @@ def fidelity_curve(
     hbar: float = 1.0,
 ) -> FidelityCurve:
     """Transfer fidelity at every grid time, via one eigendecomposition."""
+    _check_sites(hamiltonian.dim, source, target)
     times = np.array(t_grid, dtype=float).reshape(-1)
     amplitudes = _amplitudes(hamiltonian, times, source, target, hbar)
     fidelities = np.minimum(np.abs(amplitudes) ** 2, 1.0)

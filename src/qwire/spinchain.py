@@ -15,6 +15,7 @@ behind `ladder_algebra_check`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    NonHermitianInputError,
     RegisterTooLargeError,
 )
 from .numerics import GENERAL, HERMITIAN, Operator, max_abs
@@ -102,9 +104,13 @@ def xy_chain_hamiltonian(couplings) -> Operator:
 
     Couplings are energies, so the builder takes no hbar (fold any
     hbar*rate convention into the coupling values).  The result commutes
-    with the total excitation number.
+    with the total excitation number.  NonHermitianInputError is raised
+    for a NaN or infinite coupling; finite couplings make the matrix
+    hermitian and finite by construction.
     """
     couplings = [float(a) for a in couplings]
+    if not all(map(math.isfinite, couplings)):
+        raise NonHermitianInputError(f"exchange couplings must be finite, got {couplings}")
     n = len(couplings) + 1
     index = np.arange(QubitRegister(n).dim)
     h = np.zeros((index.size, index.size), dtype=complex)
@@ -112,8 +118,8 @@ def xy_chain_hamiltonian(couplings) -> Operator:
         here, after = 1 << (n - 1 - j), 1 << (n - 2 - j)
         # the bond hops wherever sites j and j+1 differ: swap their bits
         hop = index[((index & here) == 0) != ((index & after) == 0)]
-        h[hop ^ (here | after), hop] = amplitude
-    return Operator(h, tag=HERMITIAN)
+        h[hop ^ (here | after), hop] = amplitude  # the swap is its own mirror
+    return Operator._certified(h, HERMITIAN)
 
 
 def number_operator(n: int) -> Operator:
@@ -121,7 +127,7 @@ def number_operator(n: int) -> Operator:
     basis index on the diagonal."""
     index = np.arange(QubitRegister(n).dim)
     popcount = sum((index >> k) & 1 for k in range(n))
-    return Operator(np.diag(popcount.astype(complex)), tag=HERMITIAN)
+    return Operator._certified(np.diag(popcount.astype(complex)), HERMITIAN)
 
 
 def single_excitation_sector(h_full: Operator, smap: SectorMap) -> Operator:

@@ -82,11 +82,18 @@ def equidistant_hamiltonian(d: int, theta: float, hbar: float = 1.0) -> Operator
     carries eigenvalue hbar*theta*j), which is the pairing that makes
     exp(-i H dt / hbar) at dt = 2*pi/(theta*d) coincide with the cyclic
     up-shift.  All off-diagonal entries are nonzero: every pair of sites
-    acquires a direct transition amplitude.
+    acquires a direct transition amplitude.  Raises ZeroThetaError for a
+    zero or non-finite theta or a top level (d-1)*hbar*theta that
+    overflows, and ValueError for an hbar outside (0, inf).
     """
     _require_dim(d)
     if not 0 < abs(theta) < math.inf:  # negative theta is allowed
         raise ZeroThetaError(f"theta must be nonzero and finite, got {theta!r}")
+    if not 0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
+    if not math.isfinite(hbar * theta * (d - 1)):
+        raise ZeroThetaError(f"top level (d-1)*hbar*theta overflows: theta={theta!r}, "
+                             f"hbar={hbar!r}, d={d}")
     plane_waves = momentum_basis(d).matrix.conj()
     levels = hbar * theta * np.arange(d, dtype=float)
     h = (plane_waves * levels) @ plane_waves.conj().T
@@ -94,11 +101,17 @@ def equidistant_hamiltonian(d: int, theta: float, hbar: float = 1.0) -> Operator
 
 
 def time_step(d: int, theta: float) -> float:
-    """Step 2*pi/(theta*d) after which the equidistant evolution is a shift."""
+    """Step 2*pi/(theta*d) after which the equidistant evolution is a shift.
+
+    ZeroThetaError is raised unless 0 < theta < inf and the step is a
+    finite nonzero number (theta*d must not overflow)."""
     _require_dim(d)
     if not 0 < theta < math.inf:
         raise ZeroThetaError(f"theta must be positive and finite, got {theta!r}")
-    return 2 * np.pi / (theta * d)
+    step = 2 * math.pi / (theta * d)
+    if not 0 < step < math.inf:
+        raise ZeroThetaError(f"theta = {theta!r} gives no finite nonzero time step at d = {d}")
+    return step
 
 
 class ShiftIdentityResult(NamedTuple):

@@ -307,13 +307,12 @@ class TestInProcessFormats:
         assert err.startswith("error: ") and "certification" in err
 
     def test_library_error_exits_two(self, capsys):
-        # the flags pass the CLI's checks, but the couplings overflow to inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = self._main(capsys, "pst", "--d", "4", "--samples", "3",
-                                        "--vartheta", "1e308", "--t-max", "1")
+        # the flags pass the CLI's checks, but the couplings would overflow to inf
+        code, out, err = self._main(capsys, "pst", "--d", "4", "--samples", "3",
+                                    "--vartheta", "1e308", "--t-max", "1")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "hermiticity" in err
+        assert err.startswith("error: ") and "vartheta" in err
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_bad_tol_exits_two(self, capsys, tol):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from conftest import expm_series
 from qwire.errors import BadCouplingCountError
 from qwire.optimizer import (
+    COUPLING_BOUND,
     OptimizeConfig,
     OptimizeResult,
+    _search_objective,
     objective,
     optimize_couplings,
 )
@@ -140,8 +142,23 @@ class TestOptimize:
 
     def test_initial_length_checked(self):
         config = OptimizeConfig(d=4, t_target=1.0)
-        with pytest.raises(BadCouplingCountError):
+        with pytest.raises(BadCouplingCountError,
+                           match=r"^line chain with d=4 needs 3 couplings, got 2$"):
             optimize_couplings(config, [1.0, 1.0])
+
+    def test_non_finite_start_rejected(self):
+        config = OptimizeConfig(d=4, t_target=1.0)
+        with pytest.raises(ValueError, match=r"^couplings must be finite$"):
+            optimize_couplings(config, [1.0, math.nan, 1.0])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.integers(2, 9), t=st.floats(0.01, 10.0))
+    def test_search_evaluator_equals_negated_objective(self, data, d, t):
+        # the search skips objective's per-call ChainSpec; the values must not move
+        bound = st.floats(-COUPLING_BOUND, COUPLING_BOUND)
+        x = np.array(data.draw(st.lists(bound, min_size=d - 1, max_size=d - 1)))
+        negated = _search_objective(OptimizeConfig(d=d, t_target=t))
+        assert negated(x).hex() == (-objective(x, t, d)).hex()
 
     def test_budget_exhaustion_reports_not_converged(self):
         config = OptimizeConfig(d=4, t_target=math.pi / 2, max_iters=3, seed=0)

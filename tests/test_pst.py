@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestHamiltonian:
     def test_rejects_non_finite_vartheta(self, vartheta):
         with pytest.raises(ZeroThetaError):
             pst_hamiltonian(4, vartheta)
+
+    @pytest.mark.parametrize("vartheta,hbar", [(1e308, 1.0), (1e200, 1e200),
+                                               (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_overflowing_couplings(self, vartheta, hbar):
+        # finite vartheta and hbar whose couplings vartheta*hbar*sqrt(j(d-j)) are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroThetaError, match=r"vartheta=.*, hbar="):
+                pst_hamiltonian(4, vartheta, hbar)
 
 
 class TestEvolution:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,18 @@ class TestEquidistantHamiltonian:
         with pytest.raises(ZeroThetaError):
             equidistant_hamiltonian(4, 0.0)
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_hbar_rejected(self, hbar):
+        with pytest.raises(ValueError, match="hbar"):
+            equidistant_hamiltonian(4, 1.0, hbar=hbar)
+
+    @pytest.mark.parametrize("theta,hbar", [(1e308, 1.0), (-1e308, 1.0), (1e300, 1e10)])
+    def test_overflowing_levels_rejected(self, theta, hbar):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroThetaError, match="theta"):
+                equidistant_hamiltonian(4, theta, hbar=hbar)
+
     def test_negative_theta_reverses_spectrum(self):
         system = hermitian_eig(equidistant_hamiltonian(3, -1.0))
         assert np.allclose(system.values, [-2.0, -1.0, 0.0])
@@ -193,6 +206,15 @@ class TestTimeStep:
     def test_non_finite_theta_rejected(self, call, theta):
         with pytest.raises(ZeroThetaError, match="theta"):
             call(4, theta)
+
+    @pytest.mark.parametrize("d,theta", [(4, 1e308), (2, 1e308), (3, 5e-324)])
+    @pytest.mark.parametrize("call", [time_step, verify_shift_identity])
+    def test_step_overflow_rejected(self, call, d, theta):
+        # theta*d overflows to inf (step 0.0), or the step itself to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroThetaError, match="theta"):
+                call(d, theta)
 
 
 class TestShiftIdentity:
