@@ -30,6 +30,9 @@ class ChainSpec:
             raise DimensionTooSmallError(f"chain needs d >= 2, got {self.d}")
         if self.topology not in (RING, LINE):
             raise ValueError(f"topology must be 'ring' or 'line', got {self.topology!r}")
+        # numpy complex scalars convert to float with a warning; refuse them
+        if np.iscomplexobj(self.couplings):
+            raise ValueError(f"couplings must be real, got {self.couplings!r}")
         couplings = tuple(map(float, self.couplings))
         expected = self.d if self.topology == RING else self.d - 1
         if len(couplings) != expected:
@@ -39,7 +42,6 @@ class ChainSpec:
             )
         if not all(map(math.isfinite, couplings)):
             raise ValueError("couplings must be finite")
-        # numpy complex scalars convert to float with a warning; refuse them
         if np.iscomplexobj(self.E0) or not math.isfinite(self.E0):
             raise ValueError(f"E0 must be finite and real, got {self.E0!r}")
         object.__setattr__(self, "couplings", couplings)

@@ -5,6 +5,16 @@ fidelities) is built on the three operations here: hermitian
 eigendecomposition, unitary time evolution through the spectral theorem,
 and matrix-vector application.
 
+Every eigendecomposition goes through the private `_eigh`, the one
+`np.linalg.eigh` call in the package, which `hermitian_eig` and
+`evolution_phases` share.  When every imaginary part of the matrix is
+exactly zero, a hermitian matrix is real symmetric, so `_eigh`
+diagonalizes its real part in real arithmetic (LAPACK dsyevd); any other
+matrix goes to the complex driver.  On a real tridiagonal matrix (every
+line chain) both drivers return bit-identical eigenpairs.  Real
+eigenvector columns are canonicalized by exact sign flips, and
+`Operator` matrices stay complex either way.
+
 All time evolution goes through `evolution_phases`, which checks its
 input, diagonalizes H once and returns the eigenvectors V with the phases
 exp(-i lambda_k t / hbar) for every requested time.  `evolve` builds the
@@ -200,6 +210,13 @@ def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, eigenvector columns) of a hermitian-tagged
+    complex matrix, in real arithmetic when its imaginary part is all
+    zero; the vectors are then a real array."""
+    return np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
+
+
 def hermitian_eig(operator: Operator) -> EigenSystem:
     """Eigendecomposition of a hermitian operator.
 
@@ -209,7 +226,7 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     """
     if operator.tag != HERMITIAN:
         raise NonHermitianInputError("hermitian_eig requires a hermitian-tagged operator")
-    values, raw = np.linalg.eigh(operator.matrix)
+    values, raw = _eigh(operator.matrix)
     vectors = _canonical_phases(raw)
     residual = max_abs(operator.matrix - (vectors * values) @ vectors.conj().T)
     bound = EIG_RTOL * max(1.0, max_abs(operator.matrix))
@@ -225,7 +242,8 @@ def evolution_phases(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral factors of exp(-i H t / hbar) = V diag(phases) V^dag.
 
-    Returns (V, phases), where phases has shape times.shape + (d,).  Raises
+    Returns (V, phases), where phases has shape times.shape + (d,) and V
+    is a real array when H has no nonzero imaginary part.  Raises
     NonHermitianInputError unless H is tagged hermitian, and ValueError for
     a non-finite time or an hbar outside (0, inf).  When every time is zero
     the propagator is exactly the identity, so no eigensolve is made and
@@ -246,7 +264,7 @@ def evolution_phases(
     d = hamiltonian.dim
     if not nonzero:
         return np.eye(d, dtype=complex), np.ones(shape + (d,), dtype=complex)
-    values, vectors = np.linalg.eigh(hamiltonian.matrix)
+    values, vectors = _eigh(hamiltonian.matrix)
     return vectors, np.exp(-1j * np.multiply.outer(times, values) / hbar)
 
 

@@ -42,9 +42,9 @@ def objective(couplings, t: float, d: int, hbar: float = 1.0) -> float:
     Invariant under flipping the sign of any coupling (the alternating
     sign gauge) and under the joint rescaling (c*couplings, t/c).
     ChainSpec raises BadCouplingCountError unless there are d-1 couplings,
-    and ValueError unless they are finite.
+    and ValueError unless they are finite and real.
     """
-    couplings = np.asarray(couplings, dtype=float).reshape(-1)
+    couplings = np.asarray(couplings).reshape(-1)  # ChainSpec converts and checks
     spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings.tolist())
     return _line_fidelity(spec.couplings, t, spec.d, hbar)
 
@@ -203,6 +203,8 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     objective seen is non-decreasing throughout, and identical inputs
     give identical results.
     """
+    if np.iscomplexobj(initial):  # the float conversion would drop the imaginary part
+        raise ValueError(f"couplings must be real, got {initial!r}")
     initial = np.asarray(initial, dtype=float).reshape(-1)
     x_start = _clip(initial)
     # Validated once per search: ChainSpec checks the coupling count and

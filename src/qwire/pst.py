@@ -40,8 +40,9 @@ def pst_hamiltonian(d: int, vartheta: float, hbar: float = 1.0) -> Operator:
     so its spectrum is equidistant with gap 2*vartheta*hbar.
 
     ZeroThetaError is raised unless 0 < vartheta < inf and every entry
-    vartheta*hbar*sqrt(j*(d-j)) is finite and real; the matrix is then
-    hermitian and finite by construction."""
+    vartheta*hbar*sqrt(j*(d-j)) is finite and real, and ValueError for a
+    real hbar that is not positive; the matrix is then hermitian and
+    finite by construction."""
     profile = pst_couplings(d, 1.0)  # raises for d < 2
     if not 0 < vartheta < math.inf:
         raise ZeroThetaError(f"vartheta must be positive and finite, got {vartheta!r}")
@@ -52,6 +53,8 @@ def pst_hamiltonian(d: int, vartheta: float, hbar: float = 1.0) -> Operator:
             f"vartheta*hbar*sqrt(j(d-j)) must be finite and real, got vartheta={vartheta!r}, "
             f"hbar={hbar!r} at d={d}"
         )
+    if not hbar > 0:  # finite and real by now
+        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
     # a line chain carries -A on bond l, so A = -hop puts +hop off the diagonal
     return Operator._certified(_line_matrix(d, 0.0, -hop), HERMITIAN)
 

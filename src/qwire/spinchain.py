@@ -105,9 +105,11 @@ def xy_chain_hamiltonian(couplings) -> Operator:
     Couplings are energies, so the builder takes no hbar (fold any
     hbar*rate convention into the coupling values).  The result commutes
     with the total excitation number.  NonHermitianInputError is raised
-    for a NaN or infinite coupling; finite couplings make the matrix
-    hermitian and finite by construction.
+    for a NaN, infinite or complex coupling; finite real couplings make
+    the matrix hermitian and finite by construction.
     """
+    if np.iscomplexobj(couplings):  # float() would drop the imaginary part
+        raise NonHermitianInputError(f"exchange couplings must be real, got {couplings!r}")
     couplings = [float(a) for a in couplings]
     if not all(map(math.isfinite, couplings)):
         raise NonHermitianInputError(f"exchange couplings must be finite, got {couplings}")

@@ -124,6 +124,35 @@ class TestComplexInputRejected:
         with pytest.raises(ValueError, match="E0 must be finite and real"):
             ChainSpec(d=3, topology=LINE, E0=np.complex128(1 + 1j), couplings=(1.0, 1.0))
 
+    @pytest.mark.parametrize("topology,position", [(LINE, 0), (LINE, 1), (LINE, 2),
+                                                   (RING, 0), (RING, 3)])
+    def test_coupling_scalar(self, topology, position):
+        couplings = [1.0] * (4 if topology == RING else 3)
+        couplings[position] = np.complex128(1 + 2j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(ValueError, match="couplings must be real"):
+                ChainSpec(d=4, topology=topology, E0=0.0, couplings=tuple(couplings))
+
+    @pytest.mark.parametrize("couplings", [np.array([1.0, 1 + 2j, 1.0]), np.ones(3, dtype=complex)])
+    def test_coupling_array(self, couplings):
+        with pytest.raises(ValueError, match="couplings must be real"):
+            ChainSpec(d=4, topology=LINE, E0=0.0, couplings=couplings)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_exchange_coupling_scalar(self, position):
+        couplings = [1.0, 1.0, 1.0]
+        couplings[position] = np.complex128(1 + 2j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInputError, match="must be real"):
+                xy_chain_hamiltonian(couplings)
+
+    @pytest.mark.parametrize("couplings", [np.array([1.0, 1 + 2j, 1.0]), np.ones(3, dtype=complex)])
+    def test_exchange_coupling_array(self, couplings):
+        with pytest.raises(NonHermitianInputError, match="must be real"):
+            xy_chain_hamiltonian(couplings)
+
     @pytest.mark.parametrize("vartheta,hbar", [(1.0, 1j), (1.0, np.complex128(1 + 1j)),
                                                (np.complex128(1 + 1j), 1.0)])
     def test_pst_scale(self, vartheta, hbar):

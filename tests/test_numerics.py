@@ -11,6 +11,7 @@ from qwire.errors import (
     NonHermitianInputError,
     NotNormalizedError,
 )
+from qwire.lattice import LINE, RING, ChainSpec, build_hamiltonian
 from qwire.numerics import (
     GENERAL,
     HERMITIAN,
@@ -18,6 +19,7 @@ from qwire.numerics import (
     EigenSystem,
     Operator,
     StateVector,
+    _canonical_phases,
     apply,
     basis_state,
     evolution_phases,
@@ -26,7 +28,8 @@ from qwire.numerics import (
     identity,
     max_abs,
 )
-from qwire.weyl import clock_matrix, shift_matrix
+from qwire.pst import pst_hamiltonian
+from qwire.weyl import clock_matrix, equidistant_hamiltonian, shift_matrix
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -314,3 +317,81 @@ class TestApply:
         shrink = Operator(0.5 * np.eye(2))
         out = apply(shrink, basis_state(2, 0))
         assert abs(out.norm - 0.5) <= 1e-15
+
+
+def _random_chain(topology: str, d: int) -> Operator:
+    rng = np.random.default_rng(d)
+    bonds = d if topology == RING else d - 1
+    spec = ChainSpec(d=d, topology=topology, E0=float(rng.normal()),
+                     couplings=tuple(rng.normal(size=bonds)))
+    return build_hamiltonian(spec)
+
+
+class TestRealArithmeticRoute:
+    """A hermitian matrix with no nonzero imaginary part is diagonalized in
+    real arithmetic.  On tridiagonal input the real and complex drivers
+    agree bit for bit; d = 2..64 straddles the size at which LAPACK's
+    tridiagonal solver switches to divide and conquer."""
+
+    CASES = {
+        "line": lambda: _random_chain(LINE, 7),
+        "ring": lambda: _random_chain(RING, 7),
+        "pst": lambda: pst_hamiltonian(6, 0.8),
+        "real diagonal": lambda: Operator(np.diag([2.0, -1.0, 0.5]), tag=HERMITIAN),
+        "equidistant": lambda: equidistant_hamiltonian(5, 0.7),
+        "random complex": lambda: random_hermitian(np.random.default_rng(3), 6),
+    }
+    REAL = {"line", "ring", "pst", "real diagonal"}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_driver_follows_the_imaginary_part(self, case, monkeypatch):
+        h = self.CASES[case]()
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            seen.append(a.dtype)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        hermitian_eig(h)
+        evolution_phases(h, 1.0)
+        expected = np.dtype(float) if case in self.REAL else np.dtype(complex)
+        assert seen == [expected, expected]
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    @pytest.mark.parametrize("chain", ["line", "pst"])
+    def test_chain_eigenpairs_bit_identical_to_complex_driver(self, chain, d):
+        h = _random_chain(LINE, d) if chain == "line" else pst_hamiltonian(d, 0.8)
+        ref_values, ref_vectors = np.linalg.eigh(h.matrix)
+        assert ref_vectors.dtype == complex and not ref_vectors.imag.any()
+        vectors, phases = evolution_phases(h, 1.3)
+        assert vectors.tobytes() == ref_vectors.real.tobytes()
+        assert phases.tobytes() == np.exp(-1j * np.multiply.outer(1.3, ref_values)).tobytes()
+        system = hermitian_eig(h)
+        assert system.values.tobytes() == ref_values.tobytes()
+        # real columns are canonicalized by exact sign flips
+        assert np.array_equal(system.vectors.matrix, _canonical_phases(ref_vectors.real))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 9, 26, 40])
+    def test_ring_eigenvalues_match_complex_driver(self, d):
+        h = _random_chain(RING, d)
+        ref_values = np.linalg.eigh(h.matrix)[0]
+        assert max_abs(hermitian_eig(h).values - ref_values) <= 1e-12
+        if d <= 9:
+            assert max_abs(evolve(h, 0.8).matrix - expm_series(-0.8j * h.matrix)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["equidistant", "random complex"])
+    def test_complex_hermitian_still_matches_series(self, case):
+        h = self.CASES[case]()
+        assert h.matrix.imag.any()
+        assert max_abs(evolve(h, 0.9).matrix - expm_series(-0.9j * h.matrix)) <= 1e-10
+        ref_values = np.linalg.eigh(h.matrix)[0]
+        assert hermitian_eig(h).values.tobytes() == ref_values.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(REAL))
+    def test_real_route_vectors_stay_a_complex_unitary_operator(self, case):
+        vectors = hermitian_eig(self.CASES[case]()).vectors
+        assert vectors.tag == UNITARY
+        assert vectors.matrix.dtype == complex and not vectors.matrix.flags.writeable
+        assert max_abs(vectors.matrix.conj().T @ vectors.matrix - np.eye(vectors.dim)) <= 1e-12

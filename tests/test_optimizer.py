@@ -151,6 +151,14 @@ class TestOptimize:
         with pytest.raises(ValueError, match=r"^couplings must be finite$"):
             optimize_couplings(config, [1.0, math.nan, 1.0])
 
+    @pytest.mark.parametrize("start", [[1.0, np.complex128(1 + 2j), 1.0], np.ones(3, dtype=complex)])
+    def test_complex_start_rejected(self, start):
+        config = OptimizeConfig(d=4, t_target=1.0)
+        with pytest.raises(ValueError, match="couplings must be real"):
+            optimize_couplings(config, start)
+        with pytest.raises(ValueError, match="couplings must be real"):
+            objective(start, 1.0, 4)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data(), d=st.integers(2, 9), t=st.floats(0.01, 10.0))
     def test_search_evaluator_equals_negated_objective(self, data, d, t):

@@ -84,6 +84,14 @@ class TestHamiltonian:
         with pytest.raises(ZeroThetaError):
             pst_hamiltonian(4, vartheta)
 
+    @pytest.mark.parametrize("hbar", [0.0, -0.0, -1.0, -1e-300])
+    def test_rejects_non_positive_hbar(self, hbar):
+        # hbar = 0 would give the zero matrix, a negative hbar flipped couplings
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            pst_hamiltonian(4, 1.0, hbar)
+        with pytest.raises(ValueError, match="hbar must be positive"):
+            transfer_time(3, 1.0, hbar)
+
     @pytest.mark.parametrize("vartheta,hbar", [(1e308, 1.0), (1e200, 1e200),
                                                (1.0, math.nan), (1.0, math.inf)])
     def test_rejects_overflowing_couplings(self, vartheta, hbar):
