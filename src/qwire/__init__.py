@@ -30,7 +30,6 @@ from .numerics import (
     EigenSystem,
     Operator,
     StateVector,
-    apply,
     basis_state,
     evolve,
     hermitian_eig,
@@ -40,7 +39,6 @@ from .optimizer import OptimizeConfig, OptimizeResult, objective, optimize_coupl
 from .pst import (
     FidelityCurve,
     TransferReport,
-    evolution,
     fidelity_curve,
     mirror_check,
     pst_couplings,

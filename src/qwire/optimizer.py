@@ -27,16 +27,16 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 
 
-def _line_fidelity(couplings, t: float, d: int, hbar: float = 1.0) -> float:
+def _line_fidelity(couplings, t: float, d: int) -> float:
     """End-to-end transfer fidelity of a d-site line chain at time t, for
     couplings that ChainSpec's rule already certified (d-1 finite values),
-    so the tridiagonal is hermitian and finite by construction.  Time and
-    hbar are still checked by `numerics.evolution_phases`."""
+    so the tridiagonal is hermitian and finite by construction.  The time
+    is still checked by `numerics.evolution_phases`."""
     chain = Operator._certified(_line_matrix(d, 0.0, couplings), HERMITIAN)
-    return _fidelity(chain, t, 0, d - 1, hbar)
+    return _fidelity(chain, t, 0, d - 1)
 
 
-def objective(couplings, t: float, d: int, hbar: float = 1.0) -> float:
+def objective(couplings, t: float, d: int) -> float:
     """End-to-end transfer fidelity of a line chain at time t.
 
     Invariant under flipping the sign of any coupling (the alternating
@@ -46,7 +46,7 @@ def objective(couplings, t: float, d: int, hbar: float = 1.0) -> float:
     """
     couplings = np.asarray(couplings).reshape(-1)  # ChainSpec converts and checks
     spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings.tolist())
-    return _line_fidelity(spec.couplings, t, spec.d, hbar)
+    return _line_fidelity(spec.couplings, t, spec.d)
 
 
 @dataclass(frozen=True)
@@ -206,12 +206,13 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     if np.iscomplexobj(initial):  # the float conversion would drop the imaginary part
         raise ValueError(f"couplings must be real, got {initial!r}")
     initial = np.asarray(initial, dtype=float).reshape(-1)
-    x_start = _clip(initial)
     # Validated once per search: ChainSpec checks the coupling count and
-    # finiteness of the start, and clipped simplex moves and jitter of
-    # finite points keep both; OptimizeConfig certifies d and t_target,
-    # and the end sites 0 and d-1 exist for every d >= 2.
-    ChainSpec(d=config.d, topology=LINE, E0=0.0, couplings=x_start.tolist())
+    # finiteness of the start before clipping could turn +-inf into
+    # +-COUPLING_BOUND, and clipped simplex moves and jitter of finite
+    # points keep both; OptimizeConfig certifies d and t_target, and the
+    # end sites 0 and d-1 exist for every d >= 2.
+    ChainSpec(d=config.d, topology=LINE, E0=0.0, couplings=initial.tolist())
+    x_start = _clip(initial)
     negated = _search_objective(config)
     rng = np.random.default_rng(config.seed)
     best_x = x_start.copy()

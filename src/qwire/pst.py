@@ -20,7 +20,7 @@ from .errors import (
     ZeroThetaError,
 )
 from .lattice import _line_matrix
-from .numerics import HERMITIAN, Operator, evolution_phases, evolve
+from .numerics import HERMITIAN, Operator, evolution_phases
 
 MIRROR_ATOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
@@ -34,34 +34,27 @@ def pst_couplings(d: int, A: float) -> np.ndarray:
     return A * np.sqrt(j * (d - j))
 
 
-def pst_hamiltonian(d: int, vartheta: float, hbar: float = 1.0) -> Operator:
+def pst_hamiltonian(d: int, vartheta: float) -> Operator:
     """Tridiagonal Hamiltonian with zero diagonal and off-diagonal entries
-    vartheta*hbar*sqrt(j*(d-j)); equals 2*vartheta*J_x for spin (d-1)/2,
-    so its spectrum is equidistant with gap 2*vartheta*hbar.
+    vartheta*sqrt(j*(d-j)); equals 2*vartheta*J_x for spin (d-1)/2, so
+    its spectrum is equidistant with gap 2*vartheta.
 
-    ZeroThetaError is raised unless 0 < vartheta < inf and every entry
-    vartheta*hbar*sqrt(j*(d-j)) is finite and real, and ValueError for a
-    real hbar that is not positive; the matrix is then hermitian and
-    finite by construction."""
+    ZeroThetaError is raised unless vartheta is real, 0 < vartheta < inf
+    and every entry vartheta*sqrt(j*(d-j)) is finite; the matrix is then
+    hermitian and finite by construction."""
     profile = pst_couplings(d, 1.0)  # raises for d < 2
+    if np.iscomplexobj(vartheta):
+        raise ZeroThetaError(f"vartheta must be real, got {vartheta!r}")
     if not 0 < vartheta < math.inf:
         raise ZeroThetaError(f"vartheta must be positive and finite, got {vartheta!r}")
     with np.errstate(over="ignore"):  # an overflow is rejected just below
-        hop = vartheta * hbar * profile
-    if np.iscomplexobj(hop) or not np.isfinite(hop).all():
+        hop = vartheta * profile
+    if not np.isfinite(hop).all():
         raise ZeroThetaError(
-            f"vartheta*hbar*sqrt(j(d-j)) must be finite and real, got vartheta={vartheta!r}, "
-            f"hbar={hbar!r} at d={d}"
+            f"vartheta*sqrt(j(d-j)) must be finite, got vartheta={vartheta!r} at d={d}"
         )
-    if not hbar > 0:  # finite and real by now
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
     # a line chain carries -A on bond l, so A = -hop puts +hop off the diagonal
     return Operator._certified(_line_matrix(d, 0.0, -hop), HERMITIAN)
-
-
-def evolution(d: int, vartheta: float, t: float, hbar: float = 1.0) -> Operator:
-    """Rotation operator generated by the transfer Hamiltonian at time t."""
-    return evolve(pst_hamiltonian(d, vartheta, hbar), t, hbar)
 
 
 def _check_sites(dim: int, source: int, target: int) -> None:
@@ -70,27 +63,25 @@ def _check_sites(dim: int, source: int, target: int) -> None:
             raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
 
 
-def _amplitudes(hamiltonian: Operator, times, source: int, target: int, hbar: float):
-    """<target| exp(-iHt/hbar) |source> at each time, the spectral sum of
-    V[target,k] conj(V[source,k]) exp(-i lambda_k t / hbar) over k, for
-    sites already checked."""
-    vectors, phases = evolution_phases(hamiltonian, times, hbar)
+def _amplitudes(hamiltonian: Operator, times, source: int, target: int):
+    """<target| exp(-iHt) |source> at each time, the spectral sum of
+    V[target,k] conj(V[source,k]) exp(-i lambda_k t) over k, for sites
+    already checked."""
+    vectors, phases = evolution_phases(hamiltonian, times)
     return phases @ (vectors[target] * vectors[source].conj())
 
 
-def _fidelity(hamiltonian: Operator, t: float, source: int, target: int, hbar: float) -> float:
+def _fidelity(hamiltonian: Operator, t: float, source: int, target: int) -> float:
     """`transfer_fidelity` for sites already checked."""
-    amplitude = complex(_amplitudes(hamiltonian, t, source, target, hbar))
+    amplitude = complex(_amplitudes(hamiltonian, t, source, target))
     return min(abs(amplitude) ** 2, 1.0)
 
 
-def transfer_fidelity(
-    hamiltonian: Operator, t: float, source: int, target: int, hbar: float = 1.0
-) -> float:
-    """Probability |<target| exp(-iHt/hbar) |source>|^2 of finding the
+def transfer_fidelity(hamiltonian: Operator, t: float, source: int, target: int) -> float:
+    """Probability |<target| exp(-iHt) |source>|^2 of finding the
     excitation at the target site at time t (exactly 1 or 0 at t = 0)."""
     _check_sites(hamiltonian.dim, source, target)
-    return _fidelity(hamiltonian, t, source, target, hbar)
+    return _fidelity(hamiltonian, t, source, target)
 
 
 @dataclass(frozen=True)
@@ -124,17 +115,11 @@ class FidelityCurve:
         return float(self.times[k]), float(self.fidelities[k])
 
 
-def fidelity_curve(
-    hamiltonian: Operator,
-    t_grid,
-    source: int,
-    target: int,
-    hbar: float = 1.0,
-) -> FidelityCurve:
+def fidelity_curve(hamiltonian: Operator, t_grid, source: int, target: int) -> FidelityCurve:
     """Transfer fidelity at every grid time, via one eigendecomposition."""
     _check_sites(hamiltonian.dim, source, target)
     times = np.array(t_grid, dtype=float).reshape(-1)
-    amplitudes = _amplitudes(hamiltonian, times, source, target, hbar)
+    amplitudes = _amplitudes(hamiltonian, times, source, target)
     fidelities = np.minimum(np.abs(amplitudes) ** 2, 1.0)
     return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
 
@@ -158,11 +143,11 @@ class TransferReport:
             raise ValueError("period must equal twice the transfer time")
 
 
-def transfer_time(d: int, vartheta: float, hbar: float = 1.0) -> TransferReport:
+def transfer_time(d: int, vartheta: float) -> TransferReport:
     """Perfect-transfer report: the excitation crosses at t* = pi/(2*vartheta)
     and returns to its start after the period pi/vartheta."""
     t_star = np.pi / (2 * vartheta)
-    peak = transfer_fidelity(pst_hamiltonian(d, vartheta, hbar), t_star, 0, d - 1, hbar)
+    peak = transfer_fidelity(pst_hamiltonian(d, vartheta), t_star, 0, d - 1)
     report = TransferReport(
         d=d,
         vartheta=vartheta,

@@ -102,11 +102,10 @@ def xy_chain_hamiltonian(couplings) -> Operator:
     """Exchange chain sum_j A_j (a^dag_j a_{j+1} + a^dag_{j+1} a_j) on
     2^n states, n = len(couplings) + 1.
 
-    Couplings are energies, so the builder takes no hbar (fold any
-    hbar*rate convention into the coupling values).  The result commutes
-    with the total excitation number.  NonHermitianInputError is raised
-    for a NaN, infinite or complex coupling; finite real couplings make
-    the matrix hermitian and finite by construction.
+    The result commutes with the total excitation number.
+    NonHermitianInputError is raised for a NaN, infinite or complex
+    coupling; finite real couplings make the matrix hermitian and finite
+    by construction.
     """
     if np.iscomplexobj(couplings):  # float() would drop the imaginary part
         raise NonHermitianInputError(f"exchange couplings must be real, got {couplings!r}")

@@ -74,28 +74,28 @@ def momentum_basis(d: int) -> Operator:
     return Operator(np.exp(-2j * np.pi * np.outer(l, l) / d) / np.sqrt(d), tag=UNITARY)
 
 
-def equidistant_hamiltonian(d: int, theta: float, hbar: float = 1.0) -> Operator:
-    """Position-basis Hamiltonian with spectrum {0, hbar*theta, ...,
-    (d-1)*hbar*theta} on the momentum eigenvectors.
+def equidistant_hamiltonian(d: int, theta: float) -> Operator:
+    """Position-basis Hamiltonian with spectrum {0, theta, ...,
+    (d-1)*theta} on the momentum eigenvectors.
 
     Built on the conjugate plane-wave basis (momentum column (d-j) mod d
-    carries eigenvalue hbar*theta*j), which is the pairing that makes
-    exp(-i H dt / hbar) at dt = 2*pi/(theta*d) coincide with the cyclic
+    carries eigenvalue theta*j), which is the pairing that makes
+    exp(-i H dt) at dt = 2*pi/(theta*d) coincide with the cyclic
     up-shift.  All off-diagonal entries are nonzero: every pair of sites
     acquires a direct transition amplitude.  Raises ZeroThetaError for a
-    zero or non-finite theta or a top level (d-1)*hbar*theta that
-    overflows, and ValueError for an hbar outside (0, inf).
+    complex, zero or non-finite theta or a top level (d-1)*theta that
+    overflows.
     """
     _require_dim(d)
+    # the symmetrization below would hide complex levels
+    if np.iscomplexobj(theta):
+        raise ZeroThetaError(f"theta must be real, got {theta!r}")
     if not 0 < abs(theta) < math.inf:  # negative theta is allowed
         raise ZeroThetaError(f"theta must be nonzero and finite, got {theta!r}")
-    if not 0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
-    if not math.isfinite(hbar * theta * (d - 1)):
-        raise ZeroThetaError(f"top level (d-1)*hbar*theta overflows: theta={theta!r}, "
-                             f"hbar={hbar!r}, d={d}")
+    if not math.isfinite(theta * (d - 1)):
+        raise ZeroThetaError(f"top level (d-1)*theta overflows: theta={theta!r}, d={d}")
     plane_waves = momentum_basis(d).matrix.conj()
-    levels = hbar * theta * np.arange(d, dtype=float)
+    levels = theta * np.arange(d, dtype=float)
     h = (plane_waves * levels) @ plane_waves.conj().T
     return Operator((h + h.conj().T) / 2, tag=HERMITIAN)
 
@@ -103,9 +103,11 @@ def equidistant_hamiltonian(d: int, theta: float, hbar: float = 1.0) -> Operator
 def time_step(d: int, theta: float) -> float:
     """Step 2*pi/(theta*d) after which the equidistant evolution is a shift.
 
-    ZeroThetaError is raised unless 0 < theta < inf and the step is a
-    finite nonzero number (theta*d must not overflow)."""
+    ZeroThetaError is raised unless theta is real, 0 < theta < inf and
+    the step is a finite nonzero number (theta*d must not overflow)."""
     _require_dim(d)
+    if np.iscomplexobj(theta):  # before the comparison, which a complex theta breaks
+        raise ZeroThetaError(f"theta must be real, got {theta!r}")
     if not 0 < theta < math.inf:
         raise ZeroThetaError(f"theta must be positive and finite, got {theta!r}")
     step = 2 * math.pi / (theta * d)

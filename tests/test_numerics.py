@@ -20,7 +20,6 @@ from qwire.numerics import (
     Operator,
     StateVector,
     _canonical_phases,
-    apply,
     basis_state,
     evolution_phases,
     evolve,
@@ -29,7 +28,7 @@ from qwire.numerics import (
     max_abs,
 )
 from qwire.pst import pst_hamiltonian
-from qwire.weyl import clock_matrix, equidistant_hamiltonian, shift_matrix
+from qwire.weyl import equidistant_hamiltonian
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -245,10 +244,6 @@ class TestEvolve:
         # independent power-series oracle
         assert max_abs(u.matrix - expm_series(-1j * X * math.pi / 2)) <= 1e-12
 
-    def test_hbar_scales_time(self):
-        h = Operator(X, tag=HERMITIAN)
-        assert np.allclose(evolve(h, 1.0, hbar=2.0).matrix, evolve(h, 0.5).matrix)
-
     def test_rejects_general_tag(self):
         with pytest.raises(NonHermitianInputError):
             evolve(Operator(np.eye(2), tag=GENERAL), 1.0)
@@ -286,37 +281,14 @@ class TestEvolve:
         product = evolve(h, t).matrix @ evolve(h, -t).matrix
         assert max_abs(product - np.eye(d)) <= 1e-10
 
-
-class TestApply:
-    def test_identity_fixes_state(self):
-        v = StateVector(np.ones(4) / 2)
-        assert np.allclose(apply(identity(4), v).amplitudes, v.amplitudes)
-
-    def test_shift_moves_basis_state(self):
-        out = apply(shift_matrix(4), basis_state(4, 0))
-        assert np.allclose(out.amplitudes, basis_state(4, 1).amplitudes)
-
-    def test_clock_phases_basis_state(self):
-        out = apply(clock_matrix(4), basis_state(4, 1))
-        assert np.allclose(out.amplitudes, 1j * basis_state(4, 1).amplitudes)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply(identity(3), basis_state(4, 0))
-
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), d=st.integers(2, 16))
-    def test_unitary_preserves_norm(self, seed, d):
+    def test_preserves_norm(self, seed, d):
         rng = np.random.default_rng(seed)
         u = evolve(random_hermitian(rng, d), 1.3)
         amps = rng.normal(size=d) + 1j * rng.normal(size=d)
         v = StateVector(amps / np.linalg.norm(amps))
-        assert abs(apply(u, v).norm - 1.0) <= 1e-12
-
-    def test_non_unitary_output_keeps_raw_norm(self):
-        shrink = Operator(0.5 * np.eye(2))
-        out = apply(shrink, basis_state(2, 0))
-        assert abs(out.norm - 0.5) <= 1e-15
+        assert abs(StateVector(u.matrix @ v.amplitudes).norm - 1.0) <= 1e-12
 
 
 def _random_chain(topology: str, d: int) -> Operator:

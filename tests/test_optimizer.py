@@ -146,10 +146,21 @@ class TestOptimize:
                            match=r"^line chain with d=4 needs 3 couplings, got 2$"):
             optimize_couplings(config, [1.0, 1.0])
 
-    def test_non_finite_start_rejected(self):
-        config = OptimizeConfig(d=4, t_target=1.0)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_start_rejected(self, value, position):
+        # checked before clipping, which would turn +-inf into +-COUPLING_BOUND
+        start = [1.0, 1.0, 1.0]
+        start[position] = value
+        config = OptimizeConfig(d=4, t_target=1.0, max_iters=50)
         with pytest.raises(ValueError, match=r"^couplings must be finite$"):
-            optimize_couplings(config, [1.0, math.nan, 1.0])
+            optimize_couplings(config, start)
+
+    def test_start_beyond_bound_is_clipped(self):
+        config = OptimizeConfig(d=4, t_target=1.0, max_iters=50)
+        far = optimize_couplings(config, [1.0, 3 * COUPLING_BOUND, -1e300])
+        clipped = optimize_couplings(config, [1.0, COUPLING_BOUND, -COUPLING_BOUND])
+        assert far == clipped
 
     @pytest.mark.parametrize("start", [[1.0, np.complex128(1 + 2j), 1.0], np.ones(3, dtype=complex)])
     def test_complex_start_rejected(self, start):
