@@ -146,8 +146,9 @@ class TransferReport:
 def transfer_time(d: int, vartheta: float) -> TransferReport:
     """Perfect-transfer report: the excitation crosses at t* = pi/(2*vartheta)
     and returns to its start after the period pi/vartheta."""
+    hamiltonian = pst_hamiltonian(d, vartheta)  # checks vartheta before it divides
     t_star = np.pi / (2 * vartheta)
-    peak = transfer_fidelity(pst_hamiltonian(d, vartheta), t_star, 0, d - 1)
+    peak = transfer_fidelity(hamiltonian, t_star, 0, d - 1)
     report = TransferReport(
         d=d,
         vartheta=vartheta,

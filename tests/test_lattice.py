@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qwire.errors import BadCouplingCountError, DimensionTooSmallError
+from qwire.errors import (
+    BadCouplingCountError,
+    DimensionTooSmallError,
+    NotNormalizedError,
+)
 from qwire.lattice import (
     LINE,
     RING,
@@ -217,3 +221,20 @@ class TestRingPositionSpread:
             for d in range(3, 302)
         ]
         assert all(a < b for a, b in zip(spreads, spreads[1:]))
+
+    @pytest.mark.parametrize(
+        "amps",
+        [np.ones(4)]
+        + [[0.5, value, 0.5, 0.5] if where == "one" else [value] * 4
+           for value in (math.nan, math.inf, -math.inf)
+           for where in ("one", "every")]
+        + [np.full((3, 3), np.nan) @ basis_state(3, 0).amplitudes],
+        ids=["norm-4"]
+        + [f"{value}-{where}" for value in ("nan", "inf", "-inf") for where in ("one", "every")]
+        + ["nan-operator"],
+    )
+    def test_rejects_unnormalized(self, amps):
+        # the StateVector constructor is the only way to a state, so no
+        # unnormalized amplitudes reach the spread
+        with pytest.raises(NotNormalizedError):
+            ring_position_spread(StateVector(amps))

@@ -244,6 +244,19 @@ class TestEvolve:
         # independent power-series oracle
         assert max_abs(u.matrix - expm_series(-1j * X * math.pi / 2)) <= 1e-12
 
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.integers(2, 16),
+        c=st.floats(0.1, 10),
+        t=st.floats(-5, 5),
+    )
+    def test_energy_and_time_enter_as_product(self, seed, d, c, t):
+        # hbar = 1: scaling every energy by c is running c times as long
+        h = random_hermitian(np.random.default_rng(seed), d)
+        scaled = Operator(c * h.matrix, tag=HERMITIAN)
+        assert max_abs(evolve(scaled, t).matrix - evolve(h, c * t).matrix) <= 1e-9
+
     def test_rejects_general_tag(self):
         with pytest.raises(NonHermitianInputError):
             evolve(Operator(np.eye(2), tag=GENERAL), 1.0)

@@ -78,6 +78,14 @@ class TestHamiltonian:
         with pytest.raises(ZeroThetaError):
             pst_hamiltonian(4, 0.0)
 
+    @pytest.mark.parametrize("vartheta", [0.0, -0.0, -1.0, -1e-300])
+    def test_rejects_non_positive_vartheta(self, vartheta):
+        # vartheta = 0 would give the zero matrix, a negative one flipped couplings
+        with pytest.raises(ZeroThetaError, match="vartheta must be positive"):
+            pst_hamiltonian(4, vartheta)
+        with pytest.raises(ZeroThetaError, match="vartheta must be positive"):
+            transfer_time(3, vartheta)
+
     @pytest.mark.parametrize("vartheta", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_vartheta(self, vartheta):
         with pytest.raises(ZeroThetaError):
@@ -292,6 +300,13 @@ class TestTransferTime:
         h = pst_hamiltonian(d, vartheta)
         assert transfer_fidelity(h, math.pi / (2 * vartheta), 0, d - 1) >= 1 - 1e-10
         assert transfer_fidelity(h, math.pi / vartheta, 0, 0) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("vartheta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_vartheta(self, vartheta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroThetaError, match="vartheta must be positive and finite"):
+                transfer_time(4, vartheta)
 
     def test_report_invariants(self):
         with pytest.raises(ValueError):

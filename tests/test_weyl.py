@@ -11,7 +11,7 @@ from qwire.errors import (
     NotProportionalError,
     ZeroThetaError,
 )
-from qwire.numerics import HERMITIAN, Operator, basis_state, hermitian_eig, max_abs
+from qwire.numerics import HERMITIAN, Operator, basis_state, evolve, hermitian_eig, max_abs
 from qwire.weyl import (
     WeylPair,
     clock_matrix,
@@ -60,6 +60,13 @@ class TestClockMatrix:
     def test_order_d(self, d):
         for mat in (shift_matrix(d).matrix, clock_matrix(d).matrix):
             assert max_abs(np.linalg.matrix_power(mat, d) - np.eye(d)) <= 1e-10
+
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_is_unit_time_evolution_under_ramp_levels(self, d):
+        # levels -2*pi*l/d for one unit of time give the phases exp(2*pi*i*l/d)
+        ramp = Operator(np.diag(-2 * np.pi * np.arange(d) / d), tag=HERMITIAN)
+        assert max_abs(evolve(ramp, 1.0).matrix - clock_matrix(d).matrix) <= 1e-12
 
 
 class TestCommutationPhase:
@@ -248,6 +255,21 @@ class TestShiftIdentity:
         for theta in rng.uniform(0.1, 5.0, size=5):
             result = verify_shift_identity(d, float(theta))
             assert result.holds, f"d={d} theta={theta}: residual {result.residual}"
+
+
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_one_step_moves_every_site_up(self, d):
+        # state by state: |l> lands on |l+1 mod d>, all with the same phase
+        theta = 0.7
+        u = evolve(equidistant_hamiltonian(d, theta), time_step(d, theta)).matrix
+        phases = []
+        for site in range(d):
+            out = u @ basis_state(d, site).amplitudes
+            landing = (site + 1) % d
+            assert max_abs(np.delete(out, landing)) <= 1e-10
+            phases.append(out[landing])
+        assert np.allclose(np.abs(phases), 1.0, atol=1e-10)
+        assert np.allclose(phases, phases[0], atol=1e-10)
 
 
 class TestWeylPair:
