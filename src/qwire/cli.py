@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lattice, pst, spinchain, weyl
-from .errors import QwireError
+from .errors import QwireError, RegisterTooLargeError
 from .numerics import hermitian_eig, max_abs
 from .optimizer import OptimizeConfig, optimize_couplings
 
@@ -38,18 +38,6 @@ DISPERSION_LIMIT = 1e-10
 SECTOR_LIMIT = 1e-12
 OPTIMIZE_FIDELITY_FLOOR = 0.999
 SECTOR_CLI_CAP = 10
-
-
-class ArgumentContractError(Exception):
-    """A parsed value violates the target operation's preconditions."""
-
-    exit_code = EXIT_USAGE
-
-
-class ResourceCapError(Exception):
-    """A parsed value exceeds a hard resource cap."""
-
-    exit_code = EXIT_RESOURCE
 
 
 class Result(NamedTuple):
@@ -80,7 +68,7 @@ def _csv(header: list[str], rows) -> str:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ArgumentContractError(message)
+        raise QwireError(message)
 
 
 # ---------------------------------------------------------------- dispersion
@@ -171,7 +159,7 @@ def cmd_sector_check(args) -> Result:
     n = args.n
     _require(n >= 2, f"n must be >= 2, got {n}")
     if n > SECTOR_CLI_CAP:
-        raise ResourceCapError(f"n = {n} exceeds the sector-check cap {SECTOR_CLI_CAP}")
+        raise RegisterTooLargeError(f"n = {n} exceeds the sector-check cap {SECTOR_CLI_CAP}")
     if args.pst:
         couplings = pst.pst_couplings(n, 1.0)
         reference = pst.pst_hamiltonian(n, 1.0).matrix
@@ -280,14 +268,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = _COMMANDS[args.command](args)
-    except (ArgumentContractError, ResourceCapError, ArithmeticError) as exc:
+    except (QwireError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a numerical result that missed its tolerance is exit 1
-        return getattr(exc, "exit_code", EXIT_TOLERANCE)
-    except QwireError as exc:
-        # input that passes the checks here but not the library's
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, RegisterTooLargeError):
+            return EXIT_RESOURCE
+        # input the CLI or the library rejects is exit 2; a numerical
+        # result that missed its tolerance is exit 1
+        return EXIT_USAGE if isinstance(exc, QwireError) else EXIT_TOLERANCE
 
     if args.format == "csv":
         text = _csv(*(result.table or (list(result.payload), [result.payload.values()])))

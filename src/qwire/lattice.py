@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCouplingCountError, DimensionTooSmallError, NonHermitianInputError
-from .numerics import HERMITIAN, Operator, StateVector, hermitian_eig
+from .numerics import HERMITIAN, Operator, StateVector, float_or_inf, hermitian_eig
 
 RING = "ring"
 LINE = "line"
@@ -33,7 +33,7 @@ class ChainSpec:
         # numpy complex scalars convert to float with a warning; refuse them
         if np.iscomplexobj(self.couplings):
             raise ValueError(f"couplings must be real, got {self.couplings!r}")
-        couplings = tuple(map(float, self.couplings))
+        couplings = tuple(map(float_or_inf, self.couplings))
         expected = self.d if self.topology == RING else self.d - 1
         if len(couplings) != expected:
             raise BadCouplingCountError(
@@ -42,7 +42,7 @@ class ChainSpec:
             )
         if not all(map(math.isfinite, couplings)):
             raise ValueError("couplings must be finite")
-        if np.iscomplexobj(self.E0) or not math.isfinite(self.E0):
+        if np.iscomplexobj(self.E0) or not math.isfinite(float_or_inf(self.E0)):
             raise ValueError(f"E0 must be finite and real, got {self.E0!r}")
         object.__setattr__(self, "couplings", couplings)
 

@@ -25,11 +25,6 @@ the d x d propagator.  All values are immutable after construction and
 safe to share between threads.
 
 The public `Operator` constructor copies its matrix and checks the tag.
-For the hermitian tag the deviation max |M - M^dag| is computed first,
-and when it is exactly 0 the relative bound needs no max |M|: a deviation
-of exactly 0 also proves every entry finite, because a NaN or inf entry
-makes its difference NaN or inf.  A nonzero deviation is held to the full
-rule, which rejects any non-finite entry.
 
 Four builders are hermitian and finite by construction and skip that
 check through the private `Operator._certified`, which freezes their
@@ -76,6 +71,16 @@ def max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix))) if matrix.size else 0.0
 
 
+def float_or_inf(x) -> float:
+    """float(x), or +-inf for a Python int beyond the float range, where
+    float() raises OverflowError, so a finiteness check refuses that int
+    with its own error."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -87,10 +92,8 @@ class Operator:
 
     The tag is verified at construction: hermitian means every entry is
     finite and max |M[i,j] - conj(M[j,i])| <= 1e-12 * (max entry
-    magnitude), where a deviation of exactly 0 passes without the max
-    entry magnitude being read (it already implies finite entries);
-    unitary means max |M^dag M - I| <= 1e-10.  Use GENERAL when neither
-    structure is claimed.
+    magnitude); unitary means max |M^dag M - I| <= 1e-10.  Use GENERAL
+    when neither structure is claimed.
     """
 
     matrix: np.ndarray
@@ -107,10 +110,7 @@ class Operator:
         if self.tag == HERMITIAN:
             with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
                 dev = float(abs(m - m.conj().T).max())
-            # dev == 0 implies finite entries; otherwise NaN and inf fail too
-            if dev != 0 and not (
-                np.isfinite(m).all() and dev <= HERMITIAN_RTOL * float(abs(m).max())
-            ):
+            if not (np.isfinite(m).all() and dev <= HERMITIAN_RTOL * float(abs(m).max())):
                 raise NonHermitianInputError(
                     f"hermiticity violated: max |M - M^dag| = {dev:.3e}"
                 )
@@ -244,8 +244,9 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     Returns (V, phases), where phases has shape times.shape + (d,) and V
     is a real array when H has no nonzero imaginary part.  Raises
     NonHermitianInputError unless H is tagged hermitian, and ValueError for
-    a non-finite time.  When every time is zero the propagator is exactly
-    the identity, so no eigensolve is made and (I, ones) comes back.
+    a complex or non-finite time.  When every time is zero the propagator
+    is exactly the identity, so no eigensolve is made and (I, ones) comes
+    back.
     """
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
@@ -253,6 +254,8 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
         times = float(times)
         finite, nonzero, shape = math.isfinite(times), times != 0, ()
     else:
+        if np.iscomplexobj(times):  # the float cast would drop the imaginary part
+            raise ValueError(f"evolution times must be real, got {times!r}")
         times = np.asarray(times, dtype=float)
         finite, nonzero, shape = np.isfinite(times).all(), times.any(), times.shape
     if not finite:

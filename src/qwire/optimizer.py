@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lattice import LINE, ChainSpec, _line_matrix
-from .numerics import HERMITIAN, Operator
+from .numerics import HERMITIAN, Operator, float_or_inf
 from .pst import _fidelity
 
 COUPLING_BOUND = 10.0
@@ -61,14 +62,15 @@ class OptimizeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"optimization needs d >= 2, got {self.d}")
-        if not 0 < self.t_target < math.inf:
-            raise ValueError(f"t_target must be positive and finite, got {self.t_target!r}")
+        if not (isinstance(self.d, Integral) and self.d >= 2):
+            raise ValueError(f"optimization needs an integer d >= 2, got {self.d!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        for name in ("t_target", "tol"):
+            value = getattr(self, name)
+            # Real first: comparing a complex would raise TypeError
+            if not (isinstance(value, Real) and 0 < float_or_inf(value) < math.inf):
+                raise ValueError(f"{name} must be real, positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

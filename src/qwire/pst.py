@@ -20,7 +20,7 @@ from .errors import (
     ZeroThetaError,
 )
 from .lattice import _line_matrix
-from .numerics import HERMITIAN, Operator, evolution_phases
+from .numerics import HERMITIAN, Operator, evolution_phases, float_or_inf
 
 MIRROR_ATOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
@@ -45,7 +45,7 @@ def pst_hamiltonian(d: int, vartheta: float) -> Operator:
     profile = pst_couplings(d, 1.0)  # raises for d < 2
     if np.iscomplexobj(vartheta):
         raise ZeroThetaError(f"vartheta must be real, got {vartheta!r}")
-    if not 0 < vartheta < math.inf:
+    if not 0 < float_or_inf(vartheta) < math.inf:
         raise ZeroThetaError(f"vartheta must be positive and finite, got {vartheta!r}")
     with np.errstate(over="ignore"):  # an overflow is rejected just below
         hop = vartheta * profile
@@ -118,7 +118,7 @@ class FidelityCurve:
 def fidelity_curve(hamiltonian: Operator, t_grid, source: int, target: int) -> FidelityCurve:
     """Transfer fidelity at every grid time, via one eigendecomposition."""
     _check_sites(hamiltonian.dim, source, target)
-    times = np.array(t_grid, dtype=float).reshape(-1)
+    times = np.asarray(t_grid).reshape(-1)  # evolution_phases refuses complex times
     amplitudes = _amplitudes(hamiltonian, times, source, target)
     fidelities = np.minimum(np.abs(amplitudes) ** 2, 1.0)
     return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
@@ -133,34 +133,27 @@ class TransferReport:
     vartheta: float
     t_star: float
     peak_fidelity: float
-    period: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.peak_fidelity <= 1.0 + 1e-12:
             raise ValueError(f"peak fidelity {self.peak_fidelity!r} outside [0, 1]")
-        # written so that NaN fails the check
-        if not abs(self.period - 2 * self.t_star) <= 1e-9 * max(abs(self.period), 1.0):
-            raise ValueError("period must equal twice the transfer time")
+        if not 0.0 < self.t_star < math.inf:  # NaN fails too
+            raise ValueError(f"transfer time must be positive and finite, got {self.t_star!r}")
+
+    @property
+    def period(self) -> float:
+        return 2 * self.t_star
 
 
 def transfer_time(d: int, vartheta: float) -> TransferReport:
     """Perfect-transfer report: the excitation crosses at t* = pi/(2*vartheta)
     and returns to its start after the period pi/vartheta."""
     hamiltonian = pst_hamiltonian(d, vartheta)  # checks vartheta before it divides
-    t_star = np.pi / (2 * vartheta)
+    t_star = np.pi / (2 * float(vartheta))
     peak = transfer_fidelity(hamiltonian, t_star, 0, d - 1)
-    report = TransferReport(
-        d=d,
-        vartheta=vartheta,
-        t_star=float(t_star),
-        peak_fidelity=peak,
-        period=float(np.pi / vartheta),
-    )
-    if report.peak_fidelity < 1.0 - PEAK_FIDELITY_FLOOR:
-        raise ArithmeticError(
-            f"transfer chain d={d} missed perfect fidelity: {report.peak_fidelity!r}"
-        )
-    return report
+    if peak < 1.0 - PEAK_FIDELITY_FLOOR:
+        raise ArithmeticError(f"transfer chain d={d} missed perfect fidelity: {peak!r}")
+    return TransferReport(d=d, vartheta=vartheta, t_star=t_star, peak_fidelity=peak)
 
 
 def mirror_check(hamiltonian: Operator) -> bool:

@@ -16,7 +16,7 @@ behind `ladder_algebra_check`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import NamedTuple
 
@@ -28,7 +28,7 @@ from .errors import (
     NonHermitianInputError,
     RegisterTooLargeError,
 )
-from .numerics import GENERAL, HERMITIAN, Operator, max_abs
+from .numerics import GENERAL, HERMITIAN, Operator, float_or_inf, max_abs
 
 MAX_QUBITS = 12  # dense 4096 x 4096 is the desk-scale ceiling
 
@@ -58,22 +58,19 @@ class QubitRegister:
 @dataclass(frozen=True)
 class SectorMap:
     """Basis indices of the n single-excitation states, ordered by the
-    excited site's position."""
+    excited site's position; derived from n at construction."""
 
     n: int
-    indices: tuple[int, ...]
+    indices: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = tuple(2 ** (self.n - 1 - k) for k in range(self.n))
-        if tuple(self.indices) != expected:
-            raise ValueError(f"sector indices must be {expected}, got {self.indices}")
-        object.__setattr__(self, "indices", expected)
+        indices = tuple(2 ** (self.n - 1 - k) for k in range(self.n))
+        object.__setattr__(self, "indices", indices)
 
 
 def sector_map(n: int) -> SectorMap:
     """SectorMap for an n-qubit register under the big-endian convention."""
-    register = QubitRegister(n)
-    return SectorMap(n=register.n, indices=tuple(2 ** (n - 1 - k) for k in range(n)))
+    return SectorMap(n=QubitRegister(n).n)
 
 
 def lowering_operator(n: int, site: int) -> Operator:
@@ -109,7 +106,7 @@ def xy_chain_hamiltonian(couplings) -> Operator:
     """
     if np.iscomplexobj(couplings):  # float() would drop the imaginary part
         raise NonHermitianInputError(f"exchange couplings must be real, got {couplings!r}")
-    couplings = [float(a) for a in couplings]
+    couplings = [float_or_inf(a) for a in couplings]
     if not all(map(math.isfinite, couplings)):
         raise NonHermitianInputError(f"exchange couplings must be finite, got {couplings}")
     n = len(couplings) + 1

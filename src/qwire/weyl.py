@@ -15,7 +15,7 @@ from .errors import (
     NotProportionalError,
     ZeroThetaError,
 )
-from .numerics import HERMITIAN, UNITARY, Operator, evolve, max_abs
+from .numerics import HERMITIAN, UNITARY, Operator, evolve, float_or_inf, max_abs
 
 COMMUTATION_ATOL = 1e-12
 IDENTITY_ATOL = 1e-10
@@ -90,9 +90,9 @@ def equidistant_hamiltonian(d: int, theta: float) -> Operator:
     # the symmetrization below would hide complex levels
     if np.iscomplexobj(theta):
         raise ZeroThetaError(f"theta must be real, got {theta!r}")
-    if not 0 < abs(theta) < math.inf:  # negative theta is allowed
+    if not 0 < abs(float_or_inf(theta)) < math.inf:  # negative theta is allowed
         raise ZeroThetaError(f"theta must be nonzero and finite, got {theta!r}")
-    if not math.isfinite(theta * (d - 1)):
+    if not math.isfinite(float_or_inf(theta * (d - 1))):
         raise ZeroThetaError(f"top level (d-1)*theta overflows: theta={theta!r}, d={d}")
     plane_waves = momentum_basis(d).matrix.conj()
     levels = theta * np.arange(d, dtype=float)
@@ -108,9 +108,9 @@ def time_step(d: int, theta: float) -> float:
     _require_dim(d)
     if np.iscomplexobj(theta):  # before the comparison, which a complex theta breaks
         raise ZeroThetaError(f"theta must be real, got {theta!r}")
-    if not 0 < theta < math.inf:
+    if not 0 < float_or_inf(theta) < math.inf:
         raise ZeroThetaError(f"theta must be positive and finite, got {theta!r}")
-    step = 2 * math.pi / (theta * d)
+    step = 2 * math.pi / float_or_inf(theta * d)
     if not 0 < step < math.inf:
         raise ZeroThetaError(f"theta = {theta!r} gives no finite nonzero time step at d = {d}")
     return step
@@ -143,25 +143,27 @@ def verify_shift_identity(d: int, theta: float) -> ShiftIdentityResult:
 
 @dataclass(frozen=True)
 class WeylPair:
-    """The (shift, clock) pair for dimension d with its measured
-    commutation phase, validated at construction: both operators have
-    order d and the phase is a primitive d-th root of unity.  The
-    certification residuals max |U^d - I|, max |V^d - I| and
-    max |U V - lambda V U| are kept on the pair."""
+    """The (shift, clock) pair for dimension d = shift.dim with its
+    measured commutation phase, validated at construction: the clock has
+    the same dimension, both operators have order d and the phase is a
+    primitive d-th root of unity.  The certification residuals
+    max |U^d - I|, max |V^d - I| and max |U V - lambda V U| are kept on
+    the pair."""
 
-    dim: int
     shift: Operator
     clock: Operator
     commutation_phase: complex
+    dim: int = field(init=False)
     shift_pow_residual: float = field(init=False)
     clock_pow_residual: float = field(init=False)
     commutation_residual: float = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", self.shift.dim)
+        if self.clock.dim != self.dim:
+            raise DimensionMismatchError(f"clock dim {self.clock.dim} != shift dim {self.dim}")
         eye = np.eye(self.dim)
         for name, op in (("shift", self.shift), ("clock", self.clock)):
-            if op.dim != self.dim:
-                raise DimensionMismatchError(f"{name} dim {op.dim} != {self.dim}")
             dev = max_abs(np.linalg.matrix_power(op.matrix, self.dim) - eye)
             if not dev <= IDENTITY_ATOL:  # NaN fails too
                 raise ValueError(f"{name}^d deviates from identity by {dev:.3e}")
@@ -185,7 +187,6 @@ class WeylPair:
 
 def weyl_pair(d: int) -> WeylPair:
     """Construct and certify the shift/clock pair for dimension d."""
-    _require_dim(d)
-    u = shift_matrix(d)
+    u = shift_matrix(d)  # raises for d < 2
     v = clock_matrix(d)
-    return WeylPair(dim=d, shift=u, clock=v, commutation_phase=commutation_phase(u, v))
+    return WeylPair(shift=u, clock=v, commutation_phase=commutation_phase(u, v))

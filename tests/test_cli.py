@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qwire import cli
+from qwire.errors import RegisterTooLargeError
 
 
 def run_cli(*args):
@@ -320,3 +321,14 @@ class TestInProcessFormats:
                                     "--tol", tol)
         assert code == 2
         assert out == "" and "tol" in err
+
+    def test_register_cap_in_library_exits_three(self, capsys, monkeypatch):
+        # the exit code follows the exception type, wherever it is raised
+        def refuse(couplings):
+            raise RegisterTooLargeError("n = 13 exceeds cap 12")
+
+        monkeypatch.setattr(cli.spinchain, "xy_chain_hamiltonian", refuse)
+        code, out, err = self._main(capsys, "sector-check", "--n", "4")
+        assert code == 3
+        assert out == ""
+        assert err == "error: n = 13 exceeds cap 12\n"

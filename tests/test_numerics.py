@@ -10,6 +10,7 @@ from qwire.errors import (
     DimensionMismatchError,
     NonHermitianInputError,
     NotNormalizedError,
+    ZeroThetaError,
 )
 from qwire.lattice import LINE, RING, ChainSpec, build_hamiltonian
 from qwire.numerics import (
@@ -27,8 +28,9 @@ from qwire.numerics import (
     identity,
     max_abs,
 )
-from qwire.pst import pst_hamiltonian
-from qwire.weyl import equidistant_hamiltonian
+from qwire.pst import pst_hamiltonian, transfer_time
+from qwire.spinchain import xy_chain_hamiltonian
+from qwire.weyl import equidistant_hamiltonian, time_step
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -380,3 +382,39 @@ class TestRealArithmeticRoute:
         assert vectors.tag == UNITARY
         assert vectors.matrix.dtype == complex and not vectors.matrix.flags.writeable
         assert max_abs(vectors.matrix.conj().T @ vectors.matrix - np.eye(vectors.dim)) <= 1e-12
+
+
+HUGE = 10**400  # a Python int with no float value
+
+
+class TestIntBeyondFloatRange:
+    """A Python int beyond the float range is refused with the error each
+    entry point raises for a non-finite value, not a bare OverflowError."""
+
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(lambda: pst_hamiltonian(4, HUGE), ZeroThetaError, id="pst_hamiltonian"),
+        pytest.param(lambda: transfer_time(4, HUGE), ZeroThetaError, id="transfer_time"),
+        pytest.param(lambda: equidistant_hamiltonian(4, HUGE), ZeroThetaError,
+                     id="equidistant"),
+        pytest.param(lambda: equidistant_hamiltonian(4, -HUGE), ZeroThetaError,
+                     id="equidistant-negative"),
+        pytest.param(lambda: equidistant_hamiltonian(4, 10**308), ZeroThetaError,
+                     id="equidistant-top-level"),
+        pytest.param(lambda: time_step(4, HUGE), ZeroThetaError, id="time_step"),
+        pytest.param(lambda: time_step(4, 10**308), ZeroThetaError, id="time_step-product"),
+        pytest.param(lambda: ChainSpec(d=3, topology=LINE, E0=HUGE, couplings=(1.0, 1.0)),
+                     ValueError, id="ChainSpec-E0"),
+        pytest.param(lambda: ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(HUGE, 1.0)),
+                     ValueError, id="ChainSpec-coupling"),
+        pytest.param(lambda: ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1.0, -HUGE)),
+                     ValueError, id="ChainSpec-negative-coupling"),
+        pytest.param(lambda: xy_chain_hamiltonian([HUGE]), NonHermitianInputError,
+                     id="xy_chain_hamiltonian"),
+    ])
+    def test_refused_as_non_finite(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_int_in_float_range_is_accepted(self):
+        assert np.array_equal(pst_hamiltonian(4, 3).matrix, pst_hamiltonian(4, 3.0).matrix)
+        assert time_step(4, 2) == time_step(4, 2.0)

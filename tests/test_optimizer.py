@@ -77,6 +77,20 @@ class TestConfig:
             with pytest.raises(ValueError):
                 OptimizeConfig(d=4, t_target=1.0, tol=tol)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"d": 4, "t_target": 1j}, {"d": 4, "t_target": np.complex128(1.0)},
+        {"d": 4, "t_target": 1.0, "tol": 1j}, {"d": 4, "t_target": 10**400},
+        {"d": 4, "t_target": "1.0"},
+        {"d": 4.5, "t_target": 1.0}, {"d": 4.0, "t_target": 1.0},
+    ])
+    def test_bad_type_is_value_error(self, kwargs):
+        # not a bare TypeError from a comparison, nor a silently accepted d
+        with pytest.raises(ValueError):
+            OptimizeConfig(**kwargs)
+
+    def test_numpy_integer_d_accepted(self):
+        assert OptimizeConfig(d=np.int64(4), t_target=1.0).d == 4
+
     def test_result_fidelity_range(self):
         with pytest.raises(ValueError):
             OptimizeResult(couplings=(1.0,), fidelity=1.2, iterations=1, converged=True)

@@ -177,9 +177,10 @@ class TestSectorMap:
     def test_indices_follow_big_endian_rule(self):
         assert sector_map(4).indices == (8, 4, 2, 1)
 
-    def test_rejects_wrong_indices(self):
-        with pytest.raises(ValueError):
-            SectorMap(n=3, indices=(1, 2, 4))
+    @pytest.mark.parametrize("n", [1, 3, MAX_QUBITS])
+    def test_indices_are_derived_from_n(self, n):
+        assert SectorMap(n=n).indices == tuple(1 << (n - 1 - k) for k in range(n))
+        assert sector_map(n) == SectorMap(n=n)
 
 
 class TestSectorReduction:

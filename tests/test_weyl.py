@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from qwire.errors import (
+    DimensionMismatchError,
     DimensionTooSmallError,
     NotProportionalError,
     ZeroThetaError,
@@ -281,8 +282,12 @@ class TestWeylPair:
 
     def test_rejects_wrong_phase(self):
         with pytest.raises(ValueError):
-            WeylPair(dim=3, shift=shift_matrix(3), clock=clock_matrix(3),
-                     commutation_phase=1.0 + 0j)
+            WeylPair(shift=shift_matrix(3), clock=clock_matrix(3), commutation_phase=1.0 + 0j)
+
+    def test_rejects_mismatched_clock(self):
+        with pytest.raises(DimensionMismatchError, match="clock dim 4 != shift dim 3"):
+            WeylPair(shift=shift_matrix(3), clock=clock_matrix(4),
+                     commutation_phase=commutation_phase(shift_matrix(3), clock_matrix(3)))
 
     def test_rejects_small_dimension(self):
         with pytest.raises(DimensionTooSmallError):
@@ -302,5 +307,5 @@ class TestWeylPair:
     def test_rejects_nan_operator(self):
         nan_shift = Operator(np.full((3, 3), np.nan))
         with pytest.raises(ValueError):
-            WeylPair(dim=3, shift=nan_shift, clock=clock_matrix(3),
+            WeylPair(shift=nan_shift, clock=clock_matrix(3),
                      commutation_phase=commutation_phase(shift_matrix(3), clock_matrix(3)))
