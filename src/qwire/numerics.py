@@ -12,9 +12,10 @@ Every eigendecomposition goes through the private `_eigh`, the one
 exactly zero, a hermitian matrix is real symmetric, so `_eigh`
 diagonalizes its real part in real arithmetic (LAPACK dsyevd); any other
 matrix goes to the complex driver.  On a real tridiagonal matrix (every
-line chain) both drivers return bit-identical eigenpairs.  Real
-eigenvector columns are canonicalized by exact sign flips, and
-`Operator` matrices stay complex either way.
+line chain) both drivers return bit-identical eigenpairs, and
+`Operator` matrices stay complex either way.  `hermitian_eig` checks the
+eigenvectors it gets and returns only the eigenvalues, with the residual
+that certified them.
 
 All time evolution goes through `evolution_phases`, which checks its
 input, diagonalizes H once and returns the eigenvectors V with the phases
@@ -42,7 +43,7 @@ real.  The check could not fail on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,32 +184,22 @@ def identity(dim: int) -> Operator:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral decomposition H = V diag(values) V^dag.
-
-    values ascend; eigenvector columns are phase-canonicalized so the
-    largest-magnitude entry of each is real positive.
-    """
+    """Ascending eigenvalues of a hermitian H and the residual that
+    certified them: max |H - V diag(values) V^dag| over the orthonormal
+    eigenvectors V the solver returned with them."""
 
     values: np.ndarray
-    vectors: Operator = field(repr=False)
+    residual: float
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1 or vals.shape[0] != self.vectors.dim:
-            raise DimensionMismatchError("eigenvalue count must match vector dimension")
-        if np.any(np.diff(vals) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
+        if vals.ndim != 1:
+            raise DimensionMismatchError("eigenvalues must be a 1-d array")
+        # neighbours are compared, not subtracted, so nothing overflows; NaN fails
+        if not (np.isfinite(vals).all() and (vals[1:] >= vals[:-1]).all()
+                and 0.0 <= self.residual < math.inf):
+            raise ValueError("eigenvalues must be finite and ascending, the residual finite, >= 0")
         object.__setattr__(self, "values", _freeze(vals))
-
-
-def _canonical_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        pivot = out[np.argmax(np.abs(out[:, k])), k]
-        if pivot != 0:
-            out[:, k] *= pivot.conjugate() / abs(pivot)
-    return out
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,23 +210,25 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eig(operator: Operator) -> EigenSystem:
-    """Eigendecomposition of a hermitian operator.
+    """Ascending eigenvalues of a hermitian operator, with their residual.
 
-    Returns ascending eigenvalues and a unitary eigenvector matrix; the
-    reconstruction residual ||H - V diag V^dag||_max is verified against
-    1e-10 * max(1, ||H||_max).
-    """
+    The solver's eigenvectors V are checked, then dropped: ArithmeticError
+    unless max |V^dag V - I| <= 1e-10 (reconstruction alone passes wrong
+    values on repeated columns) and max |H - V diag V^dag| <= 1e-10 *
+    max(1, max |H|)."""
     if operator.tag != HERMITIAN:
         raise NonHermitianInputError("hermitian_eig requires a hermitian-tagged operator")
-    values, raw = _eigh(operator.matrix)
-    vectors = _canonical_phases(raw)
-    residual = max_abs(operator.matrix - (vectors * values) @ vectors.conj().T)
+    values, vectors = _eigh(operator.matrix)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
+        residual = max_abs(operator.matrix - (vectors * values) @ vectors.conj().T)
+        orth = max_abs(vectors.conj().T @ vectors - np.eye(operator.dim))
     bound = EIG_RTOL * max(1.0, max_abs(operator.matrix))
-    if residual > bound:
+    if not (residual <= bound and orth <= UNITARY_ATOL):
         raise ArithmeticError(
-            f"eigendecomposition residual {residual:.3e} exceeds {bound:.3e}"
+            f"eigendecomposition residual {residual:.3e} (bound {bound:.3e}), "
+            f"max |V^dag V - I| = {orth:.3e} (bound {UNITARY_ATOL:.0e})"
         )
-    return EigenSystem(values=values, vectors=Operator(vectors, tag=UNITARY))
+    return EigenSystem(values=values, residual=residual)
 
 
 def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +244,10 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
     if isinstance(times, (int, float)):  # one time: the same checks on a Python float
-        times = float(times)
+        try:
+            times = float(times)
+        except OverflowError:  # a Python int beyond the float range
+            raise ValueError("evolution times must be finite") from None
         finite, nonzero, shape = math.isfinite(times), times != 0, ()
     else:
         if np.iscomplexobj(times):  # the float cast would drop the imaginary part

@@ -149,7 +149,7 @@ def transfer_time(d: int, vartheta: float) -> TransferReport:
     """Perfect-transfer report: the excitation crosses at t* = pi/(2*vartheta)
     and returns to its start after the period pi/vartheta."""
     hamiltonian = pst_hamiltonian(d, vartheta)  # checks vartheta before it divides
-    t_star = np.pi / (2 * float(vartheta))
+    t_star = (np.pi / 2) / float(vartheta)  # 2*vartheta could overflow
     peak = transfer_fidelity(hamiltonian, t_star, 0, d - 1)
     if peak < 1.0 - PEAK_FIDELITY_FLOOR:
         raise ArithmeticError(f"transfer chain d={d} missed perfect fidelity: {peak!r}")

@@ -120,6 +120,13 @@ class TestPstCommand:
         summary = json.loads(proc.stdout)
         assert abs(summary["t_star"] - math.pi / 2) <= 1e-12
 
+    def test_largest_vartheta_exits_zero(self, tmp_path):
+        # 2 * vartheta overflows at 1.7e308; the crossing time must not
+        proc = run_cli("pst", "--d", "2", "--samples", "3", "--vartheta", "1.7e308",
+                       "--output", str(tmp_path / "curve.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["peak_fidelity"] >= 1 - 1e-10
+
     @pytest.mark.parametrize("flags", [("--t-max", "inf"), ("--vartheta", "inf", "--t-max", "1")])
     def test_non_finite_time_scale_rejected(self, flags):
         proc = run_cli("pst", "--d", "4", "--samples", "3", *flags)

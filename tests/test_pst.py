@@ -324,6 +324,12 @@ class TestTransferTime:
             with pytest.raises(ZeroThetaError, match="vartheta must be positive and finite"):
                 transfer_time(4, vartheta)
 
+    def test_largest_vartheta_still_transfers(self):
+        # 2 * vartheta overflows here, so t* must come from (pi/2) / vartheta
+        report = transfer_time(2, 1.7e308)
+        assert report.t_star == (math.pi / 2) / 1.7e308 > 0
+        assert report.peak_fidelity >= 1 - 1e-10
+
     def test_report_invariants(self):
         assert TransferReport(d=4, vartheta=1.0, t_star=1.5, peak_fidelity=1.0).period == 3.0
         with pytest.raises(ValueError):
