@@ -190,6 +190,7 @@ def cmd_optimize(args) -> Result:
              f"t-target must be positive and finite, got {args.t_target!r}")
     _require(args.max_iters >= 1, f"max-iters must be >= 1, got {args.max_iters}")
     _require(0 < args.tol < math.inf, f"tol must be positive and finite, got {args.tol!r}")
+    _require(args.seed >= 0, f"seed must be >= 0, got {args.seed}")
     config = OptimizeConfig(d=d, t_target=args.t_target, max_iters=args.max_iters,
                             tol=args.tol, seed=args.seed)
     rng = np.random.default_rng(args.seed)

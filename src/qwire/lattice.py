@@ -58,12 +58,12 @@ def uniform_chain(d: int, topology: str, E0: float = 0.0, A: float = 1.0) -> Cha
 
 
 def _line_matrix(d: int, E0: float, couplings) -> np.ndarray:
-    """Fresh d x d complex matrix with E0 on the diagonal and -A_l on both
+    """Fresh d x d float64 matrix with E0 on the diagonal and -A_l on both
     entries of bond l, for the first d-1 couplings.
 
-    One real float goes to each entry and to its mirror, so the matrix is
-    exactly hermitian, and finite whenever E0 and the couplings are."""
-    h = np.zeros((d, d), dtype=complex)
+    One float goes to each entry and to its mirror, so the matrix is
+    exactly symmetric, and finite whenever E0 and the couplings are."""
+    h = np.zeros((d, d))
     flat = h.reshape(-1)  # a view: strided writes fill whole diagonals
     flat[:: d + 1] = E0
     # 0.0 - A, as adding into the zero matrix gives: a zero coupling stays +0.0
@@ -86,7 +86,7 @@ def build_hamiltonian(spec: ChainSpec) -> Operator:
     h = _line_matrix(d, spec.E0, spec.couplings)
     if spec.topology == RING:
         # Python floats: an overflowing sum becomes inf without a numpy warning
-        corner = float(h[0, d - 1].real) - spec.couplings[d - 1]
+        corner = float(h[0, d - 1]) - spec.couplings[d - 1]
         if not math.isfinite(corner):
             raise NonHermitianInputError(
                 f"ring bonds {spec.couplings} sum to a non-finite corner entry {corner!r}"

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel.
 
 Everything downstream (shift/clock algebra, chain Hamiltonians, transfer
 fidelities) is built on the two operations here: hermitian
@@ -6,16 +6,12 @@ eigendecomposition and unitary time evolution through the spectral
 theorem.  Units have hbar = 1 in every module, so energies and times
 enter only through their product.
 
-Every eigendecomposition goes through the private `_eigh`, the one
-`np.linalg.eigh` call in the package, which `hermitian_eig` and
-`evolution_phases` share.  When every imaginary part of the matrix is
-exactly zero, a hermitian matrix is real symmetric, so `_eigh`
-diagonalizes its real part in real arithmetic (LAPACK dsyevd); any other
-matrix goes to the complex driver.  On a real tridiagonal matrix (every
-line chain) both drivers return bit-identical eigenpairs, and
-`Operator` matrices stay complex either way.  `hermitian_eig` checks the
-eigenvectors it gets and returns only the eigenvalues, with the residual
-that certified them.
+An `Operator` stores its matrix as float64 when every imaginary part is
+exactly zero and as complex128 otherwise, so a real symmetric
+Hamiltonian is diagonalized in real arithmetic by the same
+`np.linalg.eigh` call that `hermitian_eig` and `evolution_phases` make on
+a complex one.  `hermitian_eig` checks the eigenvectors it gets and
+returns only the eigenvalues, with the residual that certified them.
 
 All time evolution goes through `evolution_phases`, which checks its
 input, diagonalizes H once and returns the eigenvectors V with the phases
@@ -29,15 +25,15 @@ The public `Operator` constructor copies its matrix and checks the tag.
 
 Four builders are hermitian and finite by construction and skip that
 check through the private `Operator._certified`, which freezes their
-freshly made matrix without copying or re-checking it:
+freshly made float64 matrix without copying or re-checking it:
 `lattice.build_hamiltonian`, `pst.pst_hamiltonian`,
 `spinchain.xy_chain_hamiltonian` and `spinchain.number_operator` (the
 line-chain evaluator behind `optimizer` shares the lattice fill).  Each
 writes one real float to an entry and to its mirror, or only real floats
 to the diagonal, so M equals M^dag exactly; each rejects non-finite or
 complex input up front and checks any sum or product of finite inputs
-that could overflow, so every entry is finite and the real floats stay
-real.  The check could not fail on them.
+that could overflow, so every entry is finite.  The check could not fail
+on them.
 """
 
 from __future__ import annotations
@@ -89,7 +85,9 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex square matrix with a declared structural tag.
+    """Dense square matrix with a declared structural tag, stored as
+    float64 when every imaginary part is exactly zero and as complex128
+    otherwise (a NaN imaginary part keeps it complex).
 
     The tag is verified at construction: hermitian means every entry is
     finite and max |M[i,j] - conj(M[j,i])| <= 1e-12 * (max entry
@@ -102,6 +100,8 @@ class Operator:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
+        if not m.imag.any():  # NaN is truthy, so it stays complex and is checked
+            m = m.real.copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"operator must be square, got shape {m.shape}")
         if m.shape[0] < 1:
@@ -124,8 +124,9 @@ class Operator:
 
     @classmethod
     def _certified(cls, matrix: np.ndarray, tag: str) -> Operator:
-        """Freeze a square complex matrix whose tag holds by construction,
-        without copying it or checking it.  Only the builders named in the
+        """Freeze a square matrix whose tag holds by construction, without
+        copying it or checking it; a real one must already be float64, as
+        the constructor would store it.  Only the builders named in the
         module docstring may call this; everything else goes through the
         checked constructor."""
         op = object.__new__(cls)
@@ -179,7 +180,7 @@ def basis_state(dim: int, index: int) -> StateVector:
 
 def identity(dim: int) -> Operator:
     """Identity operator (tagged unitary)."""
-    return Operator(np.eye(dim, dtype=complex), tag=UNITARY)
+    return Operator(np.eye(dim), tag=UNITARY)
 
 
 @dataclass(frozen=True)
@@ -202,13 +203,6 @@ class EigenSystem:
         object.__setattr__(self, "values", _freeze(vals))
 
 
-def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending eigenvalues, eigenvector columns) of a hermitian-tagged
-    complex matrix, in real arithmetic when its imaginary part is all
-    zero; the vectors are then a real array."""
-    return np.linalg.eigh(matrix if matrix.imag.any() else matrix.real)
-
-
 def hermitian_eig(operator: Operator) -> EigenSystem:
     """Ascending eigenvalues of a hermitian operator, with their residual.
 
@@ -218,7 +212,7 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     max(1, max |H|)."""
     if operator.tag != HERMITIAN:
         raise NonHermitianInputError("hermitian_eig requires a hermitian-tagged operator")
-    values, vectors = _eigh(operator.matrix)
+    values, vectors = np.linalg.eigh(operator.matrix)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
         residual = max_abs(operator.matrix - (vectors * values) @ vectors.conj().T)
         orth = max_abs(vectors.conj().T @ vectors - np.eye(operator.dim))
@@ -235,11 +229,10 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     """Spectral factors of exp(-i H t) = V diag(phases) V^dag.
 
     Returns (V, phases), where phases has shape times.shape + (d,) and V
-    is a real array when H has no nonzero imaginary part.  Raises
-    NonHermitianInputError unless H is tagged hermitian, and ValueError for
-    a complex or non-finite time.  When every time is zero the propagator
-    is exactly the identity, so no eigensolve is made and (I, ones) comes
-    back.
+    has H's dtype.  Raises NonHermitianInputError unless H is tagged
+    hermitian, and ValueError for a complex or non-finite time.  When
+    every time is zero the propagator is exactly the identity, so no
+    eigensolve is made and (I, ones) comes back.
     """
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
@@ -252,14 +245,17 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     else:
         if np.iscomplexobj(times):  # the float cast would drop the imaginary part
             raise ValueError(f"evolution times must be real, got {times!r}")
-        times = np.asarray(times, dtype=float)
+        try:
+            times = np.asarray(times, dtype=float)
+        except OverflowError:  # a Python int beyond the float range
+            raise ValueError("evolution times must be finite") from None
         finite, nonzero, shape = np.isfinite(times).all(), times.any(), times.shape
     if not finite:
         raise ValueError("evolution times must be finite")
     d = hamiltonian.dim
     if not nonzero:
-        return np.eye(d, dtype=complex), np.ones(shape + (d,), dtype=complex)
-    values, vectors = _eigh(hamiltonian.matrix)
+        return np.eye(d, dtype=hamiltonian.matrix.dtype), np.ones(shape + (d,), dtype=complex)
+    values, vectors = np.linalg.eigh(hamiltonian.matrix)
     return vectors, np.exp(-1j * np.multiply.outer(times, values))
 
 

@@ -62,10 +62,10 @@ class OptimizeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d, Integral) and self.d >= 2):
-            raise ValueError(f"optimization needs an integer d >= 2, got {self.d!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name, low in (("d", 2), ("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("t_target", "tol"):
             value = getattr(self, name)
             # Real first: comparing a complex would raise TypeError

@@ -34,8 +34,8 @@ MAX_QUBITS = 12  # dense 4096 x 4096 is the desk-scale ceiling
 
 LADDER_ATOL = 1e-14
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # a|1> = |0>, a|0> = 0
-_EYE2 = np.eye(2, dtype=complex)
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # a|1> = |0>, a|0> = 0
+_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def xy_chain_hamiltonian(couplings) -> Operator:
         raise NonHermitianInputError(f"exchange couplings must be finite, got {couplings}")
     n = len(couplings) + 1
     index = np.arange(QubitRegister(n).dim)
-    h = np.zeros((index.size, index.size), dtype=complex)
+    h = np.zeros((index.size, index.size))
     for j, amplitude in enumerate(couplings):
         here, after = 1 << (n - 1 - j), 1 << (n - 2 - j)
         # the bond hops wherever sites j and j+1 differ: swap their bits
@@ -125,7 +125,7 @@ def number_operator(n: int) -> Operator:
     basis index on the diagonal."""
     index = np.arange(QubitRegister(n).dim)
     popcount = sum((index >> k) & 1 for k in range(n))
-    return Operator._certified(np.diag(popcount.astype(complex)), HERMITIAN)
+    return Operator._certified(np.diag(popcount.astype(float)), HERMITIAN)
 
 
 def single_excitation_sector(h_full: Operator, smap: SectorMap) -> Operator:

@@ -29,7 +29,7 @@ def _require_dim(d: int) -> None:
 def shift_matrix(d: int) -> Operator:
     """Cyclic shift |l> -> |l+1 mod d>: ones on the subdiagonal plus corner."""
     _require_dim(d)
-    return Operator(np.roll(np.eye(d, dtype=complex), 1, axis=0), tag=UNITARY)
+    return Operator(np.roll(np.eye(d), 1, axis=0), tag=UNITARY)
 
 
 def clock_matrix(d: int) -> Operator:

@@ -2,9 +2,10 @@
 
 `build_hamiltonian`, `pst_hamiltonian`, `xy_chain_hamiltonian` and
 `number_operator` freeze their matrices through the private
-`Operator._certified`.  Each output must be exactly hermitian and finite,
-and the public, checked constructor must accept it with equal bytes; each
-input the check used to catch must be rejected up front.
+`Operator._certified`.  Each output must be a read-only float64 matrix,
+exactly symmetric and finite, and the public, checked constructor must
+accept it with equal bytes; each input the check used to catch must be
+rejected up front.
 """
 
 import math
@@ -29,7 +30,7 @@ MODERATE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
 def assert_certifiable(op: Operator) -> None:
     m = op.matrix
     assert op.tag == HERMITIAN
-    assert m.dtype == complex and not m.flags.writeable
+    assert m.dtype == np.float64 and not m.flags.writeable
     assert np.array_equal(m, m.conj().T)
     assert np.isfinite(m).all()
     checked = Operator(m, tag=HERMITIAN)

@@ -204,6 +204,12 @@ class TestOptimizeCommand:
         assert "t-target" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_negative_seed_rejected(self):
+        proc = run_cli("optimize", "--d", "4", "--t-target", "1.5", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "seed" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestExitCodesAndDeterminism:
     CASES = [

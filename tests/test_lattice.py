@@ -79,8 +79,9 @@ class TestBuildHamiltonian:
 
 def _bond_loop_hamiltonian(spec):
     """The chain Hamiltonian one bond at a time: E0 on the diagonal, then
-    -A_l added to both entries of bond l (a d=2 ring adds twice)."""
-    h = np.zeros((spec.d, spec.d), dtype=complex)
+    -A_l added to both entries of bond l (a d=2 ring adds twice), in the
+    float64 storage the builder uses for a real matrix."""
+    h = np.zeros((spec.d, spec.d))
     np.fill_diagonal(h, spec.E0)
     for bond, amplitude in enumerate(spec.couplings):
         i, j = bond, (bond + 1) % spec.d

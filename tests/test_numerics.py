@@ -27,9 +27,9 @@ from qwire.numerics import (
     identity,
     max_abs,
 )
-from qwire.pst import pst_hamiltonian, transfer_fidelity, transfer_time
-from qwire.spinchain import xy_chain_hamiltonian
-from qwire.weyl import equidistant_hamiltonian, time_step
+from qwire.pst import fidelity_curve, pst_hamiltonian, transfer_fidelity, transfer_time
+from qwire.spinchain import lowering_operator, xy_chain_hamiltonian
+from qwire.weyl import clock_matrix, equidistant_hamiltonian, shift_matrix, time_step
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -64,7 +64,8 @@ class TestNonFiniteRejected:
     @given(seed=st.integers(0, 10_000), d=st.integers(1, 8), bad=NON_FINITE,
            where=st.integers(0, 63), whole=st.booleans())
     def test_hermitian_tag(self, seed, d, bad, where, whole):
-        m = random_hermitian(np.random.default_rng(seed), d).matrix.copy()
+        # complex storage, so that a complex bad value can be written (d = 1 is real)
+        m = random_hermitian(np.random.default_rng(seed), d).matrix.astype(complex)
         i, j = divmod(where % (d * d), d)
         m[i, j] = bad
         m[j, i] = np.conj(bad)  # keep the input symmetric under the dagger
@@ -126,7 +127,8 @@ class TestHermitianRule:
                                 complex(0.0, -math.inf), complex(math.nan, 0.0)]))
     def test_accepts_exactly_the_rule(self, seed, d, where, kind, factor, imaginary,
                                       mirror, bad):
-        m = random_hermitian(np.random.default_rng(seed), d).matrix.copy()
+        # complex storage, so that a complex step or bad value can be written (d = 1 is real)
+        m = random_hermitian(np.random.default_rng(seed), d).matrix.astype(complex)
         i, j = divmod(where % (d * d), d)
         if kind == "zero":
             m[:] = 0.0
@@ -164,11 +166,61 @@ class TestHermitianRule:
     @given(seed=st.integers(0, 10_000), d=st.integers(1, 8), where=st.integers(0, 63),
            sign=st.sampled_from([1.0, -1.0]))
     def test_imaginary_inf_on_diagonal_rejected(self, seed, d, where, sign):
-        m = random_hermitian(np.random.default_rng(seed), d).matrix.copy()
+        # complex storage, so that an imaginary inf can be written (d = 1 is real)
+        m = random_hermitian(np.random.default_rng(seed), d).matrix.astype(complex)
         k = where % d
         m[k, k] = complex(0.0, sign * math.inf)
         with pytest.raises(NonHermitianInputError):
             Operator(m, tag=HERMITIAN)
+
+
+class TestStorageRule:
+    """An Operator stores float64 when every imaginary part is exactly
+    zero and complex128 otherwise; a NaN or inf imaginary part is not
+    zero, so it stays complex and reaches the tag check."""
+
+    @pytest.mark.parametrize("tag", [GENERAL, HERMITIAN, UNITARY])
+    @pytest.mark.parametrize("imag_zero", [0.0, -0.0])
+    def test_zero_imaginary_parts_stored_real(self, tag, imag_zero):
+        real = np.array([[-0.0, 1.0, 0.0], [1.0, -0.0, 0.0], [0.0, 0.0, -1.0]])  # each tag holds
+        m = real.astype(complex)
+        m.imag = imag_zero
+        op = Operator(m, tag=tag)
+        assert op.matrix.dtype == np.float64 and not op.matrix.flags.writeable
+        assert op.matrix.tobytes() == real.tobytes()  # signed zeros kept
+
+    def test_nonzero_imaginary_part_stored_complex(self):
+        m = np.array([[1.0, 1e-300j], [-1e-300j, 1.0]])
+        op = Operator(m, tag=HERMITIAN)
+        assert op.matrix.dtype == np.complex128
+        assert op.matrix.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_non_finite_imaginary_part_stays_complex_and_refused(self, bad, k):
+        m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        m[k, k] = complex(m[k, k].real, bad)
+        assert Operator(m).matrix.dtype == np.complex128
+        with pytest.raises(NonHermitianInputError):
+            Operator(m, tag=HERMITIAN)
+
+    @pytest.mark.parametrize("build, dtype", [
+        pytest.param(lambda: identity(3), np.float64, id="identity"),
+        pytest.param(lambda: shift_matrix(4), np.float64, id="shift"),
+        pytest.param(lambda: lowering_operator(3, 1), np.float64, id="lowering"),
+        pytest.param(lambda: clock_matrix(4), np.complex128, id="clock"),
+        pytest.param(lambda: equidistant_hamiltonian(4, 1.0), np.complex128, id="equidistant"),
+    ])
+    def test_library_operators(self, build, dtype):
+        assert build().matrix.dtype == dtype
+
+    @pytest.mark.parametrize("times", [0.0, 1.3, np.zeros(3), np.array([0.0, 1.3])])
+    @pytest.mark.parametrize("case", ["real", "complex"])
+    def test_evolution_vectors_have_the_hamiltonian_dtype(self, case, times):
+        h = pst_hamiltonian(5, 0.8) if case == "real" else equidistant_hamiltonian(5, 0.7)
+        vectors, phases = evolution_phases(h, times)
+        assert vectors.dtype == h.matrix.dtype
+        assert phases.dtype == np.complex128
 
 
 class TestStateVector:
@@ -348,10 +400,11 @@ def _random_chain(topology: str, d: int) -> Operator:
 
 
 class TestRealArithmeticRoute:
-    """A hermitian matrix with no nonzero imaginary part is diagonalized in
-    real arithmetic.  On tridiagonal input the real and complex drivers
-    agree bit for bit; d = 2..64 straddles the size at which LAPACK's
-    tridiagonal solver switches to divide and conquer."""
+    """A hermitian matrix with no nonzero imaginary part is stored as
+    float64 and so diagonalized in real arithmetic.  On tridiagonal input
+    the real and complex drivers agree bit for bit; d = 2..64 straddles the
+    size at which LAPACK's tridiagonal solver switches to divide and
+    conquer."""
 
     CASES = {
         "line": lambda: _random_chain(LINE, 7),
@@ -383,7 +436,7 @@ class TestRealArithmeticRoute:
     @pytest.mark.parametrize("chain", ["line", "pst"])
     def test_chain_eigenpairs_bit_identical_to_complex_driver(self, chain, d):
         h = _random_chain(LINE, d) if chain == "line" else pst_hamiltonian(d, 0.8)
-        ref_values, ref_vectors = np.linalg.eigh(h.matrix)
+        ref_values, ref_vectors = np.linalg.eigh(h.matrix.astype(complex))
         assert ref_vectors.dtype == complex and not ref_vectors.imag.any()
         vectors, phases = evolution_phases(h, 1.3)
         assert vectors.tobytes() == ref_vectors.real.tobytes()
@@ -394,7 +447,7 @@ class TestRealArithmeticRoute:
     @pytest.mark.parametrize("d", [2, 3, 4, 9, 26, 40])
     def test_ring_eigenvalues_match_complex_driver(self, d):
         h = _random_chain(RING, d)
-        ref_values = np.linalg.eigh(h.matrix)[0]
+        ref_values = np.linalg.eigh(h.matrix.astype(complex))[0]
         assert max_abs(hermitian_eig(h).values - ref_values) <= 1e-12
         if d <= 9:
             assert max_abs(evolve(h, 0.8).matrix - expm_series(-0.8j * h.matrix)) <= 1e-12
@@ -439,6 +492,8 @@ class TestIntBeyondFloatRange:
                      id="evolve-negative"),
         pytest.param(lambda: transfer_fidelity(pst_hamiltonian(4, 1.0), HUGE, 0, 3), ValueError,
                      id="transfer_fidelity"),
+        pytest.param(lambda: fidelity_curve(pst_hamiltonian(4, 1.0), [0.0, HUGE], 0, 3),
+                     ValueError, id="fidelity_curve"),
     ])
     def test_refused_as_non_finite(self, call, error):
         with pytest.raises(error):

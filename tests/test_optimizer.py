@@ -82,6 +82,11 @@ class TestConfig:
         {"d": 4, "t_target": 1.0, "tol": 1j}, {"d": 4, "t_target": 10**400},
         {"d": 4, "t_target": "1.0"},
         {"d": 4.5, "t_target": 1.0}, {"d": 4.0, "t_target": 1.0},
+        {"d": 4, "t_target": 1.0, "seed": -1}, {"d": 4, "t_target": 1.0, "seed": 1.0},
+        {"d": 4, "t_target": 1.0, "seed": math.nan},
+        {"d": 4, "t_target": 1.0, "max_iters": math.nan},
+        {"d": 4, "t_target": 1.0, "max_iters": 2.5},
+        {"d": 4, "t_target": 1.0, "max_iters": math.inf},
     ])
     def test_bad_type_is_value_error(self, kwargs):
         # not a bare TypeError from a comparison, nor a silently accepted d
@@ -90,6 +95,10 @@ class TestConfig:
 
     def test_numpy_integer_d_accepted(self):
         assert OptimizeConfig(d=np.int64(4), t_target=1.0).d == 4
+
+    def test_numpy_integer_budget_and_seed_accepted(self):
+        config = OptimizeConfig(d=4, t_target=1.0, max_iters=np.int32(5), seed=np.uint8(0))
+        assert (config.max_iters, config.seed) == (5, 0)
 
     def test_result_fidelity_range(self):
         with pytest.raises(ValueError):
