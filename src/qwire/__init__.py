@@ -11,6 +11,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
     IndexOutOfRangeError,
+    InvalidConfigError,
     NonHermitianInputError,
     NotNormalizedError,
     NotProportionalError,

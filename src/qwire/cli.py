@@ -185,12 +185,9 @@ def cmd_sector_check(args) -> Result:
 
 def cmd_optimize(args) -> Result:
     d = args.d
-    _require(d >= 2, f"d must be >= 2, got {d}")
+    # OptimizeConfig checks every setting; this one repeats its rule to name the flag
     _require(0 < args.t_target < math.inf,
              f"t-target must be positive and finite, got {args.t_target!r}")
-    _require(args.max_iters >= 1, f"max-iters must be >= 1, got {args.max_iters}")
-    _require(0 < args.tol < math.inf, f"tol must be positive and finite, got {args.tol!r}")
-    _require(args.seed >= 0, f"seed must be >= 0, got {args.seed}")
     config = OptimizeConfig(d=d, t_target=args.t_target, max_iters=args.max_iters,
                             tol=args.tol, seed=args.seed)
     rng = np.random.default_rng(args.seed)

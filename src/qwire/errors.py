@@ -39,3 +39,7 @@ class IndexOutOfRangeError(QwireError):
 
 class RegisterTooLargeError(QwireError):
     """Qubit register exceeds the dense-matrix size cap."""
+
+
+class InvalidConfigError(QwireError, ValueError):
+    """A search setting lies outside its domain (also a ValueError)."""

@@ -15,7 +15,8 @@ returns only the eigenvalues, with the residual that certified them.
 
 All time evolution goes through `evolution_phases`, which checks its
 input, diagonalizes H once and returns the eigenvectors V with the phases
-exp(-i lambda_k t) for every requested time.  `evolve` builds the
+exp(-i lambda_k t) for every requested time (the coupling search, below,
+takes only the unchecked last step).  `evolve` builds the
 propagator V diag(phases) V^dag from them; the transfer amplitudes in
 `pst` contract the phases with V[target] * conj(V[source]) and never form
 the d x d propagator.  All values are immutable after construction and
@@ -27,13 +28,19 @@ Four builders are hermitian and finite by construction and skip that
 check through the private `Operator._certified`, which freezes their
 freshly made float64 matrix without copying or re-checking it:
 `lattice.build_hamiltonian`, `pst.pst_hamiltonian`,
-`spinchain.xy_chain_hamiltonian` and `spinchain.number_operator` (the
-line-chain evaluator behind `optimizer` shares the lattice fill).  Each
+`spinchain.xy_chain_hamiltonian` and `spinchain.number_operator`.  Each
 writes one real float to an entry and to its mirror, or only real floats
 to the diagonal, so M equals M^dag exactly; each rejects non-finite or
 complex input up front and checks any sum or product of finite inputs
 that could overflow, so every entry is finite.  The check could not fail
 on them.
+
+The coupling search in `optimizer` builds no `Operator` at all: it
+writes each chain's bonds, through the lattice fill, into one float64
+matrix of its own and calls `np.linalg.eigh` on it directly, through
+`_spectral_factors`, the step `evolution_phases` takes after its checks.
+It relies on `OptimizeConfig` for d and the time and on one `ChainSpec`
+check of its start for the couplings.
 """
 
 from __future__ import annotations
@@ -255,7 +262,13 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     d = hamiltonian.dim
     if not nonzero:
         return np.eye(d, dtype=hamiltonian.matrix.dtype), np.ones(shape + (d,), dtype=complex)
-    values, vectors = np.linalg.eigh(hamiltonian.matrix)
+    return _spectral_factors(hamiltonian.matrix, times)
+
+
+def _spectral_factors(matrix: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """`evolution_phases` after its checks: one eigh of a hermitian matrix
+    and the phases exp(-i lambda_k t), for times already made float."""
+    values, vectors = np.linalg.eigh(matrix)
     return vectors, np.exp(-1j * np.multiply.outer(times, values))
 
 

@@ -16,9 +16,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import LINE, ChainSpec, _line_matrix
-from .numerics import HERMITIAN, Operator, float_or_inf
-from .pst import _fidelity
+from .errors import InvalidConfigError
+from .lattice import LINE, ChainSpec, _set_bonds, build_hamiltonian
+from .numerics import _spectral_factors, float_or_inf
+from .pst import _fidelity, transfer_fidelity
 
 COUPLING_BOUND = 10.0
 
@@ -26,15 +27,6 @@ _REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
-
-
-def _line_fidelity(couplings, t: float, d: int) -> float:
-    """End-to-end transfer fidelity of a d-site line chain at time t, for
-    couplings that ChainSpec's rule already certified (d-1 finite values),
-    so the tridiagonal is hermitian and finite by construction.  The time
-    is still checked by `numerics.evolution_phases`."""
-    chain = Operator._certified(_line_matrix(d, 0.0, couplings), HERMITIAN)
-    return _fidelity(chain, t, 0, d - 1)
 
 
 def objective(couplings, t: float, d: int) -> float:
@@ -47,13 +39,15 @@ def objective(couplings, t: float, d: int) -> float:
     """
     couplings = np.asarray(couplings).reshape(-1)  # ChainSpec converts and checks
     spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings.tolist())
-    return _line_fidelity(spec.couplings, t, spec.d)
+    return transfer_fidelity(build_hamiltonian(spec), t, 0, spec.d - 1)
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
     """Search settings: chain length, target transfer time, iteration
-    budget, convergence threshold, and the seed for restart jitter."""
+    budget, convergence threshold, and the seed for restart jitter.
+    InvalidConfigError (a ValueError) is raised for any value outside
+    its domain."""
 
     d: int
     t_target: float
@@ -65,12 +59,14 @@ class OptimizeConfig:
         for name, low in (("d", 2), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, Integral) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+                raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("t_target", "tol"):
             value = getattr(self, name)
             # Real first: comparing a complex would raise TypeError
             if not (isinstance(value, Real) and 0 < float_or_inf(value) < math.inf):
-                raise ValueError(f"{name} must be real, positive and finite, got {value!r}")
+                raise InvalidConfigError(
+                    f"{name} must be real, positive and finite, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -185,12 +181,21 @@ def _simplex_descent(
 
 
 def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
-    """The negated `objective` at config's d and t_target, without the
-    per-call ChainSpec: for coupling arrays whose count and finiteness
-    were checked once per search."""
+    """The negated `objective` at config's d and t_target, for coupling
+    arrays whose count and finiteness were checked once per search.
+
+    The closure owns one d x d chain matrix: each call rewrites every bond
+    of it, makes one eigh and reads the end-to-end fidelity through the
+    same spectral factors and contraction as `transfer_fidelity`, without
+    objective's per-call ChainSpec and time checks (OptimizeConfig
+    certified t_target)."""
+    d, t = config.d, float(config.t_target)
+    chain = np.zeros((d, d))
+    flat = chain.reshape(-1)
 
     def negated(x: np.ndarray) -> float:
-        return -_line_fidelity(x, config.t_target, config.d)
+        _set_bonds(flat, d, x)
+        return -_fidelity(_spectral_factors(chain, t), 0, d - 1)
 
     return negated
 

@@ -63,17 +63,19 @@ def _check_sites(dim: int, source: int, target: int) -> None:
             raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
 
 
-def _amplitudes(hamiltonian: Operator, times, source: int, target: int):
-    """<target| exp(-iHt) |source> at each time, the spectral sum of
+def _amplitudes(factors, source: int, target: int):
+    """<target| exp(-iHt) |source> at each time from H's spectral factors
+    (V, phases), as `numerics.evolution_phases` returns them: the sum of
     V[target,k] conj(V[source,k]) exp(-i lambda_k t) over k, for sites
     already checked."""
-    vectors, phases = evolution_phases(hamiltonian, times)
+    vectors, phases = factors
     return phases @ (vectors[target] * vectors[source].conj())
 
 
-def _fidelity(hamiltonian: Operator, t: float, source: int, target: int) -> float:
-    """`transfer_fidelity` for sites already checked."""
-    amplitude = complex(_amplitudes(hamiltonian, t, source, target))
+def _fidelity(factors, source: int, target: int) -> float:
+    """`transfer_fidelity` at one time, from its spectral factors, for
+    sites already checked."""
+    amplitude = complex(_amplitudes(factors, source, target))
     return min(abs(amplitude) ** 2, 1.0)
 
 
@@ -81,7 +83,7 @@ def transfer_fidelity(hamiltonian: Operator, t: float, source: int, target: int)
     """Probability |<target| exp(-iHt) |source>|^2 of finding the
     excitation at the target site at time t (exactly 1 or 0 at t = 0)."""
     _check_sites(hamiltonian.dim, source, target)
-    return _fidelity(hamiltonian, t, source, target)
+    return _fidelity(evolution_phases(hamiltonian, t), source, target)
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ def fidelity_curve(hamiltonian: Operator, t_grid, source: int, target: int) -> F
     """Transfer fidelity at every grid time, via one eigendecomposition."""
     _check_sites(hamiltonian.dim, source, target)
     times = np.asarray(t_grid).reshape(-1)  # evolution_phases refuses complex times
-    amplitudes = _amplitudes(hamiltonian, times, source, target)
+    amplitudes = _amplitudes(evolution_phases(hamiltonian, times), source, target)
     fidelities = np.minimum(np.abs(amplitudes) ** 2, 1.0)
     return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
 

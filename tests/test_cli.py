@@ -335,6 +335,15 @@ class TestInProcessFormats:
         assert code == 2
         assert out == "" and "tol" in err
 
+    @pytest.mark.parametrize("flags, name", [
+        (("--d", "1"), "d"), (("--max-iters", "0"), "max_iters"), (("--seed", "-1"), "seed"),
+    ])
+    def test_config_rule_exits_two(self, capsys, flags, name):
+        # OptimizeConfig's own rule, not a copy in the CLI, turns the flag away
+        code, out, err = self._main(capsys, "optimize", "--d", "3", "--t-target", "1", *flags)
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {name} must be an integer >= ")
+
     def test_register_cap_in_library_exits_three(self, capsys, monkeypatch):
         # the exit code follows the exception type, wherever it is raised
         def refuse(couplings):

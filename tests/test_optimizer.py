@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expm_series
-from qwire.errors import BadCouplingCountError
+from qwire import optimizer
+from qwire.errors import BadCouplingCountError, InvalidConfigError, QwireError
 from qwire.optimizer import (
     COUPLING_BOUND,
     OptimizeConfig,
@@ -90,8 +91,11 @@ class TestConfig:
     ])
     def test_bad_type_is_value_error(self, kwargs):
         # not a bare TypeError from a comparison, nor a silently accepted d
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             OptimizeConfig(**kwargs)
+        # a QwireError too, so the CLI maps it to exit 2 without a copy of the rule
+        assert isinstance(excinfo.value, QwireError)
+        assert excinfo.type is InvalidConfigError
 
     def test_numpy_integer_d_accepted(self):
         assert OptimizeConfig(d=np.int64(4), t_target=1.0).d == 4
@@ -194,13 +198,27 @@ class TestOptimize:
             objective(start, 1.0, 4)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(data=st.data(), d=st.integers(2, 9), t=st.floats(0.01, 10.0))
+    @given(data=st.data(), d=st.integers(2, 12), t=st.floats(0.01, 10.0))
     def test_search_evaluator_equals_negated_objective(self, data, d, t):
-        # the search skips objective's per-call ChainSpec; the values must not move
+        # the search skips objective's per-call checks and refills one matrix;
+        # x1, x2, x1 on one closure: no value moves, and no call sees the last one's bonds
         bound = st.floats(-COUPLING_BOUND, COUPLING_BOUND)
-        x = np.array(data.draw(st.lists(bound, min_size=d - 1, max_size=d - 1)))
+        profile = st.lists(bound, min_size=d - 1, max_size=d - 1).map(np.array)
+        x1, x2 = data.draw(profile), data.draw(profile)
         negated = _search_objective(OptimizeConfig(d=d, t_target=t))
-        assert negated(x).hex() == (-objective(x, t, d)).hex()
+        for x in (x1, x2, x1):
+            assert negated(x).hex() == (-objective(x, t, d)).hex()
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_search_route_equals_objective_route(self, d, monkeypatch):
+        # whole searches, bit for bit, against the same searches on the checked objective
+        rng = np.random.default_rng(300 + d)
+        starts = (np.ones(d - 1), rng.uniform(0.5, 1.5, d - 1))
+        configs = [OptimizeConfig(d=d, t_target=math.pi / 2, seed=seed) for seed in (0, 1, 2)]
+        shipped = [optimize_couplings(c, x) for c in configs for x in starts]
+        monkeypatch.setattr(optimizer, "_search_objective",
+                            lambda c: lambda x: -objective(x, c.t_target, c.d))
+        assert shipped == [optimize_couplings(c, x) for c in configs for x in starts]
 
     def test_budget_exhaustion_reports_not_converged(self):
         config = OptimizeConfig(d=4, t_target=math.pi / 2, max_iters=3, seed=0)
