@@ -66,18 +66,11 @@ def _line_matrix(d: int, E0: float, couplings) -> np.ndarray:
     h = np.zeros((d, d))
     flat = h.reshape(-1)  # a view: strided writes fill whole diagonals
     flat[:: d + 1] = E0
-    _set_bonds(flat, d, couplings)
-    return h
-
-
-def _set_bonds(flat: np.ndarray, d: int, couplings) -> None:
-    """Write -A_l to both entries of bond l, for the first d-1 couplings,
-    into a d x d float64 matrix given as its flat view; no other entry
-    changes, so a caller may refill the same matrix with new couplings."""
     # 0.0 - A, as adding into the zero matrix gives: a zero coupling stays +0.0
     hopping = np.subtract(0.0, couplings[: d - 1])
     flat[1 :: d + 1] = hopping  # h[l, l+1]
     flat[d :: d + 1] = hopping  # h[l+1, l]
+    return h
 
 
 def build_hamiltonian(spec: ChainSpec) -> Operator:

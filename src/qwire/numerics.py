@@ -8,15 +8,17 @@ enter only through their product.
 
 An `Operator` stores its matrix as float64 when every imaginary part is
 exactly zero and as complex128 otherwise, so a real symmetric
-Hamiltonian is diagonalized in real arithmetic by the same
-`np.linalg.eigh` call that `hermitian_eig` and `evolution_phases` make on
-a complex one.  `hermitian_eig` checks the eigenvectors it gets and
-returns only the eigenvalues, with the residual that certified them.
+Hamiltonian is diagonalized in real arithmetic by the same `_eigh` that
+`hermitian_eig` and `evolution_phases` call on a complex one.  `_eigh`
+is the package's only eigensolver call: it goes straight to the LAPACK
+gufunc behind `numpy.linalg.eigh`, without that wrapper's argument
+handling.  `hermitian_eig` checks the eigenvectors it gets and returns
+only the eigenvalues, with the residual that certified them.
 
 All time evolution goes through `evolution_phases`, which checks its
 input, diagonalizes H once and returns the eigenvectors V with the phases
 exp(-i lambda_k t) for every requested time (the coupling search, below,
-takes only the unchecked last step).  `evolve` builds the
+repeats only the unchecked last step, inline).  `evolve` builds the
 propagator V diag(phases) V^dag from them; the transfer amplitudes in
 `pst` contract the phases with V[target] * conj(V[source]) and never form
 the d x d propagator.  All values are immutable after construction and
@@ -36,11 +38,10 @@ that could overflow, so every entry is finite.  The check could not fail
 on them.
 
 The coupling search in `optimizer` builds no `Operator` at all: it
-writes each chain's bonds, through the lattice fill, into one float64
-matrix of its own and calls `np.linalg.eigh` on it directly, through
-`_spectral_factors`, the step `evolution_phases` takes after its checks.
-It relies on `OptimizeConfig` for d and the time and on one `ChainSpec`
-check of its start for the couplings.
+writes each chain's bonds into one float64 matrix of its own and calls
+`_eigh` on it directly, then reads the fidelity with the same arithmetic
+as `transfer_fidelity`.  It relies on `OptimizeConfig` for d and the
+time and on one `ChainSpec` check of its start for the couplings.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -210,6 +212,22 @@ class EigenSystem:
         object.__setattr__(self, "values", _freeze(vals))
 
 
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, orthonormal eigenvectors) of a finite
+    hermitian float64 or complex128 matrix, read from its lower triangle:
+    byte for byte what `numpy.linalg.eigh` returns, from the gufunc it calls.
+
+    The gufunc fills every output with NaN when LAPACK does not converge;
+    that raises LinAlgError here.  It also sets the floating-point invalid
+    flag then, which numpy reports under the caller's errstate first (a
+    RuntimeWarning by default); on success it clears the flags."""
+    signature = "D->dD" if matrix.dtype.kind == "c" else "d->dd"
+    values, vectors = _umath_linalg.eigh_lo(matrix, signature=signature)
+    if math.isnan(values[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return values, vectors
+
+
 def hermitian_eig(operator: Operator) -> EigenSystem:
     """Ascending eigenvalues of a hermitian operator, with their residual.
 
@@ -219,7 +237,7 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     max(1, max |H|)."""
     if operator.tag != HERMITIAN:
         raise NonHermitianInputError("hermitian_eig requires a hermitian-tagged operator")
-    values, vectors = np.linalg.eigh(operator.matrix)
+    values, vectors = _eigh(operator.matrix)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
         residual = max_abs(operator.matrix - (vectors * values) @ vectors.conj().T)
         orth = max_abs(vectors.conj().T @ vectors - np.eye(operator.dim))
@@ -266,9 +284,9 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
 
 
 def _spectral_factors(matrix: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-    """`evolution_phases` after its checks: one eigh of a hermitian matrix
-    and the phases exp(-i lambda_k t), for times already made float."""
-    values, vectors = np.linalg.eigh(matrix)
+    """`evolution_phases` after its checks: one `_eigh` of a hermitian
+    matrix and the phases exp(-i lambda_k t), for times already made float."""
+    values, vectors = _eigh(matrix)
     return vectors, np.exp(-1j * np.multiply.outer(times, values))
 
 

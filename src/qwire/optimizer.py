@@ -17,9 +17,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidConfigError
-from .lattice import LINE, ChainSpec, _set_bonds, build_hamiltonian
-from .numerics import _spectral_factors, float_or_inf
-from .pst import _fidelity, transfer_fidelity
+from .lattice import LINE, ChainSpec, build_hamiltonian
+from .numerics import _eigh, float_or_inf
+from .pst import transfer_fidelity
 
 COUPLING_BOUND = 10.0
 
@@ -69,6 +69,13 @@ class OptimizeConfig:
                 )
 
 
+# Why a simplex run stopped: its vertices came within tol of the best one,
+# its best value gained less than tol over a sweep, or iterations ran out.
+COLLAPSE = "collapse"
+PLATEAU = "plateau"
+BUDGET = "budget"
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
     """Best profile found, gauge-normalized to max |A_j| = 1.
@@ -76,24 +83,34 @@ class OptimizeResult:
     fidelity is re-evaluated from the reported couplings at the
     gauge-adjusted time scale*t_target, where scale is the normalization
     factor that was divided out (the rescaling leaves the physics fixed).
+    stop_reason is why the last simplex run stopped (collapse, plateau or
+    budget), and restarts counts the runs after the first.
     """
 
     couplings: tuple[float, ...]
     fidelity: float
     iterations: int
-    converged: bool
+    stop_reason: str
+    restarts: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
+        if self.stop_reason not in (COLLAPSE, PLATEAU, BUDGET):
+            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
         object.__setattr__(self, "couplings", tuple(float(a) for a in self.couplings))
+
+    @property
+    def converged(self) -> bool:
+        """True unless the search stopped on its iteration budget."""
+        return self.stop_reason != BUDGET
 
 
 class _SimplexRun(NamedTuple):
     x_best: np.ndarray
     f_best: float
     iterations: int
-    converged: bool
+    stop_reason: str
 
 
 def _clip(x: np.ndarray) -> np.ndarray:
@@ -102,14 +119,21 @@ def _clip(x: np.ndarray) -> np.ndarray:
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
+    """x0 and n vertices that each move one coordinate of it, so the n
+    edges from x0 are independent.  For x0 in the box every vertex is too:
+    where the step x -> 1.05x would leave the box it is taken inward, to
+    0.95x, rather than clipped back onto x."""
     n = x0.shape[0]
     simplex = np.tile(x0, (n + 1, 1))
     for i in range(n):
-        if simplex[i + 1, i] != 0.0:
-            simplex[i + 1, i] *= 1.05
-        else:
+        x = simplex[i + 1, i]
+        if 1.05 * x == x:  # zero, or too small for the relative step to move
             simplex[i + 1, i] = 0.00025
-    return _clip(simplex)
+        elif abs(1.05 * x) <= COUPLING_BOUND:
+            simplex[i + 1, i] = 1.05 * x
+        else:
+            simplex[i + 1, i] = 0.95 * x
+    return simplex
 
 
 def _simplex_descent(
@@ -118,16 +142,16 @@ def _simplex_descent(
     max_iters: int,
     tol: float,
 ) -> _SimplexRun:
-    """One simplex run.  Converges when the simplex collapses below tol
-    or the best value improves by less than tol over a full sweep
-    (n+1 consecutive steps)."""
+    """One simplex run from x0, a point in the box.  Converges when the
+    simplex collapses below tol or the best value improves by less than
+    tol over a full sweep (n+1 consecutive steps)."""
     n = x0.shape[0]
     simplex = _initial_simplex(x0)
     fvals = np.array([f(x) for x in simplex])
     sweep = n + 1
     checkpoint = float(fvals.min())
     iterations = 0
-    converged = False
+    stop_reason = BUDGET
 
     while iterations < max_iters:
         order = fvals.argsort(kind="stable")
@@ -167,35 +191,40 @@ def _simplex_descent(
 
         size = float(abs(simplex - simplex[fvals.argmin()]).max())
         if size < tol:
-            converged = True
+            stop_reason = COLLAPSE
             break
         if iterations % sweep == 0:
             best_now = float(fvals.min())
             if checkpoint - best_now < tol:
-                converged = True
+                stop_reason = PLATEAU
                 break
             checkpoint = best_now
 
     k = int(fvals.argmin())
-    return _SimplexRun(simplex[k].copy(), float(fvals[k]), iterations, converged)
+    return _SimplexRun(simplex[k].copy(), float(fvals[k]), iterations, stop_reason)
 
 
 def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
     """The negated `objective` at config's d and t_target, for coupling
     arrays whose count and finiteness were checked once per search.
 
-    The closure owns one d x d chain matrix: each call rewrites every bond
-    of it, makes one eigh and reads the end-to-end fidelity through the
-    same spectral factors and contraction as `transfer_fidelity`, without
-    objective's per-call ChainSpec and time checks (OptimizeConfig
+    The closure owns one d x d chain matrix: each call rewrites both bond
+    diagonals of it, makes one `_eigh` and reads the end-to-end fidelity
+    with the arithmetic of `transfer_fidelity` on a real chain, bit for bit,
+    without objective's per-call ChainSpec and time checks (OptimizeConfig
     certified t_target)."""
-    d, t = config.d, float(config.t_target)
+    d = config.d
     chain = np.zeros((d, d))
     flat = chain.reshape(-1)
+    upper, lower = flat[1 :: d + 1], flat[d :: d + 1]  # h[l, l+1], h[l+1, l]
+    minus_it = -1j * float(config.t_target)
 
     def negated(x: np.ndarray) -> float:
-        _set_bonds(flat, d, x)
-        return -_fidelity(_spectral_factors(chain, t), 0, d - 1)
+        np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
+        lower[...] = upper
+        values, vectors = _eigh(chain)
+        amplitude = complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
+        return -min(abs(amplitude) ** 2, 1.0)
 
     return negated
 
@@ -225,16 +254,16 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     best_x = x_start.copy()
     best_f = negated(best_x)
     iterations = 0
-    converged = False
+    runs = 0
 
     while iterations < config.max_iters:
         run = _simplex_descent(negated, x_start, config.max_iters - iterations, config.tol)
         iterations += run.iterations
+        runs += 1
         improved = run.f_best < best_f - config.tol
         if run.f_best < best_f:
             best_x, best_f = run.x_best, run.f_best
-        converged = run.converged
-        if not run.converged or not improved:
+        if run.stop_reason == BUDGET or not improved:
             break
         jitter = 0.05 * max(1.0, float(np.max(np.abs(best_x))))
         x_start = _clip(best_x + jitter * rng.standard_normal(best_x.shape[0]))
@@ -250,5 +279,6 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
         couplings=tuple(reported),
         fidelity=float(np.clip(fidelity, 0.0, 1.0)),
         iterations=iterations,
-        converged=converged,
+        stop_reason=run.stop_reason,
+        restarts=runs - 1,
     )

@@ -72,18 +72,12 @@ def _amplitudes(factors, source: int, target: int):
     return phases @ (vectors[target] * vectors[source].conj())
 
 
-def _fidelity(factors, source: int, target: int) -> float:
-    """`transfer_fidelity` at one time, from its spectral factors, for
-    sites already checked."""
-    amplitude = complex(_amplitudes(factors, source, target))
-    return min(abs(amplitude) ** 2, 1.0)
-
-
 def transfer_fidelity(hamiltonian: Operator, t: float, source: int, target: int) -> float:
     """Probability |<target| exp(-iHt) |source>|^2 of finding the
     excitation at the target site at time t (exactly 1 or 0 at t = 0)."""
     _check_sites(hamiltonian.dim, source, target)
-    return _fidelity(evolution_phases(hamiltonian, t), source, target)
+    amplitude = complex(_amplitudes(evolution_phases(hamiltonian, t), source, target))
+    return min(abs(amplitude) ** 2, 1.0)
 
 
 @dataclass(frozen=True)

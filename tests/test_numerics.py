@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expm_series, random_hermitian
+from qwire import numerics
 from qwire.errors import (
     DimensionMismatchError,
     NonHermitianInputError,
@@ -281,7 +283,7 @@ class TestHermitianEig:
         # for diag(2, 0), values (1, 1) with both columns e_1 rebuild H exactly,
         # so only the orthonormality check can refuse them
         h = Operator(np.diag([2.0, 0.0]), tag=HERMITIAN)
-        monkeypatch.setattr(np.linalg, "eigh",
+        monkeypatch.setattr(numerics, "_eigh",
                             lambda a: (np.array([1.0, 1.0]), np.array(vectors)))
         with pytest.raises(ArithmeticError):
             hermitian_eig(h)
@@ -391,6 +393,57 @@ class TestEvolve:
         assert abs(StateVector(u.matrix @ v.amplitudes).norm - 1.0) <= 1e-12
 
 
+def _degenerate_hermitian(rng: np.random.Generator, d: int, dtype) -> np.ndarray:
+    """Q diag(values) Q^dag with every eigenvalue repeated (d >= 2), made
+    exactly hermitian; Q is real orthogonal or unitary after dtype."""
+    m = rng.normal(size=(d, d)).astype(dtype)
+    if dtype == complex:
+        m += 1j * rng.normal(size=(d, d))
+    q = np.linalg.qr(m)[0]
+    values = np.repeat(rng.normal(size=(d + 1) // 2), 2)[:d]
+    h = (q * values) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
+class TestEigh:
+    """`_eigh` calls numpy's private eigh gufunc directly; these pin it to
+    the public `np.linalg.eigh` byte for byte, so a numpy release that
+    changes the gufunc fails here first."""
+
+    @pytest.mark.parametrize("spectrum, d", [("generic", d) for d in range(1, 65)]
+                             + [("degenerate", d) for d in range(2, 65)])
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_byte_equal_to_numpy_eigh(self, dtype, spectrum, d):
+        rng = np.random.default_rng(1000 * d + (dtype == complex))
+        if spectrum == "degenerate":
+            h = _degenerate_hermitian(rng, d, dtype)
+        else:
+            h = rng.normal(size=(d, d)).astype(dtype)
+            if dtype == complex:
+                h += 1j * rng.normal(size=(d, d))
+            h = (h + h.conj().T) / 2
+        values, vectors = numerics._eigh(h)
+        ref_values, ref_vectors = np.linalg.eigh(h)
+        assert (values.dtype, vectors.dtype) == (ref_values.dtype, ref_vectors.dtype)
+        assert values.tobytes() == ref_values.tobytes()
+        assert vectors.tobytes() == ref_vectors.tobytes()
+
+    def test_unconverged_gufunc_raises(self, monkeypatch):
+        # the gufunc reports a LAPACK failure by filling its outputs with NaN
+        def unconverged(a, signature):
+            return np.full(3, math.nan), np.full((3, 3), math.nan)
+
+        monkeypatch.setattr(numerics, "_umath_linalg", SimpleNamespace(eigh_lo=unconverged))
+        with pytest.raises(np.linalg.LinAlgError):
+            numerics._eigh(np.eye(3))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_input_raises(self, dtype):
+        # the real gufunc: it flags invalid (a RuntimeWarning unless ignored), NaN-fills
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            numerics._eigh(np.full((3, 3), math.nan, dtype=dtype))
+
+
 def _random_chain(topology: str, d: int) -> Operator:
     rng = np.random.default_rng(d)
     bonds = d if topology == RING else d - 1
@@ -420,13 +473,13 @@ class TestRealArithmeticRoute:
     def test_driver_follows_the_imaginary_part(self, case, monkeypatch):
         h = self.CASES[case]()
         seen = []
-        eigh = np.linalg.eigh
+        eigh = numerics._eigh
 
         def recording_eigh(a):
             seen.append(a.dtype)
             return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(numerics, "_eigh", recording_eigh)
         hermitian_eig(h)
         evolution_phases(h, 1.0)
         expected = np.dtype(float) if case in self.REAL else np.dtype(complex)

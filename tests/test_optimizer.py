@@ -106,7 +106,20 @@ class TestConfig:
 
     def test_result_fidelity_range(self):
         with pytest.raises(ValueError):
-            OptimizeResult(couplings=(1.0,), fidelity=1.2, iterations=1, converged=True)
+            OptimizeResult(couplings=(1.0,), fidelity=1.2, iterations=1,
+                           stop_reason="plateau", restarts=0)
+
+    def test_result_stop_reason_checked(self):
+        with pytest.raises(ValueError, match="unknown stop reason"):
+            OptimizeResult(couplings=(1.0,), fidelity=0.5, iterations=1,
+                           stop_reason="converged", restarts=0)
+
+    @pytest.mark.parametrize("stop_reason, converged",
+                             [("collapse", True), ("plateau", True), ("budget", False)])
+    def test_result_converged_is_derived(self, stop_reason, converged):
+        result = OptimizeResult(couplings=(1.0,), fidelity=0.5, iterations=1,
+                                stop_reason=stop_reason, restarts=0)
+        assert result.converged is converged
 
 
 class TestOptimize:
@@ -225,3 +238,84 @@ class TestOptimize:
         result = optimize_couplings(config, np.ones(3))
         assert not result.converged
         assert result.iterations == 3
+        assert result.stop_reason == "budget"
+
+    def test_start_on_the_bound_is_searched(self):
+        # every coordinate at +COUPLING_BOUND: the first simplex used to be
+        # n+1 copies of the start, reported converged after one iteration
+        config = OptimizeConfig(d=8, t_target=math.pi / 2)
+        start = [COUPLING_BOUND] * 7
+        result = optimize_couplings(config, start)
+        assert result.iterations > 1
+        assert result.fidelity > objective(start, config.t_target, config.d) + 0.5
+
+
+class TestInitialSimplex:
+    # the smallest subnormal is a nonzero start that 1.05x leaves unmoved
+    special = [0.0, -0.0, math.ulp(0.0), -math.ulp(0.0), COUPLING_BOUND, -COUPLING_BOUND]
+    coordinate = st.one_of(st.sampled_from(special), st.floats(-COUPLING_BOUND, COUPLING_BOUND))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(start=st.lists(coordinate, min_size=1, max_size=12).map(np.array))
+    def test_edges_have_full_rank_in_the_box(self, start):
+        simplex = optimizer._initial_simplex(start)
+        assert np.array_equal(simplex[0], start)
+        assert np.all(np.abs(simplex) <= COUPLING_BOUND)
+        # vertex i+1 moves coordinate i alone: the n edges are a diagonal
+        # matrix, of rank n exactly when no diagonal entry is zero
+        edges = simplex[1:] - simplex[0]
+        assert np.array_equal(edges, np.diag(np.diag(edges)))
+        assert np.all(np.diag(edges) != 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(start=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, COUPLING_BOUND / 1.05),
+                                    st.floats(-COUPLING_BOUND / 1.05, -1e-300)),
+                          min_size=1, max_size=12).map(np.array))
+    def test_outward_steps_inside_the_box_unchanged(self, start):
+        # the former rule, for starts whose every 1.05x step stays in the box
+        expected = np.tile(start, (start.shape[0] + 1, 1))
+        for i in range(start.shape[0]):
+            if expected[i + 1, i] != 0.0:
+                expected[i + 1, i] *= 1.05
+            else:
+                expected[i + 1, i] = 0.00025
+        assert optimizer._initial_simplex(start).tobytes() == expected.tobytes()
+
+
+class TestStopReason:
+    def test_fixed_point_stops_on_plateau(self):
+        # acceptance criterion 9's fixed point: one sweep, no restart
+        config = OptimizeConfig(d=4, t_target=math.pi / 2, seed=7)
+        result = optimize_couplings(config, pst_couplings(4, 1.0))
+        assert (result.stop_reason, result.iterations, result.restarts) == ("plateau", 4, 0)
+
+    def test_collapse(self):
+        # with tol = 0.1 the first simplex, 0.025 across, has already collapsed
+        config = OptimizeConfig(d=3, t_target=math.pi / 2, tol=0.1, seed=1)
+        result = optimize_couplings(config, [0.5, 0.5])
+        assert (result.stop_reason, result.iterations, result.restarts) == ("collapse", 1, 0)
+        assert result.converged
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_restarts_count_runs_after_the_first(self, d, monkeypatch):
+        runs = []
+        descent = optimizer._simplex_descent
+
+        def counting(*args):
+            runs.append(descent(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(optimizer, "_simplex_descent", counting)
+        config = OptimizeConfig(d=d, t_target=math.pi / 2, seed=7)
+        result = optimize_couplings(config, np.ones(d - 1))
+        assert result.restarts == len(runs) - 1 >= 1
+        assert result.stop_reason == runs[-1].stop_reason
+        assert result.iterations == sum(run.iterations for run in runs)
+
+    def test_near_zero_plateau_still_accepted(self):
+        # Open defect: near F = 0 every move is below the absolute tol, so a
+        # search that found nothing is reported as a converged plateau.
+        config = OptimizeConfig(d=12, t_target=math.pi / 2)
+        result = optimize_couplings(config, np.ones(11))
+        assert (result.stop_reason, result.iterations, result.restarts) == ("plateau", 12, 0)
+        assert result.fidelity == pytest.approx(1.2e-11, rel=0.05)
