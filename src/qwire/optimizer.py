@@ -2,7 +2,11 @@
 
 Maximizes end-to-end transfer fidelity at a fixed time with a simplex
 descent (reflection / expansion / contraction / shrink) on the negated
-objective, plus deterministic seeded restarts.  The known optimum is the
+objective, plus deterministic seeded restarts.  The simplex stays sorted
+by value: a full stable sort runs only after the initial evaluations and
+after a shrink, and every other step inserts its one new vertex in place.
+The collapse test measures the whole simplex only when the worst vertex
+is already within tol of the best.  The known optimum is the
 sqrt(j(d-j)) profile, which the search should rediscover from a uniform
 start and leave untouched when given as the initial point.
 """
@@ -10,6 +14,7 @@ start and leave untouched when given as the initial point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
@@ -23,7 +28,6 @@ from .pst import transfer_fidelity
 
 COUPLING_BOUND = 10.0
 
-_REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
@@ -136,6 +140,23 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     return simplex
 
 
+def _sorted(simplex: np.ndarray, fvals: list[float]) -> tuple[np.ndarray, list[float]]:
+    """The vertices and their values by ascending value, equal values in
+    row order: the order of a stable argsort."""
+    order = sorted(range(len(fvals)), key=fvals.__getitem__)
+    return simplex[order], [fvals[i] for i in order]
+
+
+def _replace_worst(simplex: np.ndarray, fvals: list[float], x: np.ndarray, fx: float) -> None:
+    """Drops the last (worst) vertex and inserts x after every value equal
+    to fx, where a stable sort would put it, shifting the rows below."""
+    del fvals[-1]
+    k = bisect_right(fvals, fx)
+    fvals.insert(k, fx)
+    simplex[k + 1 :] = simplex[k:-1]
+    simplex[k] = x
+
+
 def _simplex_descent(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -144,64 +165,71 @@ def _simplex_descent(
 ) -> _SimplexRun:
     """One simplex run from x0, a point in the box.  Converges when the
     simplex collapses below tol or the best value improves by less than
-    tol over a full sweep (n+1 consecutive steps)."""
+    tol over a full sweep (n+1 consecutive steps).
+
+    The vertices stay sorted by value, best first, ties in arrival order.
+    A full stable sort runs only after the initial evaluations and after a
+    shrink; otherwise the one new vertex is inserted after every equal
+    value.  The collapse test measures the whole simplex only when the
+    worst vertex, whose distance from the best bounds the size from below,
+    is already within tol."""
     n = x0.shape[0]
     simplex = _initial_simplex(x0)
-    fvals = np.array([f(x) for x in simplex])
+    simplex, fvals = _sorted(simplex, [f(x) for x in simplex])
     sweep = n + 1
-    checkpoint = float(fvals.min())
+    checkpoint = fvals[0]
     iterations = 0
     stop_reason = BUDGET
 
     while iterations < max_iters:
-        order = fvals.argsort(kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-
-        centroid = np.add.reduce(simplex[:-1], axis=0) / n  # the sum and division of mean
-        reflected = _clip(centroid + _REFLECT * (centroid - simplex[-1]))
+        worst = simplex[-1]
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n
+        step = centroid - worst
+        reflected = _clip(centroid + step)
         f_reflected = f(reflected)
 
         if f_reflected < fvals[0]:
-            expanded = _clip(centroid + _EXPAND * (centroid - simplex[-1]))
+            expanded = _clip(centroid + _EXPAND * step)
             f_expanded = f(expanded)
             if f_expanded < f_reflected:
-                simplex[-1], fvals[-1] = expanded, f_expanded
+                _replace_worst(simplex, fvals, expanded, f_expanded)
             else:
-                simplex[-1], fvals[-1] = reflected, f_reflected
+                _replace_worst(simplex, fvals, reflected, f_reflected)
         elif f_reflected < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_reflected
+            _replace_worst(simplex, fvals, reflected, f_reflected)
         else:
             if f_reflected < fvals[-1]:
                 contracted = _clip(centroid + _CONTRACT * (reflected - centroid))
                 f_contracted = f(contracted)
                 accept = f_contracted <= f_reflected
             else:
-                contracted = _clip(centroid + _CONTRACT * (simplex[-1] - centroid))
+                contracted = _clip(centroid + _CONTRACT * (worst - centroid))
                 f_contracted = f(contracted)
                 accept = f_contracted < fvals[-1]
             if accept:
-                simplex[-1], fvals[-1] = contracted, f_contracted
+                _replace_worst(simplex, fvals, contracted, f_contracted)
             else:
                 best = simplex[0]
                 for i in range(1, n + 1):
                     simplex[i] = _clip(best + _SHRINK * (simplex[i] - best))
                     fvals[i] = f(simplex[i])
+                simplex, fvals = _sorted(simplex, fvals)
 
         iterations += 1
 
-        size = float(abs(simplex - simplex[fvals.argmin()]).max())
-        if size < tol:
+        # the worst vertex's distance from the best is a lower bound on the
+        # size, and cheaper to take as floats than through ndarray.max
+        best = simplex[0]
+        if max(map(abs, (simplex[-1] - best).tolist())) < tol and abs(simplex - best).max() < tol:
             stop_reason = COLLAPSE
             break
         if iterations % sweep == 0:
-            best_now = float(fvals.min())
-            if checkpoint - best_now < tol:
+            if checkpoint - fvals[0] < tol:
                 stop_reason = PLATEAU
                 break
-            checkpoint = best_now
+            checkpoint = fvals[0]
 
-    k = int(fvals.argmin())
-    return _SimplexRun(simplex[k].copy(), float(fvals[k]), iterations, stop_reason)
+    return _SimplexRun(simplex[0].copy(), float(fvals[0]), iterations, stop_reason)
 
 
 def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
