@@ -7,10 +7,13 @@ Subcommands
     sector-check  2^n exchange chain vs its n-site one-excitation block
     optimize      coupling-profile search at a fixed transfer time
 
-Exit codes: 0 success, 1 tolerance or convergence failure, 2 argument
-error (a flag the CLI or the library rejects), 3 resource cap.  Every command is deterministic given its flags
-(including --seed), floats print as shortest round-trip decimals, and
-complex values serialize as paired _re/_im fields.
+Exit codes follow the error's type: 0 success, 1 ArithmeticError (a
+tolerance, convergence or certification failure), 2 QwireError (an
+argument the library refuses; the CLI adds only pst's own flag rules and
+names optimize's --t-target), 3 RegisterTooLargeError (resource cap).
+Every command is deterministic given its flags (including --seed),
+floats print as shortest round-trip decimals, and complex values
+serialize as paired _re/_im fields.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lattice, pst, spinchain, weyl
-from .errors import QwireError, RegisterTooLargeError
+from .errors import NotProportionalError, QwireError, RegisterTooLargeError
 from .numerics import hermitian_eig, max_abs
 from .optimizer import OptimizeConfig, optimize_couplings
 
@@ -75,9 +78,6 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_dispersion(args) -> Result:
-    _require(args.d >= 2, f"d must be >= 2, got {args.d}")
-    _require(math.isfinite(args.E0), "E0 must be finite")
-    _require(math.isfinite(args.A), "A must be finite")
     spec = lattice.uniform_chain(args.d, args.topology, args.E0, args.A)
     j, kb = lattice.wave_numbers(args.topology, args.d)
     energies = lattice.dispersion(args.topology, args.d, args.E0, args.A)
@@ -101,10 +101,9 @@ def cmd_dispersion(args) -> Result:
 
 def cmd_weyl_check(args) -> Result:
     d = args.d
-    _require(d >= 2, f"d must be >= 2, got {d}")
     try:
         pair = weyl.weyl_pair(d)
-    except (ValueError, QwireError) as exc:
+    except (ValueError, NotProportionalError) as exc:  # certification; d < 2 exits 2
         raise ArithmeticError(f"shift/clock pair for d={d} failed certification: {exc}") from exc
     identity = weyl.verify_shift_identity(d, theta=1.0)
     phase, global_phase = pair.commutation_phase, identity.global_phase
@@ -125,7 +124,6 @@ def cmd_weyl_check(args) -> Result:
 
 def cmd_pst(args) -> Result:
     d, vartheta = args.d, args.vartheta
-    _require(d >= 2, f"d must be >= 2, got {d}")
     _require(0 < vartheta < math.inf, f"vartheta must be positive and finite, got {vartheta!r}")
     t_max = args.t_max if args.t_max is not None else math.pi / vartheta
     _require(0 < t_max < math.inf, f"t-max must be positive and finite, got {t_max!r}")
@@ -157,15 +155,15 @@ def cmd_pst(args) -> Result:
 
 def cmd_sector_check(args) -> Result:
     n = args.n
-    _require(n >= 2, f"n must be >= 2, got {n}")
     if n > SECTOR_CLI_CAP:
         raise RegisterTooLargeError(f"n = {n} exceeds the sector-check cap {SECTOR_CLI_CAP}")
+    # the library builders come first: they refuse n < 2
     if args.pst:
         couplings = pst.pst_couplings(n, 1.0)
         reference = pst.pst_hamiltonian(n, 1.0).matrix
     else:
-        couplings = np.ones(n - 1)
         spec = lattice.uniform_chain(n, lattice.LINE, 0.0, 1.0)
+        couplings = spec.couplings
         gauge = np.diag((-1.0) ** np.arange(n))
         # alternating sign gauge maps the lattice -A convention onto the
         # +A hopping the exchange chain produces

@@ -13,6 +13,12 @@ class DimensionTooSmallError(QwireError):
     """Requested dimension is below the minimum of 2."""
 
 
+def require_dim(d: int) -> None:
+    """The d >= 2 rule of every chain, dispersion and shift/clock builder."""
+    if d < 2:
+        raise DimensionTooSmallError(f"d must be >= 2, got {d}")
+
+
 class NonHermitianInputError(QwireError):
     """An operation required a hermitian operator but got something else."""
 
@@ -42,4 +48,4 @@ class RegisterTooLargeError(QwireError):
 
 
 class InvalidConfigError(QwireError, ValueError):
-    """A search setting lies outside its domain (also a ValueError)."""
+    """An argument outside its domain (also a ValueError)."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCouplingCountError, DimensionTooSmallError, NonHermitianInputError
+from .errors import BadCouplingCountError, InvalidConfigError, NonHermitianInputError, require_dim
 from .numerics import HERMITIAN, Operator, StateVector, float_or_inf, hermitian_eig
 
 RING = "ring"
@@ -26,13 +26,12 @@ class ChainSpec:
     couplings: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise DimensionTooSmallError(f"chain needs d >= 2, got {self.d}")
+        require_dim(self.d)
         if self.topology not in (RING, LINE):
-            raise ValueError(f"topology must be 'ring' or 'line', got {self.topology!r}")
+            raise InvalidConfigError(f"topology must be 'ring' or 'line', got {self.topology!r}")
         # numpy complex scalars convert to float with a warning; refuse them
         if np.iscomplexobj(self.couplings):
-            raise ValueError(f"couplings must be real, got {self.couplings!r}")
+            raise InvalidConfigError(f"couplings must be real, got {self.couplings!r}")
         couplings = tuple(map(float_or_inf, self.couplings))
         expected = self.d if self.topology == RING else self.d - 1
         if len(couplings) != expected:
@@ -41,9 +40,9 @@ class ChainSpec:
                 f"got {len(couplings)}"
             )
         if not all(map(math.isfinite, couplings)):
-            raise ValueError("couplings must be finite")
+            raise InvalidConfigError("couplings must be finite")
         if np.iscomplexobj(self.E0) or not math.isfinite(float_or_inf(self.E0)):
-            raise ValueError(f"E0 must be finite and real, got {self.E0!r}")
+            raise InvalidConfigError(f"E0 must be finite and real, got {self.E0!r}")
         object.__setattr__(self, "couplings", couplings)
 
     @property
@@ -101,20 +100,21 @@ def wave_numbers(topology: str, d: int) -> tuple[np.ndarray, np.ndarray]:
     Ring: k_j b = 2*pi*j/d for j = 0..d-1; line: k_j b = pi*j/(d+1) for
     j = 1..d.
     """
-    if d < 2:
-        raise DimensionTooSmallError(f"dispersion needs d >= 2, got {d}")
+    require_dim(d)
     if topology == RING:
         j = np.arange(d)
         return j, 2 * np.pi * j / d
     if topology == LINE:
         j = np.arange(1, d + 1)
         return j, np.pi * j / (d + 1)
-    raise ValueError(f"topology must be 'ring' or 'line', got {topology!r}")
+    raise InvalidConfigError(f"topology must be 'ring' or 'line', got {topology!r}")
 
 
 def dispersion(topology: str, d: int, E0: float, A: float) -> np.ndarray:
     """Closed-form single-particle energies E_j = E0 - 2A cos(k_j b) at the
-    wave numbers of `wave_numbers`, in j order (not sorted)."""
+    wave numbers of `wave_numbers`, in j order (not sorted).  The chain's
+    own rules refuse d, the topology, E0 and A as `ChainSpec` does."""
+    uniform_chain(d, topology, E0, A)
     _, kb = wave_numbers(topology, d)
     return E0 - 2 * A * np.cos(kb)
 
@@ -123,7 +123,7 @@ def dispersion_check(spec: ChainSpec) -> float:
     """Max deviation between the eigenvalues of the built Hamiltonian and
     the closed-form dispersion, both sorted (uniform couplings only)."""
     if not spec.is_uniform:
-        raise ValueError("dispersion_check requires uniform couplings")
+        raise InvalidConfigError("dispersion_check requires uniform couplings")
     eigensystem = hermitian_eig(build_hamiltonian(spec))
     closed_form = np.sort(dispersion(spec.topology, spec.d, spec.E0, spec.couplings[0]))
     return float(np.max(np.abs(eigensystem.values - closed_form)))

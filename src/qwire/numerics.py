@@ -15,8 +15,10 @@ gufunc behind `numpy.linalg.eigh`, without that wrapper's argument
 handling.  `hermitian_eig` checks the eigenvectors it gets and returns
 only the eigenvalues, with the residual that certified them.
 
-All time evolution goes through `evolution_phases`, which checks its
-input, diagonalizes H once and returns the eigenvectors V with the phases
+All time evolution goes through `evolution_phases`, one path for one
+time or an array of times: it refuses a complex or non-finite time,
+diagonalizes H once, refuses an overflowing max |lambda| * max |t| (a
+phase would be NaN) and returns the eigenvectors V with the phases
 exp(-i lambda_k t) for every requested time (the coupling search, below,
 repeats only the unchecked last step, inline).  `evolve` builds the
 propagator V diag(phases) V^dag from them; the transfer amplitudes in
@@ -54,6 +56,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     NonHermitianInputError,
     NotNormalizedError,
 )
@@ -116,7 +119,7 @@ class Operator:
         if m.shape[0] < 1:
             raise DimensionMismatchError("operator dimension must be >= 1")
         if self.tag not in _TAGS:
-            raise ValueError(f"unknown operator tag {self.tag!r}")
+            raise InvalidConfigError(f"unknown operator tag {self.tag!r}")
         if self.tag == HERMITIAN:
             with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
                 dev = float(abs(m - m.conj().T).max())
@@ -128,7 +131,7 @@ class Operator:
             with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
                 dev = max_abs(m.conj().T @ m - np.eye(m.shape[0]))
             if not dev <= UNITARY_ATOL:
-                raise ValueError(f"unitarity violated: max |M^dag M - I| = {dev:.3e}")
+                raise InvalidConfigError(f"unitarity violated: max |M^dag M - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @classmethod
@@ -255,38 +258,29 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
 
     Returns (V, phases), where phases has shape times.shape + (d,) and V
     has H's dtype.  Raises NonHermitianInputError unless H is tagged
-    hermitian, and ValueError for a complex or non-finite time.  When
-    every time is zero the propagator is exactly the identity, so no
-    eigensolve is made and (I, ones) comes back.
+    hermitian, and InvalidConfigError (a ValueError) for a complex or
+    non-finite time or an overflowing max |lambda| * max |t|.  When every
+    time is zero the propagator is exactly the identity, so no eigensolve
+    is made and (I, ones) comes back.
     """
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
-    if isinstance(times, (int, float)):  # one time: the same checks on a Python float
-        try:
-            times = float(times)
-        except OverflowError:  # a Python int beyond the float range
-            raise ValueError("evolution times must be finite") from None
-        finite, nonzero, shape = math.isfinite(times), times != 0, ()
-    else:
-        if np.iscomplexobj(times):  # the float cast would drop the imaginary part
-            raise ValueError(f"evolution times must be real, got {times!r}")
-        try:
-            times = np.asarray(times, dtype=float)
-        except OverflowError:  # a Python int beyond the float range
-            raise ValueError("evolution times must be finite") from None
-        finite, nonzero, shape = np.isfinite(times).all(), times.any(), times.shape
-    if not finite:
-        raise ValueError("evolution times must be finite")
+    if np.iscomplexobj(times):  # the float cast would drop the imaginary part
+        raise InvalidConfigError(f"evolution times must be real, got {times!r}")
+    try:
+        times = np.asarray(times, dtype=float)
+    except OverflowError:  # a Python int beyond the float range
+        raise InvalidConfigError("evolution times must be finite") from None
+    if not np.isfinite(times).all():
+        raise InvalidConfigError("evolution times must be finite")
     d = hamiltonian.dim
-    if not nonzero:
-        return np.eye(d, dtype=hamiltonian.matrix.dtype), np.ones(shape + (d,), dtype=complex)
-    return _spectral_factors(hamiltonian.matrix, times)
-
-
-def _spectral_factors(matrix: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-    """`evolution_phases` after its checks: one `_eigh` of a hermitian
-    matrix and the phases exp(-i lambda_k t), for times already made float."""
-    values, vectors = _eigh(matrix)
+    if not times.any():
+        return np.eye(d, dtype=hamiltonian.matrix.dtype), np.ones((*times.shape, d), dtype=complex)
+    values, vectors = _eigh(hamiltonian.matrix)
+    # Python floats: an overflowing product becomes inf without a numpy warning
+    scale = max(abs(float(values[0])), abs(float(values[-1]))) * float(abs(times).max())
+    if not math.isfinite(scale):
+        raise InvalidConfigError(f"evolution phases overflow: max |lambda| * max |t| = {scale}")
     return vectors, np.exp(-1j * np.multiply.outer(times, values))
 
 

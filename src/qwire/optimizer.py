@@ -39,7 +39,7 @@ def objective(couplings, t: float, d: int) -> float:
     Invariant under flipping the sign of any coupling (the alternating
     sign gauge) and under the joint rescaling (c*couplings, t/c).
     ChainSpec raises BadCouplingCountError unless there are d-1 couplings,
-    and ValueError unless they are finite and real.
+    and InvalidConfigError (a ValueError) unless they are finite and real.
     """
     couplings = np.asarray(couplings).reshape(-1)  # ChainSpec converts and checks
     spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings.tolist())
@@ -268,7 +268,7 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     give identical results.
     """
     if np.iscomplexobj(initial):  # the float conversion would drop the imaginary part
-        raise ValueError(f"couplings must be real, got {initial!r}")
+        raise InvalidConfigError(f"couplings must be real, got {initial!r}")
     initial = np.asarray(initial, dtype=float).reshape(-1)
     # Validated once per search: ChainSpec checks the coupling count and
     # finiteness of the start before clipping could turn +-inf into

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooSmallError,
-    IndexOutOfRangeError,
-    ZeroThetaError,
-)
+from .errors import IndexOutOfRangeError, InvalidConfigError, ZeroThetaError, require_dim
 from .lattice import _line_matrix
 from .numerics import HERMITIAN, Operator, evolution_phases, float_or_inf
 
@@ -27,11 +23,17 @@ PEAK_FIDELITY_FLOOR = 1e-10
 
 
 def pst_couplings(d: int, A: float) -> np.ndarray:
-    """Bond amplitudes A*sqrt(j*(d-j)) for j = 1..d-1 (a palindrome)."""
-    if d < 2:
-        raise DimensionTooSmallError(f"chain needs d >= 2, got {d}")
+    """Bond amplitudes A*sqrt(j*(d-j)) for j = 1..d-1 (a palindrome);
+    InvalidConfigError unless A is real and every amplitude finite."""
+    require_dim(d)
+    if np.iscomplexobj(A):
+        raise InvalidConfigError(f"A must be real, got {A!r}")
     j = np.arange(1, d, dtype=float)
-    return A * np.sqrt(j * (d - j))
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        couplings = float_or_inf(A) * np.sqrt(j * (d - j))
+    if not np.isfinite(couplings).all():
+        raise InvalidConfigError(f"A*sqrt(j(d-j)) must be finite, got A={A!r} at d={d}")
+    return couplings
 
 
 def pst_hamiltonian(d: int, vartheta: float) -> Operator:
@@ -93,10 +95,10 @@ class FidelityCurve:
         times = np.array(self.times, dtype=float)
         fidelities = np.array(self.fidelities, dtype=float)
         if times.shape != fidelities.shape or times.ndim != 1:
-            raise ValueError("times and fidelities must be 1-d arrays of equal length")
+            raise InvalidConfigError("times and fidelities must be 1-d arrays of equal length")
         # written so that NaN fails each check
         if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
-            raise ValueError("times must be finite and strictly increasing")
+            raise InvalidConfigError("times must be finite and strictly increasing")
         if not ((0 <= fidelities) & (fidelities <= 1 + 1e-12)).all():
             raise ValueError("fidelities must lie in [0, 1]")
         for arr in (times, fidelities):

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidConfigError,
     NonHermitianInputError,
     RegisterTooLargeError,
 )
@@ -45,8 +46,8 @@ class QubitRegister:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"register needs n >= 1, got {self.n}")
+        if not self.n >= 1:  # NaN fails too
+            raise InvalidConfigError(f"register needs n >= 1, got {self.n}")
         if self.n > MAX_QUBITS:
             raise RegisterTooLargeError(f"n = {self.n} exceeds cap {MAX_QUBITS}")
 
@@ -149,8 +150,8 @@ class ClassicalityGap(NamedTuple):
 def classicality_gap(N: int) -> ClassicalityGap:
     """State-count comparison for N two-level systems: 2^N quantum basis
     states versus 2N classical arrow parameters, and their difference."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if not N >= 1:
+        raise InvalidConfigError(f"N must be >= 1, got {N}")
     if N > 62:
         raise OverflowError(f"N = {N} exceeds the exact-integer cap of 62")
     quantum = 2**N

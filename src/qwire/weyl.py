@@ -11,9 +11,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    DimensionTooSmallError,
+    InvalidConfigError,
     NotProportionalError,
     ZeroThetaError,
+    require_dim,
 )
 from .numerics import HERMITIAN, UNITARY, Operator, evolve, float_or_inf, max_abs
 
@@ -21,20 +22,15 @@ COMMUTATION_ATOL = 1e-12
 IDENTITY_ATOL = 1e-10
 
 
-def _require_dim(d: int) -> None:
-    if d < 2:
-        raise DimensionTooSmallError(f"dimension must be >= 2, got {d}")
-
-
 def shift_matrix(d: int) -> Operator:
     """Cyclic shift |l> -> |l+1 mod d>: ones on the subdiagonal plus corner."""
-    _require_dim(d)
+    require_dim(d)
     return Operator(np.roll(np.eye(d), 1, axis=0), tag=UNITARY)
 
 
 def clock_matrix(d: int) -> Operator:
     """Diagonal phase ramp |l> -> exp(2*pi*i*l/d) |l>."""
-    _require_dim(d)
+    require_dim(d)
     return Operator(np.diag(np.exp(2j * np.pi * np.arange(d) / d)), tag=UNITARY)
 
 
@@ -42,8 +38,8 @@ def commutation_phase(u: Operator, v: Operator) -> complex:
     """Scalar lambda with U V = lambda V U, measured from the matrices.
 
     Both operators must be tagged unitary (the tag certifies
-    max |M^dag M - I| <= 1e-10 with NaN and inf failing); ValueError is
-    raised otherwise, even for a unitary matrix tagged GENERAL.
+    max |M^dag M - I| <= 1e-10 with NaN and inf failing); InvalidConfigError
+    (a ValueError) is raised otherwise, even for a unitary matrix tagged GENERAL.
     NotProportionalError is raised if no scalar relates the two products
     within 1e-12 entrywise.
     """
@@ -51,7 +47,7 @@ def commutation_phase(u: Operator, v: Operator) -> complex:
         raise DimensionMismatchError(f"operator dims differ: {u.dim} vs {v.dim}")
     for name, op in (("U", u), ("V", v)):
         if op.tag != UNITARY:
-            raise ValueError(f"{name} must be a unitary-tagged operator, got {op.tag!r}")
+            raise InvalidConfigError(f"{name} must be a unitary-tagged operator, got {op.tag!r}")
     uv = u.matrix @ v.matrix
     vu = v.matrix @ u.matrix
     pivot = np.unravel_index(np.argmax(np.abs(vu)), vu.shape)
@@ -69,7 +65,7 @@ def commutation_phase(u: Operator, v: Operator) -> complex:
 def momentum_basis(d: int) -> Operator:
     """Unitary whose column j is the shift eigenvector with eigenvalue
     exp(2*pi*i*j/d); entries exp(-2*pi*i*l*j/d)/sqrt(d)."""
-    _require_dim(d)
+    require_dim(d)
     l = np.arange(d)
     return Operator(np.exp(-2j * np.pi * np.outer(l, l) / d) / np.sqrt(d), tag=UNITARY)
 
@@ -86,7 +82,7 @@ def equidistant_hamiltonian(d: int, theta: float) -> Operator:
     complex, zero or non-finite theta or a top level (d-1)*theta that
     overflows.
     """
-    _require_dim(d)
+    require_dim(d)
     # the symmetrization below would hide complex levels
     if np.iscomplexobj(theta):
         raise ZeroThetaError(f"theta must be real, got {theta!r}")
@@ -105,7 +101,7 @@ def time_step(d: int, theta: float) -> float:
 
     ZeroThetaError is raised unless theta is real, 0 < theta < inf and
     the step is a finite nonzero number (theta*d must not overflow)."""
-    _require_dim(d)
+    require_dim(d)
     if np.iscomplexobj(theta):  # before the comparison, which a complex theta breaks
         raise ZeroThetaError(f"theta must be real, got {theta!r}")
     if not 0 < float_or_inf(theta) < math.inf:

@@ -139,6 +139,14 @@ class TestPstCommand:
         assert proc.returncode == 2
         assert "samples" in proc.stderr
 
+    def test_overflowing_phases_rejected(self):
+        # finite flags, but max |lambda| * t-max = 3e308 overflows: NaN phases before
+        proc = run_cli("pst", "--d", "4", "--t-max", "1e308")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: evolution phases overflow")
+        assert "Traceback" not in proc.stderr
+
 
 class TestSectorCheckCommand:
     def test_uniform_chain(self):
@@ -354,3 +362,65 @@ class TestInProcessFormats:
         assert code == 3
         assert out == ""
         assert err == "error: n = 13 exceeds cap 12\n"
+
+
+class TestRejectionTable:
+    """Every numeric flag of every subcommand at nan, inf, 0 and -1 through
+    `cli.main`.  A value outside the flag's domain exits 2 with one
+    `error: ` line on stderr and nothing on stdout; an uncaught exception
+    (a traceback from the console script) fails the test.  argparse turns
+    nan and inf away from an int flag itself, with its usage message."""
+
+    COMMANDS = {
+        "dispersion": (("dispersion", "--topology", "ring", "--d", "4"),
+                       {"--d": int, "--E0": float, "--A": float}),
+        "weyl-check": (("weyl-check", "--d", "4"), {"--d": int}),
+        "pst": (("pst", "--d", "4", "--samples", "3"),
+                {"--d": int, "--vartheta": float, "--t-max": float, "--samples": int}),
+        "sector-check": (("sector-check", "--n", "4"), {"--n": int}),
+        "optimize": (("optimize", "--d", "2", "--t-target", "1.5707963267948966"),
+                     {"--d": int, "--t-target": float, "--max-iters": int, "--tol": float,
+                      "--seed": int}),
+    }
+    # inside the domain: an on-site energy or coupling may be 0 or negative
+    ACCEPTED = {("dispersion", "--E0", "0"), ("dispersion", "--E0", "-1"),
+                ("dispersion", "--A", "0"), ("dispersion", "--A", "-1"),
+                ("optimize", "--seed", "0")}
+    CASES = [(command, flag, value) for command, (_, flags) in COMMANDS.items()
+             for flag in flags for value in ("nan", "inf", "0", "-1")]
+
+    @pytest.mark.parametrize("command, flag, value", CASES,
+                             ids=[f"{c}{f}={v}" for c, f, v in CASES])
+    def test_flag_value(self, capsys, command, flag, value):
+        base, flags = self.COMMANDS[command]
+        if flags[flag] is int and value in ("nan", "inf"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([*base, flag, value])
+            out, err = capsys.readouterr()
+            assert excinfo.value.code == 2 and out == ""
+            assert f"error: argument {flag}: invalid int value: '{value}'" in err
+            return
+        code = cli.main([*base, flag, value])
+        out, err = capsys.readouterr()
+        if (command, flag, value) in self.ACCEPTED:
+            assert code == 0
+        else:
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("pst_flag", [(), ("--pst",)], ids=["uniform", "pst"])
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_small_sector_refused_by_the_library(self, capsys, n, pst_flag):
+        # no CLI copy of n >= 2: the chain builders refuse n before any array is sized
+        code = cli.main(["sector-check", "--n", n, *pst_flag])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: d must be >= 2, got {n}\n"
+
+    @pytest.mark.parametrize("d", ["1", "0", "-1"])
+    def test_small_weyl_dimension_is_not_a_certification_failure(self, capsys, d):
+        code = cli.main(["weyl-check", "--d", d])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: d must be >= 2, got {d}\n"

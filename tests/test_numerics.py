@@ -356,7 +356,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("t", [0.7, -2, 0, np.float64(1.25)])
     def test_one_time_matches_the_array_route(self, t):
-        # a scalar time takes the Python-float checks; the phases are the same
+        # one time and a one-element grid take the same path and give the same phases
         h = random_hermitian(np.random.default_rng(8), 5)
         vectors, phases = evolution_phases(h, t)
         array_vectors, array_phases = evolution_phases(h, np.array([t]))

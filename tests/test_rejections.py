@@ -1,0 +1,201 @@
+"""Rejection table: every public entry point refuses an argument outside
+its domain with a `QwireError`, never a bare ValueError, a NaN result or a
+numpy warning (pytest turns RuntimeWarning into an error).  Where the
+entry point raised ValueError before the library's rejections became
+`InvalidConfigError`, it still does, so `except ValueError` keeps working.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qwire.errors import InvalidConfigError, QwireError
+from qwire.lattice import (
+    LINE,
+    RING,
+    ChainSpec,
+    dispersion,
+    dispersion_check,
+    uniform_chain,
+    wave_numbers,
+)
+from qwire.numerics import HERMITIAN, UNITARY, Operator, StateVector, evolution_phases, evolve
+from qwire.optimizer import OptimizeConfig, objective, optimize_couplings
+from qwire.pst import (
+    fidelity_curve,
+    pst_couplings,
+    pst_hamiltonian,
+    transfer_fidelity,
+    transfer_time,
+)
+from qwire.spinchain import (
+    QubitRegister,
+    classicality_gap,
+    ladder_algebra_check,
+    lowering_operator,
+    number_operator,
+    sector_map,
+    xy_chain_hamiltonian,
+)
+from qwire.weyl import (
+    clock_matrix,
+    commutation_phase,
+    equidistant_hamiltonian,
+    momentum_basis,
+    shift_matrix,
+    time_step,
+    verify_shift_identity,
+    weyl_pair,
+)
+
+H4 = pst_hamiltonian(4, 1.0)  # spectrum -3, -1, 1, 3
+
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+NOT_REAL = {**NON_FINITE, "complex": 1j}
+
+# name -> (call taking the bad value, whether it raised ValueError before)
+REAL_ARGUMENTS = {
+    "ChainSpec-E0": (lambda x: ChainSpec(d=3, topology=LINE, E0=x, couplings=(1.0, 1.0)), True),
+    "ChainSpec-coupling": (
+        lambda x: ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1.0, x)), True),
+    "uniform_chain": (lambda x: uniform_chain(3, RING, 0.0, x), True),
+    "dispersion-E0": (lambda x: dispersion(LINE, 4, x, 1.0), False),
+    "dispersion-A": (lambda x: dispersion(RING, 4, 0.0, x), False),
+    "pst_couplings": (lambda x: pst_couplings(4, x), False),
+    "pst_hamiltonian": (lambda x: pst_hamiltonian(4, x), False),
+    "transfer_time": (lambda x: transfer_time(4, x), False),
+    "equidistant_hamiltonian": (lambda x: equidistant_hamiltonian(4, x), False),
+    "time_step": (lambda x: time_step(4, x), False),
+    "verify_shift_identity": (lambda x: verify_shift_identity(4, x), False),
+    "xy_chain_hamiltonian": (lambda x: xy_chain_hamiltonian([1.0, x]), False),
+    "evolve": (lambda x: evolve(H4, x), True),
+    "evolution_phases": (lambda x: evolution_phases(H4, [0.0, x]), True),
+    "transfer_fidelity": (lambda x: transfer_fidelity(H4, x, 0, 3), True),
+    "fidelity_curve": (lambda x: fidelity_curve(H4, [0.0, x], 0, 3), True),
+    "objective-coupling": (lambda x: objective([1.0, x, 1.0], 1.0, 4), True),
+    "objective-time": (lambda x: objective([1.0, 1.0, 1.0], x, 4), True),
+    "OptimizeConfig-t_target": (lambda x: OptimizeConfig(d=4, t_target=x), True),
+    "OptimizeConfig-tol": (lambda x: OptimizeConfig(d=4, t_target=1.0, tol=x), True),
+    "optimize_couplings": (
+        lambda x: optimize_couplings(OptimizeConfig(d=3, t_target=1.0), [1.0, x]), True),
+}
+
+# entries of a matrix or state, where a complex value is in the domain
+ENTRY_ARGUMENTS = {
+    "Operator-hermitian": (lambda x: Operator([[x, 0.0], [0.0, 1.0]], tag=HERMITIAN), False),
+    "Operator-unitary": (lambda x: Operator([[x, 0.0], [0.0, 1.0]], tag=UNITARY), True),
+    "StateVector": (lambda x: StateVector([x, 0.0]), False),
+}
+
+# entry point taking d -> (call, whether d < 2 raised ValueError before)
+DIMENSION_ARGUMENTS = {
+    "ChainSpec": (lambda d: ChainSpec(d=d, topology=LINE, E0=0.0, couplings=()), False),
+    "uniform_chain": (lambda d: uniform_chain(d, RING), False),
+    "wave_numbers": (lambda d: wave_numbers(LINE, d), False),
+    "dispersion": (lambda d: dispersion(RING, d, 0.0, 1.0), False),
+    "objective": (lambda d: objective([], 1.0, d), False),
+    "pst_couplings": (lambda d: pst_couplings(d, 1.0), False),
+    "pst_hamiltonian": (lambda d: pst_hamiltonian(d, 1.0), False),
+    "transfer_time": (lambda d: transfer_time(d, 1.0), False),
+    "shift_matrix": (shift_matrix, False),
+    "clock_matrix": (clock_matrix, False),
+    "momentum_basis": (momentum_basis, False),
+    "weyl_pair": (weyl_pair, False),
+    "equidistant_hamiltonian": (lambda d: equidistant_hamiltonian(d, 1.0), False),
+    "time_step": (lambda d: time_step(d, 1.0), False),
+    "verify_shift_identity": (lambda d: verify_shift_identity(d, 1.0), False),
+    "OptimizeConfig": (lambda d: OptimizeConfig(d=d, t_target=1.0), True),
+}
+
+# entry point taking a qubit count n -> call; n < 1 raised ValueError before
+QUBIT_ARGUMENTS = {
+    "QubitRegister": QubitRegister,
+    "sector_map": sector_map,
+    "number_operator": number_operator,
+    "lowering_operator": lambda n: lowering_operator(n, 0),
+    "ladder_algebra_check": lambda n: ladder_algebra_check(n, 0),
+    "classicality_gap": classicality_gap,
+}
+
+NOT_UNIFORM = ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1.0, 2.0))
+
+# (id, call, whether it raised ValueError before)
+SINGLE_CASES = [
+    # unknown topology or tag
+    ("ChainSpec-topology",
+     lambda: ChainSpec(d=3, topology="star", E0=0.0, couplings=(1.0, 1.0)), True),
+    ("uniform_chain-topology", lambda: uniform_chain(3, "star"), True),
+    ("wave_numbers-topology", lambda: wave_numbers("star", 4), True),
+    ("dispersion-topology", lambda: dispersion("star", 4, 0.0, 1.0), True),
+    ("dispersion_check-not-uniform", lambda: dispersion_check(NOT_UNIFORM), True),
+    ("Operator-tag", lambda: Operator(np.eye(2), tag="orthogonal"), True),
+    ("commutation_phase-tag", lambda: commutation_phase(Operator(np.eye(2)), shift_matrix(2)),
+     True),
+    # a NaN count was accepted before, and gave a NaN dimension or count
+    ("QubitRegister-nan", lambda: QubitRegister(math.nan), False),
+    ("classicality_gap-nan", lambda: classicality_gap(math.nan), False),
+    # time grids that are not increasing
+    ("fidelity_curve-decreasing", lambda: fidelity_curve(H4, [1.0, 0.5], 0, 3), True),
+    ("fidelity_curve-repeated", lambda: fidelity_curve(H4, [0.0, 1.0, 1.0], 0, 3), True),
+    # finite times whose phases overflow: max |lambda| * max |t| >= 3e308
+    ("evolve-overflow", lambda: evolve(H4, 1e308), True),
+    ("evolution_phases-overflow", lambda: evolution_phases(H4, 1e308), False),
+    ("evolution_phases-overflow-negative",
+     lambda: evolution_phases(H4, [0.0, -1e308]), False),
+    ("evolution_phases-overflow-lowest-level",
+     lambda: evolution_phases(Operator(np.diag([-4.0, 1.0]), tag=HERMITIAN), 5e307), False),
+    ("transfer_fidelity-overflow", lambda: transfer_fidelity(H4, 1e308, 0, 3), False),
+    ("transfer_fidelity-overflow-d8",
+     lambda: transfer_fidelity(pst_hamiltonian(8, 1.0), 1e308, 0, 7), False),
+    ("fidelity_curve-overflow", lambda: fidelity_curve(H4, [0.0, 1e308], 0, 3), True),
+    ("objective-overflow", lambda: objective([2.0, 2.0, 2.0], 1e308, 4), False),
+]
+
+
+def _cases():
+    for name, (call, was_value_error) in REAL_ARGUMENTS.items():
+        for label, x in NOT_REAL.items():
+            yield pytest.param(call, (x,), was_value_error, id=f"{name}-{label}")
+    for name, (call, was_value_error) in ENTRY_ARGUMENTS.items():
+        for label, x in NON_FINITE.items():
+            yield pytest.param(call, (x,), was_value_error, id=f"{name}-{label}")
+    for name, (call, was_value_error) in DIMENSION_ARGUMENTS.items():
+        for d in (1, 0, -1):
+            yield pytest.param(call, (d,), was_value_error, id=f"{name}-d{d}")
+    for name, call in QUBIT_ARGUMENTS.items():
+        for n in (0, -3):
+            yield pytest.param(call, (n,), True, id=f"{name}-n{n}")
+    for name, call, was_value_error in SINGLE_CASES:
+        yield pytest.param(call, (), was_value_error, id=name)
+
+
+@pytest.mark.parametrize("call, args, was_value_error", list(_cases()))
+def test_refused_with_a_qwire_error(call, args, was_value_error):
+    with pytest.raises(QwireError) as excinfo:
+        call(*args)
+    if was_value_error:
+        assert isinstance(excinfo.value, ValueError)
+
+
+class TestPhaseOverflow:
+    """evolution_phases refuses a finite time whose phases would be NaN and
+    keeps the bits of every phase it can compute."""
+
+    def test_transfer_fidelity_refused(self):
+        with pytest.raises(InvalidConfigError, match="evolution phases overflow"):
+            transfer_fidelity(pst_hamiltonian(8, 1.0), 1e308, 0, 7)
+
+    @pytest.mark.parametrize("times", [1e308 / 3, [0.0, -5e307, 5.9e307], 1.7e308 / 3])
+    def test_largest_finite_products_keep_their_bits(self, times):
+        _, phases = evolution_phases(H4, times)
+        values = np.linalg.eigh(H4.matrix)[0]
+        expected = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), values))
+        assert np.isfinite(phases).all()
+        assert phases.tobytes() == expected.tobytes()
+
+    def test_zero_times_need_no_eigensolve(self):
+        # an all-zero grid is the identity even for a spectrum near the float limit
+        h = Operator(np.diag([1e308, -1e308]), tag=HERMITIAN)
+        vectors, phases = evolution_phases(h, [0.0, 0.0])
+        assert np.array_equal(vectors, np.eye(2)) and np.array_equal(phases, np.ones((2, 2)))
