@@ -63,9 +63,20 @@ def _fmt_cell(value) -> str:
     return repr(float(value))
 
 
+def _fmt_column(column: tuple) -> list[str]:
+    """Each cell of one CSV column as `_fmt_cell` writes it.  A column with
+    no bool or integer cell, the bulk of every table, is cast to float64
+    and printed by one list repr, which writes each float as
+    repr(float(v)) does; any other column goes cell by cell."""
+    if any(issubclass(kind, (int, np.integer)) for kind in set(map(type, column))):
+        return list(map(_fmt_cell, column))
+    return repr(np.asarray(column, dtype=float).tolist())[1:-1].split(", ")
+
+
 def _csv(header: list[str], rows) -> str:
+    columns = [_fmt_column(column) for column in zip(*rows)]
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the qwire modules."""
 
+import operator
+
 
 class QwireError(Exception):
     """Base class for all qwire errors."""
@@ -14,7 +16,13 @@ class DimensionTooSmallError(QwireError):
 
 
 def require_dim(d: int) -> None:
-    """The d >= 2 rule of every chain, dispersion and shift/clock builder."""
+    """The integer d >= 2 rule of every chain, dispersion and shift/clock
+    builder: InvalidConfigError for a d that is not an integer (numpy
+    integers are), DimensionTooSmallError for one below 2."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise InvalidConfigError(f"d must be an integer, got {d!r}") from None
     if d < 2:
         raise DimensionTooSmallError(f"d must be >= 2, got {d}")
 

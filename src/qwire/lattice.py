@@ -52,8 +52,9 @@ class ChainSpec:
 
 def uniform_chain(d: int, topology: str, E0: float = 0.0, A: float = 1.0) -> ChainSpec:
     """ChainSpec with every bond set to the same amplitude A."""
+    require_dim(d)  # before d sizes the coupling tuple
     n_bonds = d if topology == RING else d - 1
-    return ChainSpec(d=d, topology=topology, E0=E0, couplings=(A,) * max(n_bonds, 0))
+    return ChainSpec(d=d, topology=topology, E0=E0, couplings=(A,) * n_bonds)
 
 
 def _line_matrix(d: int, E0: float, couplings) -> np.ndarray:
@@ -113,8 +114,13 @@ def wave_numbers(topology: str, d: int) -> tuple[np.ndarray, np.ndarray]:
 def dispersion(topology: str, d: int, E0: float, A: float) -> np.ndarray:
     """Closed-form single-particle energies E_j = E0 - 2A cos(k_j b) at the
     wave numbers of `wave_numbers`, in j order (not sorted).  The chain's
-    own rules refuse d, the topology, E0 and A as `ChainSpec` does."""
-    uniform_chain(d, topology, E0, A)
+    own rules refuse d, the topology, E0 and A as `ChainSpec` does, and
+    InvalidConfigError is raised when the band edge |E0| + 2|A| overflows."""
+    spec = uniform_chain(d, topology, E0, A)
+    # Python floats: an overflowing sum becomes inf without a numpy warning
+    edge = abs(float(spec.E0)) + 2 * abs(spec.couplings[0])
+    if not math.isfinite(edge):
+        raise InvalidConfigError(f"band edge |E0| + 2|A| overflows: E0={E0!r}, A={A!r}")
     _, kb = wave_numbers(topology, d)
     return E0 - 2 * A * np.cos(kb)
 
@@ -124,8 +130,8 @@ def dispersion_check(spec: ChainSpec) -> float:
     the closed-form dispersion, both sorted (uniform couplings only)."""
     if not spec.is_uniform:
         raise InvalidConfigError("dispersion_check requires uniform couplings")
-    eigensystem = hermitian_eig(build_hamiltonian(spec))
     closed_form = np.sort(dispersion(spec.topology, spec.d, spec.E0, spec.couplings[0]))
+    eigensystem = hermitian_eig(build_hamiltonian(spec))
     return float(np.max(np.abs(eigensystem.values - closed_form)))
 
 

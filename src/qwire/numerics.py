@@ -9,22 +9,27 @@ enter only through their product.
 An `Operator` stores its matrix as float64 when every imaginary part is
 exactly zero and as complex128 otherwise, so a real symmetric
 Hamiltonian is diagonalized in real arithmetic by the same `_eigh` that
-`hermitian_eig` and `evolution_phases` call on a complex one.  `_eigh`
-is the package's only eigensolver call: it goes straight to the LAPACK
-gufunc behind `numpy.linalg.eigh`, without that wrapper's argument
-handling.  `hermitian_eig` checks the eigenvectors it gets and returns
-only the eigenvalues, with the residual that certified them.
+a complex one goes to.  `_eigh` is the package's only eigensolver call:
+it goes straight to the LAPACK gufunc behind `numpy.linalg.eigh`,
+without that wrapper's argument handling.  `hermitian_eig` and
+`evolution_phases` reach it through `_hermitian_solve`, which makes one
+`_eigh` call on H, or, for a mirror-symmetric H of at least
+`_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks and
+rebuilds V from them.  `hermitian_eig` checks the eigenvectors it gets
+and returns only the eigenvalues, with the residual that certified them.
 
-All time evolution goes through `evolution_phases`, one path for one
+All time evolution goes through `_evolution_factors`, one path for one
 time or an array of times: it refuses a complex or non-finite time,
 diagonalizes H once, refuses an overflowing max |lambda| * max |t| (a
-phase would be NaN) and returns the eigenvectors V with the phases
-exp(-i lambda_k t) for every requested time (the coupling search, below,
-repeats only the unchecked last step, inline).  `evolve` builds the
-propagator V diag(phases) V^dag from them; the transfer amplitudes in
-`pst` contract the phases with V[target] * conj(V[source]) and never form
-the d x d propagator.  All values are immutable after construction and
-safe to share between threads.
+phase would be NaN) and returns the eigenvectors V and eigenvalues.
+`evolution_phases` turns them into the phases exp(-i lambda_k t) for
+every requested time (the coupling search, below, repeats only the
+unchecked last step, inline), and `pst.fidelity_curve` into cosines and
+sines of the same angles.  `evolve` builds the propagator
+V diag(phases) V^dag; the transfer amplitudes in `pst` contract with
+V[target] * conj(V[source]) and never form the d x d propagator.  All
+values are immutable after construction and safe to share between
+threads.
 
 The public `Operator` constructor copies its matrix and checks the tag.
 
@@ -73,6 +78,10 @@ UNITARY = "unitary"
 GENERAL = "general"
 
 _TAGS = (HERMITIAN, UNITARY, GENERAL)
+
+# Mirror-symmetric matrices from this size up are diagonalized in two
+# parity blocks (see `_hermitian_solve`); below it one full solve is faster.
+_PARITY_SPLIT_DIM = 128
 
 
 def max_abs(matrix: np.ndarray) -> float:
@@ -231,6 +240,47 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def _hermitian_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending eigenvalues, orthonormal eigenvectors) of a finite
+    hermitian matrix: one `_eigh` call, or two on its parity blocks when it
+    is mirror-symmetric (M equals M reversed along both axes) and has at
+    least `_PARITY_SPLIT_DIM` rows.
+
+    With d = 2h + p (p = 0 or 1), JMJ = M makes M block diagonal in the
+    basis (e_i +- e_{d-1-i})/sqrt(2), with e_h itself in the even half
+    when d is odd (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).
+    The odd block is M[:h, :h] - M[:h, :h]J, and the even block is
+    M[:h, :h] + M[:h, :h]J, bordered for odd d by sqrt(2) M[:h, h] and
+    M[h, h].  A block eigenvector y becomes V's column (y, +-Jy)/sqrt(2),
+    with y's last entry as the middle row of an even column; an odd
+    column has a zero middle row.  The columns are merged by a stable
+    argsort of the two spectra, so the values stay ascending."""
+    d = matrix.shape[0]
+    if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
+        return _eigh(matrix)
+    h = d // 2
+    top = matrix[:h, :h]
+    folded = matrix[:h, ::-1][:, :h]  # M[:h, h+p:] with its columns reversed
+    even = np.empty((d - h, d - h), dtype=matrix.dtype)
+    even[:h, :h] = top + folded
+    if d % 2:
+        even[:h, h] = math.sqrt(2.0) * matrix[:h, h]
+        even[h, :h] = math.sqrt(2.0) * matrix[h, :h]
+        even[h, h] = matrix[h, h]
+    even_values, even_vectors = _eigh(even)
+    odd_values, odd_vectors = _eigh(top - folded)
+    r = math.sqrt(0.5)
+    vectors = np.zeros((d, d), dtype=matrix.dtype)
+    vectors[:h, : d - h] = r * even_vectors[:h]
+    vectors[d - h :, : d - h] = r * even_vectors[h - 1 :: -1]
+    vectors[h : d - h, : d - h] = even_vectors[h:]  # the middle row of an odd d
+    vectors[:h, d - h :] = r * odd_vectors
+    vectors[d - h :, d - h :] = -r * odd_vectors[::-1]
+    values = np.concatenate((even_values, odd_values))
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
+
+
 def hermitian_eig(operator: Operator) -> EigenSystem:
     """Ascending eigenvalues of a hermitian operator, with their residual.
 
@@ -240,7 +290,7 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     max(1, max |H|)."""
     if operator.tag != HERMITIAN:
         raise NonHermitianInputError("hermitian_eig requires a hermitian-tagged operator")
-    values, vectors = _eigh(operator.matrix)
+    values, vectors = _hermitian_solve(operator.matrix)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN/inf fail below
         residual = max_abs(operator.matrix - (vectors * values) @ vectors.conj().T)
         orth = max_abs(vectors.conj().T @ vectors - np.eye(operator.dim))
@@ -253,16 +303,11 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     return EigenSystem(values=values, residual=residual)
 
 
-def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral factors of exp(-i H t) = V diag(phases) V^dag.
-
-    Returns (V, phases), where phases has shape times.shape + (d,) and V
-    has H's dtype.  Raises NonHermitianInputError unless H is tagged
-    hermitian, and InvalidConfigError (a ValueError) for a complex or
-    non-finite time or an overflowing max |lambda| * max |t|.  When every
-    time is zero the propagator is exactly the identity, so no eigensolve
-    is made and (I, ones) comes back.
-    """
+def _evolution_factors(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, eigenvalues, times as float64) behind exp(-i H t), after every
+    check `evolution_phases` documents.  When every time is zero no
+    eigensolve is made: V is the identity and the values are zeros, so
+    every phase angle lambda_k t is exactly 0."""
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
     if np.iscomplexobj(times):  # the float cast would drop the imaginary part
@@ -275,12 +320,28 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
         raise InvalidConfigError("evolution times must be finite")
     d = hamiltonian.dim
     if not times.any():
-        return np.eye(d, dtype=hamiltonian.matrix.dtype), np.ones((*times.shape, d), dtype=complex)
-    values, vectors = _eigh(hamiltonian.matrix)
+        return np.eye(d, dtype=hamiltonian.matrix.dtype), np.zeros(d), times
+    values, vectors = _hermitian_solve(hamiltonian.matrix)
     # Python floats: an overflowing product becomes inf without a numpy warning
     scale = max(abs(float(values[0])), abs(float(values[-1]))) * float(abs(times).max())
     if not math.isfinite(scale):
         raise InvalidConfigError(f"evolution phases overflow: max |lambda| * max |t| = {scale}")
+    return vectors, values, times
+
+
+def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral factors of exp(-i H t) = V diag(phases) V^dag.
+
+    Returns (V, phases), where phases has shape times.shape + (d,) and V
+    has H's dtype.  Raises NonHermitianInputError unless H is tagged
+    hermitian, and InvalidConfigError (a ValueError) for a complex or
+    non-finite time or an overflowing max |lambda| * max |t|.  When every
+    time is zero the propagator is exactly the identity, so no eigensolve
+    is made and (I, ones) comes back.
+    """
+    vectors, values, times = _evolution_factors(hamiltonian, times)
+    if not times.any():
+        return vectors, np.ones((*times.shape, values.shape[0]), dtype=complex)
     return vectors, np.exp(-1j * np.multiply.outer(times, values))
 
 

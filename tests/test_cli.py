@@ -48,6 +48,17 @@ class TestDispersionCommand:
         assert proc.returncode == 2
         assert "d must be >= 2" in proc.stderr
 
+    @pytest.mark.parametrize("flags", [("--topology", "ring", "--d", "6", "--A", "1e308"),
+                                       ("--topology", "ring", "--d", "2", "--A", "1e308"),
+                                       ("--topology", "line", "--d", "5", "--E0", "1e308",
+                                        "--A=-1e308")])
+    def test_overflowing_band_exits_two(self, capsys, flags):
+        # refused before the eigensolve, not reported as a residual failure
+        code = cli.main(["dispersion", *flags])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: band edge |E0| + 2|A| overflows") and err.count("\n") == 1
+
     def test_csv_round_trips(self):
         proc = run_cli("dispersion", "--topology", "ring", "--d", "5")
         _, rows = parse_csv(proc.stdout)
@@ -362,6 +373,61 @@ class TestInProcessFormats:
         assert code == 3
         assert out == ""
         assert err == "error: n = 13 exceeds cap 12\n"
+
+
+def _reference_csv(header, rows) -> str:
+    """The former per-cell emitter, kept as an equality oracle for `cli._csv`."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnEmitter:
+    """`cli._csv` picks one formatter per column; its bytes equal the former
+    per-cell emitter's on every subcommand's table and on the one-row
+    payload fallback."""
+
+    COMMANDS = [
+        ("dispersion", "--topology", "ring", "--d", "9", "--E0", "-0.3", "--A", "1.7"),
+        ("dispersion", "--topology", "line", "--d", "130"),
+        ("weyl-check", "--d", "6"),
+        ("pst", "--d", "129", "--samples", "300"),
+        ("pst", "--d", "7", "--uniform", "--t-max", "12", "--samples", "101"),
+        ("sector-check", "--n", "5", "--pst"),
+        ("optimize", "--d", "4", "--t-target", "1.5707963267948966", "--seed", "3"),
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(a[:2]))
+    def test_subcommand_tables(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        result = cli._COMMANDS[args.command](args)
+        table = result.table or (list(result.payload), [result.payload.values()])
+        assert cli._csv(*table) == _reference_csv(*table)
+
+    def test_payload_fallback_with_every_cell_type(self):
+        payload = {"holds": True, "fails": False, "n": 3, "m": np.int64(-4), "x": 0.1,
+                   "y": np.float64(5e-324), "z": -0.0, "w": math.inf, "v": math.nan,
+                   "u": np.float32(0.1), "flag": np.bool_(True), "big": 10**20}
+        table = (list(payload), [payload.values()])
+        text = cli._csv(*table)
+        assert text == _reference_csv(*table)
+        assert text.split("\n")[1].split(",")[:5] == ["true", "false", "3", "-4", "0.1"]
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(1.5, 2)],
+        [(True, 1.0), (False, 2.5)],
+        [(1, 0.5), (True, 1e300), (np.int32(7), -1e-300)],  # mixed columns
+    ], ids=["empty", "one-row", "bool-column", "mixed"])
+    def test_edge_tables(self, rows):
+        assert cli._csv(["a", "b"], rows) == _reference_csv(["a", "b"], rows)
 
 
 class TestRejectionTable:

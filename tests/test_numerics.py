@@ -14,7 +14,7 @@ from qwire.errors import (
     NotNormalizedError,
     ZeroThetaError,
 )
-from qwire.lattice import LINE, RING, ChainSpec, build_hamiltonian, uniform_chain
+from qwire.lattice import LINE, RING, ChainSpec, build_hamiltonian, dispersion_check, uniform_chain
 from qwire.numerics import (
     GENERAL,
     HERMITIAN,
@@ -512,6 +512,108 @@ class TestRealArithmeticRoute:
         assert max_abs(evolve(h, 0.9).matrix - expm_series(-0.9j * h.matrix)) <= 1e-10
         ref_values = np.linalg.eigh(h.matrix)[0]
         assert hermitian_eig(h).values.tobytes() == ref_values.tobytes()
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def persymmetric_hermitian(draw, low=128, high=300):
+    """A random hermitian H with H == H[::-1, ::-1] exactly, real or complex,
+    odd or even d, with entries scaled by 1e-3 ... 1e3."""
+    d = draw(st.integers(low, high))
+    dtype = draw(st.sampled_from([float, complex]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(d, d)).astype(dtype)
+    if dtype == complex:
+        x += 1j * rng.normal(size=(d, d))
+    x *= 10.0 ** draw(st.floats(-3.0, 3.0))
+    h = x + x.conj().T  # exactly hermitian: each pair of entries adds the same two terms
+    h = h + h[::-1, ::-1]  # and exactly mirror-symmetric, for the same reason
+    assert np.array_equal(h, h[::-1, ::-1]) and np.array_equal(h, h.conj().T)
+    return h
+
+
+def _recorded_eigh_shapes(monkeypatch, call):
+    shapes = []
+    eigh = numerics._eigh
+
+    def recording_eigh(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(numerics, "_eigh", recording_eigh)
+    call()
+    return shapes
+
+
+class TestParitySolve:
+    """From d = 128 up, a mirror-symmetric H is diagonalized in its two
+    parity blocks and V is rebuilt from them; every other matrix keeps the
+    single solve, byte for byte."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(h=persymmetric_hermitian())
+    def test_blocks_match_the_full_solve(self, h):
+        d = h.shape[0]
+        values, vectors = numerics._hermitian_solve(h)
+        assert (values.dtype, vectors.dtype) == (np.dtype(float), h.dtype)
+        scale = max_abs(h)
+        # both solvers are backward stable: eigenvalues within O(eps ||H||)
+        ref_values, ref_vectors = np.linalg.eigh(h)
+        assert max_abs(values - ref_values) <= 4 * EPS * d * scale
+        assert max_abs(h - (vectors * values) @ vectors.conj().T) <= 1e-10 * max(1.0, scale)
+        assert max_abs(vectors.conj().T @ vectors - np.eye(d)) <= 1e-10
+        # rows 0 and d-1, up to each column's phase; an eigenvector moves by
+        # at most the residual over its gap (Davis-Kahan)
+        phases = np.einsum("ij,ij->j", ref_vectors.conj(), vectors)
+        phases /= np.abs(phases)
+        rows = [0, d - 1]
+        row_error = np.abs(vectors[rows] - ref_vectors[rows] * phases).max(axis=0)
+        gaps = np.minimum(np.diff(ref_values, prepend=-np.inf), np.diff(ref_values, append=np.inf))
+        assert (row_error * gaps <= 4 * EPS * d * scale).all()
+
+    @pytest.mark.parametrize("d, shapes", [
+        (127, [(127, 127)]), (128, [(64, 64), (64, 64)]), (129, [(65, 65), (64, 64)]),
+    ])
+    def test_split_from_128_up(self, monkeypatch, d, shapes):
+        h = pst_hamiltonian(d, 0.8)
+        assert _recorded_eigh_shapes(monkeypatch, lambda: hermitian_eig(h)) == shapes
+
+    def test_non_mirror_matrix_is_not_split(self, monkeypatch):
+        h = _random_chain(LINE, 200)
+        assert _recorded_eigh_shapes(monkeypatch, lambda: hermitian_eig(h)) == [(200, 200)]
+
+    @pytest.mark.parametrize("case", ["pst d=127", "line d=127", "line d=200",
+                                      "complex d=130", "ring d=128"])
+    def test_byte_equal_to_numpy_where_not_split(self, case):
+        rng = np.random.default_rng(7)
+        h = {
+            "pst d=127": lambda: pst_hamiltonian(127, 0.8),  # mirror-symmetric, below 128
+            "line d=127": lambda: _random_chain(LINE, 127),
+            "line d=200": lambda: _random_chain(LINE, 200),
+            "complex d=130": lambda: random_hermitian(rng, 130),
+            "ring d=128": lambda: _random_chain(RING, 128),
+        }[case]()
+        assert h.dim < 128 or not np.array_equal(h.matrix, h.matrix[::-1, ::-1])
+        ref_values, ref_vectors = np.linalg.eigh(h.matrix)
+        assert hermitian_eig(h).values.tobytes() == ref_values.tobytes()
+        vectors, phases = evolution_phases(h, [0.3, 1.3])
+        assert vectors.tobytes() == ref_vectors.tobytes()
+        expected = np.exp(-1j * np.multiply.outer(np.array([0.3, 1.3]), ref_values))
+        assert phases.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [128, 129, 256])
+    @pytest.mark.parametrize("topology", [LINE, RING])
+    def test_uniform_chains_match_their_dispersion(self, topology, d):
+        # the ring's levels come in degenerate pairs, split across the two blocks
+        spec = uniform_chain(d, topology, 0.25, 1.1)
+        assert hermitian_eig(build_hamiltonian(spec)).residual <= 1e-12
+        assert dispersion_check(spec) <= 1e-12
+
+    @pytest.mark.parametrize("d", [128, 129, 255, 256, 513])
+    def test_transfer_time_stays_perfect(self, d):
+        assert transfer_time(d, 0.9).peak_fidelity >= 1 - 1e-12
 
 
 HUGE = 10**400  # a Python int with no float value

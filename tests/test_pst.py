@@ -15,7 +15,15 @@ from qwire.errors import (
     ZeroThetaError,
 )
 from qwire.lattice import LINE, ChainSpec, build_hamiltonian, uniform_chain
-from qwire.numerics import GENERAL, HERMITIAN, Operator, evolve, hermitian_eig, max_abs
+from qwire.numerics import (
+    GENERAL,
+    HERMITIAN,
+    Operator,
+    evolution_phases,
+    evolve,
+    hermitian_eig,
+    max_abs,
+)
 from qwire.pst import (
     FidelityCurve,
     TransferReport,
@@ -209,6 +217,50 @@ class TestFidelityCurve:
         with pytest.raises(ValueError):
             FidelityCurve(times=np.array(times), fidelities=np.array(fidelities),
                           source=0, target=1)
+
+
+def _complex_phase_curves(h: Operator, times, pairs) -> list[np.ndarray]:
+    """The former fidelity_curve route, for each (source, target) pair:
+    complex phases exp(-i lambda t) from evolution_phases, contracted with
+    V[target] * conj(V[source])."""
+    vectors, phases = evolution_phases(h, times)
+    return [np.minimum(np.abs(phases @ (vectors[target] * vectors[source].conj())) ** 2, 1.0)
+            for source, target in pairs]
+
+
+def _mirror_symmetric(rng: np.random.Generator, d: int) -> Operator:
+    x = rng.normal(size=(d, d))
+    h = x + x.T
+    return Operator(h + h[::-1, ::-1], tag=HERMITIAN)
+
+
+class TestRealArithmeticCurve:
+    """fidelity_curve contracts cosines and sines of the real angles
+    lambda_k t; it agrees with the complex exponential route to rounding.
+    The real mirror-symmetric matrices go through the parity split from
+    d = 128 up."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", range(2, 201))
+    def test_matches_complex_phases(self, d, kind):
+        rng = np.random.default_rng(d)
+        h = _mirror_symmetric(rng, d) if kind == "real" else random_hermitian(rng, d)
+        # Gershgorin: the spectrum lies within [-1, 1] after this scaling
+        h = Operator(h.matrix / max(1.0, np.abs(h.matrix).sum(axis=1).max()), tag=HERMITIAN)
+        grid = np.linspace(0.0, 40.0, 37)
+        pairs = [(0, d - 1), (d - 1, d // 2)]
+        for (source, target), expected in zip(pairs, _complex_phase_curves(h, grid, pairs)):
+            curve = fidelity_curve(h, grid, source, target)
+            assert max_abs(curve.fidelities - expected) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_all_zero_grid(self, kind):
+        rng = np.random.default_rng(3)
+        h = _mirror_symmetric(rng, 150) if kind == "real" else random_hermitian(rng, 150)
+        pairs = [(0, 0), (0, 149)]
+        for (source, target), expected in zip(pairs, _complex_phase_curves(h, [0.0], pairs)):
+            curve = fidelity_curve(h, [0.0], source, target)
+            assert curve.fidelities.tolist() == expected.tolist() == [float(source == target)]
 
 
 class TestEvolutionInputChecks:

@@ -150,7 +150,16 @@ SINGLE_CASES = [
      lambda: transfer_fidelity(pst_hamiltonian(8, 1.0), 1e308, 0, 7), False),
     ("fidelity_curve-overflow", lambda: fidelity_curve(H4, [0.0, 1e308], 0, 3), True),
     ("objective-overflow", lambda: objective([2.0, 2.0, 2.0], 1e308, 4), False),
+    # a band edge |E0| + 2|A| beyond the float range: the energies would be inf
+    ("dispersion-band-overflow-ring", lambda: dispersion(RING, 6, 0.0, 1e308), False),
+    ("dispersion-band-overflow-line", lambda: dispersion(LINE, 5, -1e308, 5e307), False),
+    ("dispersion-band-overflow-two-site-ring", lambda: dispersion(RING, 2, 0.0, 1e308), False),
+    ("dispersion_check-band-overflow",
+     lambda: dispersion_check(uniform_chain(6, RING, 0.0, -1e308)), False),
 ]
+
+# a dimension that is not an integer was refused by numpy, or not at all
+NON_INTEGER_DIMS = {"2.5": 2.5, "4.0": 4.0, "nan": math.nan, "inf": math.inf, "str": "4"}
 
 
 def _cases():
@@ -163,6 +172,8 @@ def _cases():
     for name, (call, was_value_error) in DIMENSION_ARGUMENTS.items():
         for d in (1, 0, -1):
             yield pytest.param(call, (d,), was_value_error, id=f"{name}-d{d}")
+        for label, d in NON_INTEGER_DIMS.items():
+            yield pytest.param(call, (d,), True, id=f"{name}-d{label}")
     for name, call in QUBIT_ARGUMENTS.items():
         for n in (0, -3):
             yield pytest.param(call, (n,), True, id=f"{name}-n{n}")
@@ -176,6 +187,26 @@ def test_refused_with_a_qwire_error(call, args, was_value_error):
         call(*args)
     if was_value_error:
         assert isinstance(excinfo.value, ValueError)
+
+
+@pytest.mark.parametrize("d", list(NON_INTEGER_DIMS.values()), ids=list(NON_INTEGER_DIMS))
+@pytest.mark.parametrize("name", sorted(set(DIMENSION_ARGUMENTS) - {"OptimizeConfig"}))
+def test_non_integer_dimension_named(name, d):
+    with pytest.raises(InvalidConfigError, match="d must be an integer, got "):
+        DIMENSION_ARGUMENTS[name][0](d)
+
+
+@pytest.mark.parametrize("d", [np.int64(4), np.int32(3), np.uint8(5)])
+def test_numpy_integer_dimension_accepted(d):
+    assert shift_matrix(d).dim == d
+    assert wave_numbers(RING, d)[0].shape == (d,)
+    assert ChainSpec(d=d, topology=LINE, E0=0.0, couplings=(1.0,) * (d - 1)).d == d
+
+
+def test_largest_finite_band_accepted():
+    # |E0| + 2|A| just below the float limit: finite energies, no warning
+    energies = dispersion(RING, 4, 1.7e308 - 2 * 5e306, 5e306)
+    assert np.isfinite(energies).all()
 
 
 class TestPhaseOverflow:
