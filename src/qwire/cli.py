@@ -11,6 +11,9 @@ Exit codes follow the error's type: 0 success, 1 ArithmeticError (a
 tolerance, convergence or certification failure), 2 QwireError (an
 argument the library refuses; the CLI adds only pst's own flag rules and
 names optimize's --t-target), 3 RegisterTooLargeError (resource cap).
+optimize also exits 1 when its search is not certified (the payload's
+"converged" is false: the budget ran out, or the Newton polish found no
+strict local maximum) or its fidelity is below 0.999.
 Every command is deterministic given its flags (including --seed),
 floats print as shortest round-trip decimals, and complex values
 serialize as paired _re/_im fields.
@@ -139,19 +142,16 @@ def cmd_pst(args) -> Result:
     t_max = args.t_max if args.t_max is not None else math.pi / vartheta
     _require(0 < t_max < math.inf, f"t-max must be positive and finite, got {t_max!r}")
     _require(args.samples >= 2, f"samples must be >= 2, got {args.samples}")
+    grid = np.linspace(0.0, t_max, args.samples)  # t_max > 0: a nonzero time
     if args.uniform:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
-        hamiltonian = lattice.build_hamiltonian(spec)
-    else:
-        hamiltonian = pst.pst_hamiltonian(d, vartheta)
-    curve = pst.fidelity_curve(hamiltonian, np.linspace(0.0, t_max, args.samples), 0, d - 1)
-
-    if args.uniform:
+        curve = pst.fidelity_curve(lattice.build_hamiltonian(spec), grid, 0, d - 1)
         t_star, peak = curve.peak
         period = float(math.pi / vartheta)
     else:
-        # raises ArithmeticError (exit 1) when the crossing misses fidelity 1
-        report = pst.transfer_time(d, vartheta)
+        # one eigensolve for both; ArithmeticError (exit 1) when the
+        # crossing misses fidelity 1
+        curve, report = pst._curve_and_crossing(d, vartheta, grid)
         t_star, peak, period = report.t_star, report.peak_fidelity, report.period
     summary = {"d": int(d), "vartheta": float(vartheta), "t_star": t_star,
                "peak_fidelity": peak, "period": period, "uniform": bool(args.uniform)}

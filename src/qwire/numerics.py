@@ -47,8 +47,11 @@ on them.
 The coupling search in `optimizer` builds no `Operator` at all: it
 writes each chain's bonds into one float64 matrix of its own and calls
 `_eigh` on it directly, then reads the fidelity with the same arithmetic
-as `transfer_fidelity`.  It relies on `OptimizeConfig` for d and the
-time and on one `ChainSpec` check of its start for the couplings.
+as `transfer_fidelity`.  Its Newton polish reads the gradient from the
+same single `_eigh` per point, and its second-order certificate makes
+one more `_eigh` call on the small Hessian.  It relies on
+`OptimizeConfig` for d and the time and on one `ChainSpec` check of its
+start for the couplings.
 """
 
 from __future__ import annotations
@@ -342,7 +345,12 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     vectors, values, times = _evolution_factors(hamiltonian, times)
     if not times.any():
         return vectors, np.ones((*times.shape, values.shape[0]), dtype=complex)
-    return vectors, np.exp(-1j * np.multiply.outer(times, values))
+    return vectors, _phases(values, times)
+
+
+def _phases(values: np.ndarray, times) -> np.ndarray:
+    """exp(-i lambda_k t) for every time and eigenvalue, unchecked."""
+    return np.exp(-1j * np.multiply.outer(times, values))
 
 
 def evolve(hamiltonian: Operator, t: float) -> Operator:

@@ -1,14 +1,24 @@
-"""Derivative-free search over line-chain coupling profiles.
+"""Search over line-chain coupling profiles, with a certified result.
 
 Maximizes end-to-end transfer fidelity at a fixed time with a simplex
 descent (reflection / expansion / contraction / shrink) on the negated
-objective, plus deterministic seeded restarts.  The simplex stays sorted
-by value: a full stable sort runs only after the initial evaluations and
-after a shrink, and every other step inserts its one new vertex in place.
-The collapse test measures the whole simplex only when the worst vertex
-is already within tol of the best.  The known optimum is the
-sqrt(j(d-j)) profile, which the search should rediscover from a uniform
-start and leave untouched when given as the initial point.
+objective, a Newton polish of each run that stops on collapse or
+plateau, and deterministic seeded restarts while no result is certified.
+The simplex stays sorted by value: a full stable sort runs only after
+the initial evaluations and after a shrink, and every other step inserts
+its one new vertex in place.  The collapse test measures the whole
+simplex only when the worst vertex is already within tol of the best.
+
+The polish takes the analytic gradient from the same single eigensolve
+that gives the fidelity (`_search_gradient`), forms the Hessian from
+central differences of that gradient, and takes damped Newton steps
+inside the +-COUPLING_BOUND box.  A point is certified when F's Hessian
+is negative definite on the free coordinates and the Newton decrement is
+at most tol (Boyd & Vandenberghe, Convex Optimization, 9.5; Nocedal &
+Wright, Numerical Optimization, Thm 2.4); only then has the search
+converged, and only then do the restarts stop early.  The known optimum
+is the sqrt(j(d-j)) profile, which the search should rediscover from a
+uniform start and certify, unmoved, when given as the initial point.
 """
 
 from __future__ import annotations
@@ -31,6 +41,13 @@ COUPLING_BOUND = 10.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
+
+# Newton polish: at most _NEWTON_STEPS Hessians (and steps) per polish, each
+# step halved at most _BACKTRACKS times; the Hessian's gradient differences
+# take a relative step _HESSIAN_STEP, about the cube root of float64 epsilon.
+_NEWTON_STEPS = 16
+_BACKTRACKS = 30
+_HESSIAN_STEP = 2.0**-17
 
 
 def objective(couplings, t: float, d: int) -> float:
@@ -75,9 +92,12 @@ class OptimizeConfig:
 
 # Why a simplex run stopped: its vertices came within tol of the best one,
 # its best value gained less than tol over a sweep, or iterations ran out.
+# Why a search stopped: one of those, or CERTIFIED when the Newton polish
+# after a collapse or plateau certified a strict local maximum.
 COLLAPSE = "collapse"
 PLATEAU = "plateau"
 BUDGET = "budget"
+CERTIFIED = "certified"
 
 
 @dataclass(frozen=True)
@@ -87,8 +107,19 @@ class OptimizeResult:
     fidelity is re-evaluated from the reported couplings at the
     gauge-adjusted time scale*t_target, where scale is the normalization
     factor that was divided out (the rescaling leaves the physics fixed).
-    stop_reason is why the last simplex run stopped (collapse, plateau or
-    budget), and restarts counts the runs after the first.
+    stop_reason is "certified" when the Newton polish certified the best
+    point, and otherwise why the last simplex run stopped (collapse,
+    plateau or budget); only a certified search has converged.  Certified
+    means that F's Hessian H is negative definite on the free coordinates
+    (a coordinate on +-COUPLING_BOUND whose gradient points out of the
+    box is fixed) and the Newton decrement g^T (-H)^-1 g / 2, the
+    second-order estimate of the fidelity still to gain, is at most tol:
+    a strict local maximum lies within reach of that estimate.
+    restarts counts the runs after the first, iterations their simplex
+    steps (Newton steps are not counted).  gradient_norm is |grad F| over
+    the free coordinates at the best point and decrement that of its last
+    Newton iteration (inf when no Hessian was formed or it was not
+    negative definite), both in the search's own couplings at t_target.
     """
 
     couplings: tuple[float, ...]
@@ -96,18 +127,24 @@ class OptimizeResult:
     iterations: int
     stop_reason: str
     restarts: int
+    gradient_norm: float
+    decrement: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
-        if self.stop_reason not in (COLLAPSE, PLATEAU, BUDGET):
+        if self.stop_reason not in (CERTIFIED, COLLAPSE, PLATEAU, BUDGET):
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+        # written so that NaN fails
+        if not (0.0 <= self.gradient_norm < math.inf and 0.0 <= self.decrement):
+            raise ValueError(f"gradient norm {self.gradient_norm!r} outside [0, inf) "
+                             f"or decrement {self.decrement!r} outside [0, inf]")
         object.__setattr__(self, "couplings", tuple(float(a) for a in self.couplings))
 
     @property
     def converged(self) -> bool:
-        """True unless the search stopped on its iteration budget."""
-        return self.stop_reason != BUDGET
+        """True when the search certified a strict local maximum."""
+        return self.stop_reason == CERTIFIED
 
 
 class _SimplexRun(NamedTuple):
@@ -232,6 +269,14 @@ def _simplex_descent(
     return _SimplexRun(simplex[0].copy(), float(fvals[0]), iterations, stop_reason)
 
 
+def _chain(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A zero d x d float64 matrix and writable views of its two bond
+    diagonals, h[l, l+1] and h[l+1, l]."""
+    chain = np.zeros((d, d))
+    flat = chain.reshape(-1)
+    return chain, flat[1 :: d + 1], flat[d :: d + 1]
+
+
 def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
     """The negated `objective` at config's d and t_target, for coupling
     arrays whose count and finiteness were checked once per search.
@@ -242,9 +287,7 @@ def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
     without objective's per-call ChainSpec and time checks (OptimizeConfig
     certified t_target)."""
     d = config.d
-    chain = np.zeros((d, d))
-    flat = chain.reshape(-1)
-    upper, lower = flat[1 :: d + 1], flat[d :: d + 1]  # h[l, l+1], h[l+1, l]
+    chain, upper, lower = _chain(d)
     minus_it = -1j * float(config.t_target)
 
     def negated(x: np.ndarray) -> float:
@@ -257,15 +300,152 @@ def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
     return negated
 
 
+# the negated objective and its gradient at one point
+_Gradient = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+
+def _search_gradient(config: OptimizeConfig) -> _Gradient:
+    """The negated objective and its gradient in the couplings, from one
+    `_eigh`; the value is `_search_objective`'s closure's, bit for bit.
+
+    With H = V diag(lambda) V^T, u = V[d-1] and w = V[0], the amplitude
+    a = <d-1| exp(-iHt) |0> has the Daleckii-Krein derivative
+    da/dA_l = -(S[l, l+1] + S[l+1, l]), S = V (Phi o u w^T) V^T, where
+    Phi_jk = -it exp(-it(lambda_j + lambda_k)/2) sinc(t(lambda_j - lambda_k)/2)
+    is the divided difference of exp(-i lambda t): one expression, without
+    a branch, for distinct, close and equal eigenvalues.  The gradient of
+    F = |a|^2 is 2 Re(conj(a) grad a), so only the real symmetric matrix
+    R = Re(conj(a) Phi o (u w^T + w u^T)) is formed, with
+    exp(-it(lambda_j + lambda_k)/2) split into the product of two
+    half-angle phases h_j h_k, and the bond entries of V R V^T are read
+    off without the full product."""
+    d = config.d
+    chain, upper, lower = _chain(d)
+    t = float(config.t_target)
+    minus_it = -1j * t
+    half_t = 0.5 * t
+    tiny = np.finfo(float).tiny  # sin(tiny) / tiny == 1.0, the sinc of a zero gap
+
+    def negated_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        np.subtract(0.0, x, out=upper)
+        lower[...] = upper
+        values, vectors = _eigh(chain)
+        u, w = vectors[d - 1], vectors[0]
+        amplitude = complex(np.exp(values * minus_it) @ (u * w))
+        negated = -min(abs(amplitude) ** 2, 1.0)
+        angles = values * half_t
+        half = np.exp(angles * -1j)
+        scaled = half * u
+        scaled *= amplitude.conjugate() * (-2j * t)  # d(-F) = -2 Re(conj(a) da)
+        outer = np.multiply.outer(scaled, half * w).real
+        weights = outer + outer.T  # 2R, times the sinc below
+        gap = np.subtract.outer(angles, angles)
+        np.abs(gap, out=gap)
+        np.maximum(gap, tiny, out=gap)
+        weights *= np.sin(gap)
+        weights /= gap
+        # d(-F)/dA_l = 2 Re(conj(a) (S[l, l+1] + S[l+1, l])) = 2 (V R V^T)[l, l+1]
+        return negated, np.multiply(vectors[:-1] @ weights, vectors[1:]).sum(axis=1)
+
+    return negated_and_gradient
+
+
+class _Polish(NamedTuple):
+    x: np.ndarray
+    f: float
+    certified: bool
+    decrement: float
+
+
+def _hessian(gradient: _Gradient, x: np.ndarray) -> np.ndarray:
+    """Central differences of the analytic gradient, 2n gradients,
+    symmetrized.  The step is about eps**(1/3) relative, which balances
+    rounding against the third-order error, and the quotient divides by
+    the difference of the two points as stored."""
+    n = x.shape[0]
+    rows = np.empty((n, n))
+    probe = x.copy()
+    for i in range(n):
+        step = _HESSIAN_STEP * max(1.0, abs(float(x[i])))
+        probe[i] = x[i] + step
+        forward = gradient(probe)[1]
+        high = probe[i]
+        probe[i] = x[i] - step
+        backward = gradient(probe)[1]
+        rows[i] = (forward - backward) / (high - probe[i])
+        probe[i] = x[i]
+    return (rows + rows.T) / 2
+
+
+def _free(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Mask of the free coordinates.  One on the bound is fixed when its
+    gradient points out of the box: -g, the ascent direction of F, pushes
+    it outward."""
+    return ~((np.abs(x) == COUPLING_BOUND) & (x * g < 0))
+
+
+def _newton_step(
+    free: np.ndarray, g: np.ndarray, hessian: np.ndarray
+) -> tuple[np.ndarray | None, float]:
+    """(Newton step, decrement g^T H^-1 g / 2) of the negated objective on
+    the free coordinates, with a zero step on the fixed ones.  The step is
+    None and the decrement inf unless H is positive definite on the free
+    coordinates (F's Hessian negative definite)."""
+    step = np.zeros_like(g)
+    if not free.any():
+        return step, 0.0
+    values, vectors = _eigh(hessian[np.ix_(free, free)])
+    if not values[0] > 0:
+        return None, math.inf
+    projected = vectors.T @ g[free]
+    step[free] = -(vectors @ (projected / values))
+    return step, float(projected @ (projected / values)) / 2
+
+
+def _polish(gradient: _Gradient, x: np.ndarray, tol: float) -> _Polish:
+    """Damped Newton from a simplex result, then its second-order
+    certificate: the Hessian positive definite on the free coordinates
+    and the decrement at most tol.
+
+    Each of at most _NEWTON_STEPS iterations forms one Hessian.  An
+    uncertified point's step is projected onto the box and halved until
+    it lowers the negated objective; the polish ends when none does or
+    the Hessian is not positive definite.  A certified point still takes
+    its full Newton step when that lowers the value, then the polish
+    ends.  The decrement returned is that of the last Hessian's point."""
+    f, g = gradient(x)
+    for _ in range(_NEWTON_STEPS):
+        step, decrement = _newton_step(_free(x, g), g, _hessian(gradient, x))
+        certified = decrement <= tol
+        if step is None:
+            break
+        for _ in range(1 if certified else _BACKTRACKS):
+            trial = _clip(x + step)
+            f_trial, g_trial = gradient(trial)
+            if f_trial < f:
+                x, f, g = trial, f_trial, g_trial
+                break
+            step *= 0.5
+        else:
+            break
+        if certified:
+            break
+    return _Polish(x, f, certified, decrement)
+
+
 def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     """Search for the coupling profile maximizing end-to-end fidelity at
     config.t_target.
 
-    Runs the simplex from the initial profile, then restarts from the
-    best point with seeded jitter as long as the previous run improved
-    the best value by at least tol and budget remains.  The best
-    objective seen is non-decreasing throughout, and identical inputs
-    give identical results.
+    Runs the simplex from the initial profile.  A run that stops on
+    collapse or plateau is polished by damped Newton and certified when
+    it can be (see `_polish`); a run that stops on the budget is not.
+    The search ends at the first certified best point.  Otherwise it
+    restarts from the best point with seeded jitter as long as the
+    previous run improved the best value by at least tol and budget
+    remains.  The best objective seen is non-decreasing throughout, and
+    identical inputs give identical results; a search certified in its
+    first run never reads the seed.
     """
     if np.iscomplexobj(initial):  # the float conversion would drop the imaginary part
         raise InvalidConfigError(f"couplings must be real, got {initial!r}")
@@ -278,9 +458,9 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     ChainSpec(d=config.d, topology=LINE, E0=0.0, couplings=initial.tolist())
     x_start = _clip(initial)
     negated = _search_objective(config)
+    gradient = _search_gradient(config)
     rng = np.random.default_rng(config.seed)
-    best_x = x_start.copy()
-    best_f = negated(best_x)
+    best = _Polish(x_start.copy(), negated(x_start), False, math.inf)
     iterations = 0
     runs = 0
 
@@ -288,25 +468,33 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
         run = _simplex_descent(negated, x_start, config.max_iters - iterations, config.tol)
         iterations += run.iterations
         runs += 1
-        improved = run.f_best < best_f - config.tol
-        if run.f_best < best_f:
-            best_x, best_f = run.x_best, run.f_best
-        if run.stop_reason == BUDGET or not improved:
+        if run.stop_reason == BUDGET:
+            found = _Polish(run.x_best, run.f_best, False, math.inf)
+        else:
+            found = _polish(gradient, run.x_best, config.tol)
+        improved = found.f < best.f - config.tol
+        if found.f < best.f or found.f == best.f and found.certified:
+            best = found
+        if best.certified or run.stop_reason == BUDGET or not improved:
             break
-        jitter = 0.05 * max(1.0, float(np.max(np.abs(best_x))))
-        x_start = _clip(best_x + jitter * rng.standard_normal(best_x.shape[0]))
+        jitter = 0.05 * max(1.0, float(np.max(np.abs(best.x))))
+        x_start = _clip(best.x + jitter * rng.standard_normal(best.x.shape[0]))
 
+    best_x = best.x
     scale = float(np.max(np.abs(best_x)))
     if scale > 0:
         reported = best_x / scale
         fidelity = objective(reported, scale * config.t_target, config.d)
     else:
         reported = best_x
-        fidelity = -best_f
+        fidelity = -best.f
+    g = gradient(best_x)[1]
     return OptimizeResult(
         couplings=tuple(reported),
         fidelity=float(np.clip(fidelity, 0.0, 1.0)),
         iterations=iterations,
-        stop_reason=run.stop_reason,
+        stop_reason=CERTIFIED if best.certified else run.stop_reason,
         restarts=runs - 1,
+        gradient_norm=float(np.linalg.norm(g[_free(best_x, g)])),
+        decrement=best.decrement,
     )

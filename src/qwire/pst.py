@@ -16,7 +16,14 @@ import numpy as np
 
 from .errors import IndexOutOfRangeError, InvalidConfigError, ZeroThetaError, require_dim
 from .lattice import _line_matrix
-from .numerics import HERMITIAN, Operator, _evolution_factors, evolution_phases, float_or_inf
+from .numerics import (
+    HERMITIAN,
+    Operator,
+    _evolution_factors,
+    _phases,
+    evolution_phases,
+    float_or_inf,
+)
 
 MIRROR_ATOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
@@ -71,7 +78,12 @@ def transfer_fidelity(hamiltonian: Operator, t: float, source: int, target: int)
     with the amplitude summed as V[target,k] conj(V[source,k])
     exp(-i lambda_k t) over k."""
     _check_sites(hamiltonian.dim, source, target)
-    vectors, phases = evolution_phases(hamiltonian, t)
+    return _fidelity(*evolution_phases(hamiltonian, t), source, target)
+
+
+def _fidelity(vectors: np.ndarray, phases: np.ndarray, source: int, target: int) -> float:
+    """The arithmetic of `transfer_fidelity` from the factors V and
+    exp(-i lambda t) of one time's propagator."""
     amplitude = complex(phases @ (vectors[target] * vectors[source].conj()))
     return min(abs(amplitude) ** 2, 1.0)
 
@@ -119,6 +131,12 @@ def fidelity_curve(hamiltonian: Operator, t_grid, source: int, target: int) -> F
     _check_sites(hamiltonian.dim, source, target)
     # _evolution_factors refuses complex times
     vectors, values, times = _evolution_factors(hamiltonian, np.asarray(t_grid).reshape(-1))
+    return _contract_curve(vectors, values, times, source, target)
+
+
+def _contract_curve(vectors: np.ndarray, values: np.ndarray, times: np.ndarray,
+                    source: int, target: int) -> FidelityCurve:
+    """`fidelity_curve` from the factors `_evolution_factors` returned."""
     w = vectors[target] * vectors[source].conj()
     weights = np.stack((w.real, w.imag), axis=1)  # d x 2
     angles = np.multiply.outer(times, values)
@@ -156,10 +174,28 @@ def transfer_time(d: int, vartheta: float) -> TransferReport:
     and returns to its start after the period pi/vartheta."""
     hamiltonian = pst_hamiltonian(d, vartheta)  # checks vartheta before it divides
     t_star = (np.pi / 2) / float(vartheta)  # 2*vartheta could overflow
-    peak = transfer_fidelity(hamiltonian, t_star, 0, d - 1)
+    return _report(d, vartheta, t_star, transfer_fidelity(hamiltonian, t_star, 0, d - 1))
+
+
+def _report(d: int, vartheta: float, t_star: float, peak: float) -> TransferReport:
     if peak < 1.0 - PEAK_FIDELITY_FLOOR:
         raise ArithmeticError(f"transfer chain d={d} missed perfect fidelity: {peak!r}")
     return TransferReport(d=d, vartheta=vartheta, t_star=t_star, peak_fidelity=peak)
+
+
+def _curve_and_crossing(d: int, vartheta: float, t_grid) -> tuple[FidelityCurve, TransferReport]:
+    """`fidelity_curve(pst_hamiltonian(d, vartheta), t_grid, 0, d - 1)` and
+    `transfer_time(d, vartheta)` from one eigensolve, each bit for bit.
+
+    t_grid must hold a nonzero time, or no eigensolve is made.  The
+    phases at t* need no overflow check of their own: every |lambda| is
+    at most vartheta*(d-1), so |lambda|*t* <= pi*(d-1)/2."""
+    hamiltonian = pst_hamiltonian(d, vartheta)
+    vectors, values, times = _evolution_factors(hamiltonian, np.asarray(t_grid).reshape(-1))
+    curve = _contract_curve(vectors, values, times, 0, d - 1)
+    t_star = (np.pi / 2) / float(vartheta)
+    peak = _fidelity(vectors, _phases(values, t_star), 0, d - 1)
+    return curve, _report(d, vartheta, t_star, peak)
 
 
 def mirror_check(hamiltonian: Operator) -> bool:

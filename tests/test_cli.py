@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qwire import cli
+from qwire import cli, numerics, pst
 from qwire.errors import RegisterTooLargeError
 
 
@@ -149,6 +149,22 @@ class TestPstCommand:
         proc = run_cli("pst", "--d", "4", "--samples", "1")
         assert proc.returncode == 2
         assert "samples" in proc.stderr
+
+    @pytest.mark.parametrize("d", [8, 129, 200])
+    def test_one_eigensolve_per_run(self, d, capsys, monkeypatch):
+        # the curve and the crossing report share one spectral decomposition
+        solves = []
+        solve = numerics._hermitian_solve
+
+        def counting(matrix):
+            solves.append(matrix.shape)
+            return solve(matrix)
+
+        monkeypatch.setattr(numerics, "_hermitian_solve", counting)
+        assert cli.main(["pst", "--d", str(d), "--samples", "50"]) == 0
+        assert solves == [(d, d)]
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["peak_fidelity"] == pst.transfer_time(d, 1.0).peak_fidelity
 
     def test_overflowing_phases_rejected(self):
         # finite flags, but max |lambda| * t-max = 3e308 overflows: NaN phases before

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm_frechet
 
 from conftest import expm_series
 from qwire import optimizer
@@ -13,6 +14,7 @@ from qwire.optimizer import (
     _EXPAND,
     _SHRINK,
     BUDGET,
+    CERTIFIED,
     COLLAPSE,
     COUPLING_BOUND,
     PLATEAU,
@@ -20,6 +22,7 @@ from qwire.optimizer import (
     OptimizeResult,
     _clip,
     _initial_simplex,
+    _search_gradient,
     _search_objective,
     _SimplexRun,
     objective,
@@ -116,18 +119,33 @@ class TestConfig:
     def test_result_fidelity_range(self):
         with pytest.raises(ValueError):
             OptimizeResult(couplings=(1.0,), fidelity=1.2, iterations=1,
-                           stop_reason="plateau", restarts=0)
+                           stop_reason="plateau", restarts=0, gradient_norm=0.0,
+                           decrement=math.inf)
 
     def test_result_stop_reason_checked(self):
         with pytest.raises(ValueError, match="unknown stop reason"):
             OptimizeResult(couplings=(1.0,), fidelity=0.5, iterations=1,
-                           stop_reason="converged", restarts=0)
+                           stop_reason="converged", restarts=0, gradient_norm=0.0,
+                           decrement=math.inf)
 
+    @pytest.mark.parametrize("gradient_norm, decrement",
+                             [(math.nan, 0.0), (0.0, math.nan), (-1.0, 0.0), (0.0, -1e-300),
+                              (math.inf, 0.0)])
+    def test_result_certificate_fields_checked(self, gradient_norm, decrement):
+        with pytest.raises(ValueError, match="gradient norm"):
+            OptimizeResult(couplings=(1.0,), fidelity=0.5, iterations=1,
+                           stop_reason="plateau", restarts=0, gradient_norm=gradient_norm,
+                           decrement=decrement)
+
+    # only a certified search has converged: a collapse or plateau of the
+    # simplex alone is no evidence of a maximum
     @pytest.mark.parametrize("stop_reason, converged",
-                             [("collapse", True), ("plateau", True), ("budget", False)])
+                             [("certified", True), ("collapse", False), ("plateau", False),
+                              ("budget", False)])
     def test_result_converged_is_derived(self, stop_reason, converged):
         result = OptimizeResult(couplings=(1.0,), fidelity=0.5, iterations=1,
-                                stop_reason=stop_reason, restarts=0)
+                                stop_reason=stop_reason, restarts=0, gradient_norm=0.0,
+                                decrement=math.inf)
         assert result.converged is converged
 
 
@@ -259,6 +277,167 @@ class TestOptimize:
         assert result.fidelity > objective(start, config.t_target, config.d) + 0.5
 
 
+def _frechet_gradient(x: np.ndarray, t: float, d: int) -> np.ndarray:
+    """Gradient of -F from scipy's Frechet derivative of expm: an
+    independent route to da/dA_l = [L(-iHt, -iEt)][d-1, 0], where E is the
+    bond's -1 pair, and then d(-F) = -2 Re(conj(a) da)."""
+    h = np.diag(-x, 1) + np.diag(-x, -1)
+    gradient = np.empty(d - 1)
+    for bond in range(d - 1):
+        e = np.zeros((d, d))
+        e[bond, bond + 1] = e[bond + 1, bond] = -1.0
+        propagator, derivative = expm_frechet(-1j * t * h, -1j * t * e)
+        amplitude = propagator[d - 1, 0]
+        gradient[bond] = -2.0 * (np.conj(amplitude) * derivative[d - 1, 0]).real
+    return gradient
+
+
+@st.composite
+def _profiles(draw):
+    """(d, t, couplings): free profiles, mirror-symmetric ones whose middle
+    bond is near 0 (near-degenerate pairs of eigenvalues) and profiles with
+    coordinates on +-COUPLING_BOUND."""
+    d = draw(st.integers(2, 12))
+    t = draw(st.floats(0.01, 10.0))
+    bound = st.floats(-COUPLING_BOUND, COUPLING_BOUND)
+    x = np.array(draw(st.lists(bound, min_size=d - 1, max_size=d - 1)))
+    kind = draw(st.sampled_from(["free", "split", "bound"]))
+    if kind == "split":
+        x = np.concatenate([x[: d // 2], x[: (d - 1) // 2][::-1]])
+        x[(d - 1) // 2] = draw(st.sampled_from([0.0, 1e-14, -1e-11, 1e-8, -1e-5]))
+    elif kind == "bound":
+        on = draw(st.lists(st.booleans(), min_size=d - 1, max_size=d - 1))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d - 1, max_size=d - 1))
+        x = np.where(on, np.array(signs) * COUPLING_BOUND, x)
+    return d, t, x
+
+
+class TestGradient:
+    """`_search_gradient`: the negated objective's value, bit for bit, and
+    its analytic gradient against two independent routes."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_profiles())
+    def test_value_is_the_search_objective(self, case):
+        d, t, x = case
+        config = OptimizeConfig(d=d, t_target=t)
+        negated, gradient = _search_objective(config), _search_gradient(config)
+        assert gradient(x)[0].hex() == negated(x).hex() == (-objective(x, t, d)).hex()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=_profiles())
+    def test_matches_expm_frechet(self, case):
+        # |dF/dA_l| <= 2t: the derivative of exp(-iHt) along a unit bond is at most t
+        d, t, x = case
+        value, gradient = _search_gradient(OptimizeConfig(d=d, t_target=t))(x)
+        assert np.abs(gradient - _frechet_gradient(x, t, d)).max() <= 1e-12 * max(1.0, t)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=_profiles())
+    def test_matches_central_differences_of_objective(self, case):
+        # the truncation error is h^2/6 times the third derivative, which grows as t^3
+        d, t, x = case
+        step = 1e-5
+        value, gradient = _search_gradient(OptimizeConfig(d=d, t_target=t))(x)
+        differences = np.array([
+            -(objective(x + step * e, t, d) - objective(x - step * e, t, d)) / (2 * step)
+            for e in np.eye(d - 1)
+        ])
+        assert np.abs(gradient - differences).max() <= 1e-9 * max(1.0, t**3)
+
+    def test_one_closure_leaves_no_state_between_calls(self):
+        # x1, x2, x1 on one closure: the chain matrix is refilled every call
+        gradient = _search_gradient(OptimizeConfig(d=6, t_target=1.1))
+        x1, x2 = np.linspace(0.5, 1.5, 5), np.linspace(-3.0, 2.0, 5)
+        first = gradient(x1)
+        gradient(x2)
+        again = gradient(x1)
+        assert first[0].hex() == again[0].hex()
+        assert first[1].tobytes() == again[1].tobytes()
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_vanishes_on_the_transfer_profile(self, d):
+        # F = 1 there, the maximum: every partial derivative is rounding
+        _, gradient = _search_gradient(OptimizeConfig(d=d, t_target=math.pi / 2))(
+            pst_couplings(d, 1.0))
+        assert np.abs(gradient).max() <= 1e-13
+
+
+class TestPolish:
+    def test_certificate_on_the_transfer_profile(self):
+        # F's Hessian there is negative definite, so the certificate holds
+        # with a decrement at rounding level, and the Newton step that may
+        # follow moves the point by rounding alone
+        d = 6
+        config = OptimizeConfig(d=d, t_target=math.pi / 2)
+        x = pst_couplings(d, 1.0)
+        polished = optimizer._polish(_search_gradient(config), x, config.tol)
+        assert polished.certified
+        assert np.abs(polished.x - x).max() <= 1e-14
+        assert polished.decrement <= 1e-25
+
+    def test_certificate_needs_the_decrement_within_tol(self):
+        # d = 2: F = sin^2(A t), so at t = pi/2 and A = 1 + delta the
+        # decrement is about pi^2 delta^2 / 4, 9.9e-8 for delta = 2e-4: above
+        # tol, so the polish steps before it certifies
+        config = OptimizeConfig(d=2, t_target=math.pi / 2)
+        gradient = _search_gradient(config)
+        x = np.array([1.0 + 2e-4])
+        hessian = optimizer._hessian(gradient, x)
+        _, first = optimizer._newton_step(np.array([True]), gradient(x)[1], hessian)
+        assert first == pytest.approx(math.pi**2 * 4e-8 / 4, rel=1e-3)
+        polished = optimizer._polish(gradient, x, config.tol)
+        assert polished.certified and polished.decrement <= config.tol
+        assert -polished.f >= 1 - 1e-15
+
+    def test_hessian_matches_frechet_differences(self):
+        # symmetrized central differences of the analytic gradient, against
+        # central differences of the independent Frechet route
+        d, t = 5, 1.3
+        x = np.array([0.7, 1.4, -0.9, 1.1])
+        hessian = optimizer._hessian(_search_gradient(OptimizeConfig(d=d, t_target=t)), x)
+        step = 1e-5
+        oracle = np.array([(_frechet_gradient(x + step * e, t, d)
+                            - _frechet_gradient(x - step * e, t, d)) / (2 * step)
+                           for e in np.eye(d - 1)])
+        assert np.array_equal(hessian, hessian.T)
+        assert np.abs(hessian - oracle).max() <= 1e-8
+
+    def test_fixed_coordinates_take_no_step(self):
+        # on +bound with the ascent direction (-g) pointing outward: fixed;
+        # on -bound with -g pointing inward: free
+        x = np.array([COUPLING_BOUND, 1.0, -COUPLING_BOUND])
+        g = np.array([-0.5, 0.2, -0.5])
+        free = optimizer._free(x, g)
+        assert free.tolist() == [False, True, True]
+        step, decrement = optimizer._newton_step(free, g, np.diag([1.0, 2.0, 4.0]))
+        assert step.tolist() == [0.0, -0.1, 0.125]
+        assert decrement == pytest.approx((0.2**2 / 2.0 + 0.5**2 / 4.0) / 2, rel=1e-15)
+
+    def test_indefinite_hessian_gives_no_step(self):
+        g = np.array([0.1, 0.1])
+        step, decrement = optimizer._newton_step(np.array([True, True]), g,
+                                                 np.array([[1.0, 0.0], [0.0, -1e-3]]))
+        assert step is None and decrement == math.inf
+
+    def test_budget_stop_is_not_polished(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_polish", None)  # a call would raise
+        config = OptimizeConfig(d=5, t_target=math.pi / 2, max_iters=7)
+        result = optimize_couplings(config, np.ones(4))
+        assert (result.stop_reason, result.iterations) == (BUDGET, 7)
+        assert result.decrement == math.inf and result.gradient_norm > 0
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_uniform_start_result_is_the_same_for_every_seed(self, d):
+        # the first run does not read the seed, and a certified search ends there
+        results = {optimize_couplings(OptimizeConfig(d=d, t_target=math.pi / 2, seed=seed),
+                                      np.ones(d - 1)) for seed in (0, 1, 17, 999)}
+        assert len(results) == 1
+        (result,) = results
+        assert result.stop_reason == CERTIFIED and result.restarts == 0
+        assert result.fidelity >= 1 - 1e-10
+
+
 class TestInitialSimplex:
     # the smallest subnormal is a nonzero start that 1.05x leaves unmoved
     special = [0.0, -0.0, math.ulp(0.0), -math.ulp(0.0), COUPLING_BOUND, -COUPLING_BOUND]
@@ -291,56 +470,82 @@ class TestInitialSimplex:
         assert optimizer._initial_simplex(start).tobytes() == expected.tobytes()
 
 
+def _counting_runs(monkeypatch) -> list:
+    """Records every simplex run of the searches that follow."""
+    runs = []
+    descent = optimizer._simplex_descent
+
+    def counting(*args):
+        runs.append(descent(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(optimizer, "_simplex_descent", counting)
+    return runs
+
+
 class TestStopReason:
-    def test_fixed_point_stops_on_plateau(self):
-        # acceptance criterion 9's fixed point: one sweep, no restart
+    def test_fixed_point_is_certified_in_one_sweep(self):
+        # acceptance criterion 9's fixed point: one sweep, no restart, and
+        # the certificate holds there with a vanishing decrement
         config = OptimizeConfig(d=4, t_target=math.pi / 2, seed=7)
         result = optimize_couplings(config, pst_couplings(4, 1.0))
-        assert (result.stop_reason, result.iterations, result.restarts) == ("plateau", 4, 0)
+        assert (result.stop_reason, result.iterations, result.restarts) == ("certified", 4, 0)
+        assert result.converged
+        # F rounds to 1 there, so a Newton step could move it by rounding at most
+        assert np.abs(np.array(result.couplings) - pst_couplings(4, 1.0) / 2.0).max() <= 1e-14
+        assert result.decrement <= 1e-20 and result.gradient_norm <= 1e-14
 
-    def test_collapse(self):
-        # with tol = 0.1 the first simplex, 0.025 across, has already collapsed
+    def test_collapse_away_from_a_maximum_is_not_converged(self):
+        # with tol = 0.1 the first simplex, 0.025 across, has already
+        # collapsed, at F = 0.1 where F's Hessian is not negative definite
         config = OptimizeConfig(d=3, t_target=math.pi / 2, tol=0.1, seed=1)
         result = optimize_couplings(config, [0.5, 0.5])
         assert (result.stop_reason, result.iterations, result.restarts) == ("collapse", 1, 0)
-        assert result.converged
+        assert not result.converged
+        assert result.decrement == math.inf and result.gradient_norm > 0.1
 
     @pytest.mark.parametrize("d", [3, 4, 8])
-    def test_restarts_count_runs_after_the_first(self, d, monkeypatch):
-        runs = []
-        descent = optimizer._simplex_descent
-
-        def counting(*args):
-            runs.append(descent(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(optimizer, "_simplex_descent", counting)
+    def test_certified_search_does_not_restart(self, d, monkeypatch):
+        runs = _counting_runs(monkeypatch)
         config = OptimizeConfig(d=d, t_target=math.pi / 2, seed=7)
         result = optimize_couplings(config, np.ones(d - 1))
-        assert result.restarts == len(runs) - 1 >= 1
-        assert result.stop_reason == runs[-1].stop_reason
-        assert result.iterations == sum(run.iterations for run in runs)
+        assert len(runs) == 1 and result.restarts == 0
+        assert runs[0].stop_reason == PLATEAU and result.stop_reason == CERTIFIED
+        assert result.iterations == runs[0].iterations
+        assert result.fidelity >= 1 - 1e-10
 
-    def test_near_zero_plateau_still_accepted(self):
-        # Open defect: near F = 0 every move is below the absolute tol, so a
-        # search that found nothing is reported as a converged plateau.
+    @pytest.mark.parametrize("d, t, seed", [(7, 3.0, 4), (8, math.pi / 2, 1)])
+    def test_uncertified_search_restarts(self, d, t, seed, monkeypatch):
+        # both stop against the coupling bound, where F's Hessian is not
+        # negative definite on the free coordinates
+        runs = _counting_runs(monkeypatch)
+        start = np.random.default_rng(seed).uniform(0.5, 1.5, d - 1)
+        result = optimize_couplings(OptimizeConfig(d=d, t_target=t, seed=seed), start)
+        assert result.restarts == len(runs) - 1 >= 1
+        assert result.stop_reason == runs[-1].stop_reason == PLATEAU
+        assert result.iterations == sum(run.iterations for run in runs)
+        assert not result.converged and result.decrement == math.inf
+
+    def test_near_zero_plateau_is_not_converged(self):
+        # near F = 0 every simplex move is below the absolute tol; F's
+        # Hessian there is not negative definite, so nothing is certified
         config = OptimizeConfig(d=12, t_target=math.pi / 2)
         result = optimize_couplings(config, np.ones(11))
         assert (result.stop_reason, result.iterations, result.restarts) == ("plateau", 12, 0)
+        assert not result.converged
         assert result.fidelity == pytest.approx(1.2e-11, rel=0.05)
+        assert result.decrement == math.inf
 
-    @pytest.mark.parametrize("seed, stop, fidelity", [
-        (108, ("plateau", 28, 1), 0.9829518819695046),
-        (235, ("plateau", 28, 1), 0.9829518819695046),
-        (180, ("plateau", 32, 2), 0.9980667556524044),
-    ])
-    def test_stationary_point_plateau_still_accepted(self, seed, stop, fidelity):
-        # Open defect: these restarts stall short of the F = 1 profile, and
-        # the absolute plateau test reports the stall as converged.
+    @pytest.mark.parametrize("seed", [108, 235, 180])
+    def test_former_stalls_are_certified(self, seed):
+        # these seeds' restarts used to stall short of the F = 1 profile at
+        # points where |grad F| was 0.06-0.18; the first run's polish now
+        # reaches the maximum, so no restart runs and the seed plays no part
         config = OptimizeConfig(d=4, t_target=math.pi / 2, seed=seed)
         result = optimize_couplings(config, np.ones(3))
-        assert (result.stop_reason, result.iterations, result.restarts) == stop
-        assert result.fidelity == pytest.approx(fidelity, rel=1e-6)
+        assert (result.stop_reason, result.restarts) == ("certified", 0)
+        assert result.fidelity >= 1 - 1e-10
+        assert result.decrement <= config.tol
 
 
 _REFLECT = 1.0

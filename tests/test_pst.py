@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import expm_series, random_hermitian
+from qwire import numerics, pst
 from qwire.errors import (
     DimensionTooSmallError,
     IndexOutOfRangeError,
@@ -27,6 +28,7 @@ from qwire.numerics import (
 from qwire.pst import (
     FidelityCurve,
     TransferReport,
+    _curve_and_crossing,
     fidelity_curve,
     mirror_check,
     pst_couplings,
@@ -391,6 +393,42 @@ class TestTransferTime:
     def test_report_rejects_t_star_outside_positive_finite(self, t_star):
         with pytest.raises(ValueError, match="transfer time must be positive and finite"):
             TransferReport(d=4, vartheta=1.0, t_star=t_star, peak_fidelity=1.0)
+
+
+class TestCurveAndCrossing:
+    """`pst._curve_and_crossing` serves `qwire pst` from one eigensolve."""
+
+    # odd and even d, below and above the parity split, and a vartheta
+    # whose 2*vartheta overflows
+    @pytest.mark.parametrize("d, vartheta, t_max, samples", [
+        (2, 1.0, 3.2, 400), (5, 0.3, 12.0, 97), (8, 1.0, 3.2, 400), (64, 3.1, 1.0, 1000),
+        (129, 1.0, math.pi, 300), (200, 1.0, math.pi, 4000), (257, 1.9, 2.0, 50),
+        (2, 1.7e308, 1e-308, 3),
+    ])
+    def test_equals_curve_and_transfer_time(self, d, vartheta, t_max, samples, monkeypatch):
+        grid = np.linspace(0.0, t_max, samples)
+        expected_curve = fidelity_curve(pst_hamiltonian(d, vartheta), grid, 0, d - 1)
+        expected_report = transfer_time(d, vartheta)
+        solves = []
+        solve = numerics._hermitian_solve
+
+        def counting(matrix):
+            solves.append(matrix.shape)
+            return solve(matrix)
+
+        monkeypatch.setattr(numerics, "_hermitian_solve", counting)
+        curve, report = _curve_and_crossing(d, vartheta, grid)
+        assert solves == [(d, d)]
+        assert curve.times.tobytes() == expected_curve.times.tobytes()
+        assert curve.fidelities.tobytes() == expected_curve.fidelities.tobytes()
+        # the crossing keeps transfer_fidelity's complex phases, bit for bit
+        assert report == expected_report
+        assert report.peak_fidelity.hex() == expected_report.peak_fidelity.hex()
+
+    def test_missed_crossing_still_raises(self, monkeypatch):
+        monkeypatch.setattr(pst, "PEAK_FIDELITY_FLOOR", -1.0)  # every peak misses 2
+        with pytest.raises(ArithmeticError, match="missed perfect fidelity"):
+            _curve_and_crossing(7, 1.0, np.linspace(0.0, 1.0, 5))
 
 
 class TestMirrorCheck:
