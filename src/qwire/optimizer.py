@@ -9,10 +9,12 @@ the initial evaluations and after a shrink, and every other step inserts
 its one new vertex in place.  The collapse test measures the whole
 simplex only when the worst vertex is already within tol of the best.
 
-The polish takes the analytic gradient from the same single eigensolve
-that gives the fidelity (`_search_gradient`), forms the Hessian from
-central differences of that gradient, and takes damped Newton steps
-inside the +-COUPLING_BOUND box.  A point is certified when F's Hessian
+Both the simplex's objective and the polish's gradient come from one
+factory, `_search`: its two closures share one chain matrix and one
+eigensolve step, so the gradient comes from the same single `_eigh` that
+gives the fidelity.  The polish forms the Hessian from central
+differences of that gradient and takes damped Newton steps inside the
++-COUPLING_BOUND box.  A point is certified when F's Hessian
 is negative definite on the free coordinates and the Newton decrement is
 at most tol (Boyd & Vandenberghe, Convex Optimization, 9.5; Nocedal &
 Wright, Numerical Optimization, Thm 2.4); only then has the search
@@ -269,44 +271,20 @@ def _simplex_descent(
     return _SimplexRun(simplex[0].copy(), float(fvals[0]), iterations, stop_reason)
 
 
-def _chain(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A zero d x d float64 matrix and writable views of its two bond
-    diagonals, h[l, l+1] and h[l+1, l]."""
-    chain = np.zeros((d, d))
-    flat = chain.reshape(-1)
-    return chain, flat[1 :: d + 1], flat[d :: d + 1]
-
-
-def _search_objective(config: OptimizeConfig) -> Callable[[np.ndarray], float]:
-    """The negated `objective` at config's d and t_target, for coupling
-    arrays whose count and finiteness were checked once per search.
-
-    The closure owns one d x d chain matrix: each call rewrites both bond
-    diagonals of it, makes one `_eigh` and reads the end-to-end fidelity
-    with the arithmetic of `transfer_fidelity` on a real chain, bit for bit,
-    without objective's per-call ChainSpec and time checks (OptimizeConfig
-    certified t_target)."""
-    d = config.d
-    chain, upper, lower = _chain(d)
-    minus_it = -1j * float(config.t_target)
-
-    def negated(x: np.ndarray) -> float:
-        np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
-        lower[...] = upper
-        values, vectors = _eigh(chain)
-        amplitude = complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
-        return -min(abs(amplitude) ** 2, 1.0)
-
-    return negated
-
-
 # the negated objective and its gradient at one point
 _Gradient = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
-def _search_gradient(config: OptimizeConfig) -> _Gradient:
-    """The negated objective and its gradient in the couplings, from one
-    `_eigh`; the value is `_search_objective`'s closure's, bit for bit.
+def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Gradient]:
+    """The negated `objective` at config's d and t_target, and the same
+    value with its gradient in the couplings, for coupling arrays whose
+    count and finiteness were checked once per search.
+
+    Both closures share one d x d chain matrix and one step: rewrite both
+    bond diagonals, make one `_eigh` and read the end-to-end amplitude a
+    with the arithmetic of `transfer_fidelity` on a real chain, bit for
+    bit, without objective's per-call ChainSpec and time checks
+    (OptimizeConfig certified t_target).
 
     With H = V diag(lambda) V^T, u = V[d-1] and w = V[0], the amplitude
     a = <d-1| exp(-iHt) |0> has the Daleckii-Krein derivative
@@ -320,19 +298,28 @@ def _search_gradient(config: OptimizeConfig) -> _Gradient:
     half-angle phases h_j h_k, and the bond entries of V R V^T are read
     off without the full product."""
     d = config.d
-    chain, upper, lower = _chain(d)
+    chain = np.zeros((d, d))
+    flat = chain.reshape(-1)
+    upper, lower = flat[1 :: d + 1], flat[d :: d + 1]  # h[l, l+1] and h[l+1, l]
     t = float(config.t_target)
     minus_it = -1j * t
     half_t = 0.5 * t
     tiny = np.finfo(float).tiny  # sin(tiny) / tiny == 1.0, the sinc of a zero gap
 
-    def negated_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
-        np.subtract(0.0, x, out=upper)
+    def solve(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, complex]:
+        """-F at x, with the eigenpairs and the amplitude it came from."""
+        np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
         lower[...] = upper
         values, vectors = _eigh(chain)
+        amplitude = complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
+        return -min(abs(amplitude) ** 2, 1.0), values, vectors, amplitude
+
+    def negated(x: np.ndarray) -> float:
+        return solve(x)[0]
+
+    def negated_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, values, vectors, amplitude = solve(x)
         u, w = vectors[d - 1], vectors[0]
-        amplitude = complex(np.exp(values * minus_it) @ (u * w))
-        negated = -min(abs(amplitude) ** 2, 1.0)
         angles = values * half_t
         half = np.exp(angles * -1j)
         scaled = half * u
@@ -345,9 +332,9 @@ def _search_gradient(config: OptimizeConfig) -> _Gradient:
         weights *= np.sin(gap)
         weights /= gap
         # d(-F)/dA_l = 2 Re(conj(a) (S[l, l+1] + S[l+1, l])) = 2 (V R V^T)[l, l+1]
-        return negated, np.multiply(vectors[:-1] @ weights, vectors[1:]).sum(axis=1)
+        return value, np.multiply(vectors[:-1] @ weights, vectors[1:]).sum(axis=1)
 
-    return negated_and_gradient
+    return negated, negated_and_gradient
 
 
 class _Polish(NamedTuple):
@@ -447,18 +434,15 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     identical inputs give identical results; a search certified in its
     first run never reads the seed.
     """
-    if np.iscomplexobj(initial):  # the float conversion would drop the imaginary part
-        raise InvalidConfigError(f"couplings must be real, got {initial!r}")
-    initial = np.asarray(initial, dtype=float).reshape(-1)
-    # Validated once per search: ChainSpec checks the coupling count and
-    # finiteness of the start before clipping could turn +-inf into
-    # +-COUPLING_BOUND, and clipped simplex moves and jitter of finite
-    # points keep both; OptimizeConfig certifies d and t_target, and the
-    # end sites 0 and d-1 exist for every d >= 2.
-    ChainSpec(d=config.d, topology=LINE, E0=0.0, couplings=initial.tolist())
-    x_start = _clip(initial)
-    negated = _search_objective(config)
-    gradient = _search_gradient(config)
+    # Validated once per search, as objective validates each call: ChainSpec
+    # refuses a complex, non-finite or miscounted start before clipping
+    # could turn +-inf into +-COUPLING_BOUND, and clipped simplex moves and
+    # jitter of finite points keep count and finiteness; OptimizeConfig
+    # certifies d and t_target, and the end sites 0 and d-1 exist for
+    # every d >= 2.
+    spec = ChainSpec(config.d, LINE, 0.0, np.asarray(initial).reshape(-1).tolist())
+    x_start = _clip(np.array(spec.couplings))
+    negated, gradient = _search(config)
     rng = np.random.default_rng(config.seed)
     best = _Polish(x_start.copy(), negated(x_start), False, math.inf)
     iterations = 0

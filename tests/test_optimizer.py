@@ -22,13 +22,20 @@ from qwire.optimizer import (
     OptimizeResult,
     _clip,
     _initial_simplex,
-    _search_gradient,
-    _search_objective,
+    _search,
     _SimplexRun,
     objective,
     optimize_couplings,
 )
 from qwire.pst import pst_couplings
+
+
+def _search_objective(config):
+    return _search(config)[0]
+
+
+def _search_gradient(config):
+    return _search(config)[1]
 
 
 class TestObjective:
@@ -256,8 +263,9 @@ class TestOptimize:
         starts = (np.ones(d - 1), rng.uniform(0.5, 1.5, d - 1))
         configs = [OptimizeConfig(d=d, t_target=math.pi / 2, seed=seed) for seed in (0, 1, 2)]
         shipped = [optimize_couplings(c, x) for c in configs for x in starts]
-        monkeypatch.setattr(optimizer, "_search_objective",
-                            lambda c: lambda x: -objective(x, c.t_target, c.d))
+        search = optimizer._search
+        monkeypatch.setattr(optimizer, "_search",
+                            lambda c: (lambda x: -objective(x, c.t_target, c.d), search(c)[1]))
         assert shipped == [optimize_couplings(c, x) for c in configs for x in starts]
 
     def test_budget_exhaustion_reports_not_converged(self):
@@ -354,6 +362,16 @@ class TestGradient:
         again = gradient(x1)
         assert first[0].hex() == again[0].hex()
         assert first[1].tobytes() == again[1].tobytes()
+        # the two closures of one search share that matrix: value at x1,
+        # gradient at x2, value at x1, each equal to a fresh closure's
+        config = OptimizeConfig(d=6, t_target=1.1)
+        negated, gradient = _search(config)
+        v1, (v2, g2), v3 = negated(x1), gradient(x2), negated(x1)
+        fresh_v1 = _search_objective(config)(x1)
+        fresh_v2, fresh_g2 = _search_gradient(config)(x2)
+        assert v1.hex() == v3.hex() == fresh_v1.hex()
+        assert v2.hex() == fresh_v2.hex()
+        assert g2.tobytes() == fresh_g2.tobytes()
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_vanishes_on_the_transfer_profile(self, d):
