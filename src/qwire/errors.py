@@ -15,15 +15,21 @@ class DimensionTooSmallError(QwireError):
     """Requested dimension is below the minimum of 2."""
 
 
+def require_integer(value, name: str) -> int:
+    """operator.index(value), the integer rule of every count, dimension
+    and index argument (numpy integers pass): InvalidConfigError naming the
+    argument for a value that is not an integer, such as 2.5, 4.0 or NaN."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def require_dim(d: int) -> None:
     """The integer d >= 2 rule of every chain, dispersion and shift/clock
-    builder: InvalidConfigError for a d that is not an integer (numpy
-    integers are), DimensionTooSmallError for one below 2."""
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise InvalidConfigError(f"d must be an integer, got {d!r}") from None
-    if d < 2:
+    builder: InvalidConfigError for a d that is not an integer,
+    DimensionTooSmallError for one below 2."""
+    if require_integer(d, "d") < 2:
         raise DimensionTooSmallError(f"d must be >= 2, got {d}")
 
 

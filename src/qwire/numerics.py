@@ -44,14 +44,15 @@ complex input up front and checks any sum or product of finite inputs
 that could overflow, so every entry is finite.  The check could not fail
 on them.
 
-The coupling search in `optimizer` builds no `Operator` at all: it
-writes each chain's bonds into one float64 matrix of its own and calls
-`_eigh` on it directly, then reads the fidelity with the same arithmetic
-as `transfer_fidelity`.  Its Newton polish reads the gradient from the
-same single `_eigh` per point, and its second-order certificate makes
-one more `_eigh` call on the small Hessian.  It relies on
-`OptimizeConfig` for d and the time and on one `ChainSpec` check of its
-start for the couplings.
+The coupling search in `optimizer` builds no `Operator` at all.  Its
+objective and its Newton polish's gradient are two closures of one
+factory that share one float64 chain matrix and one step: write the
+chain's bonds into it, call `_eigh` on it directly and read the
+amplitude with the same arithmetic as `transfer_fidelity`.  So the
+gradient comes from the same single `_eigh` per point, and the
+second-order certificate makes one more `_eigh` call on the small
+Hessian.  It relies on `OptimizeConfig` for d and the time and on one
+`ChainSpec` check of its start for the couplings.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .errors import (
     InvalidConfigError,
     NonHermitianInputError,
     NotNormalizedError,
+    require_integer,
 )
 
 # Tolerance policy: absolute for exact algebraic identities at small
@@ -195,7 +197,8 @@ class StateVector:
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis state |index> in a dim-dimensional space."""
-    if not 0 <= index < dim:
+    dim = require_integer(dim, "dim")
+    if not 0 <= require_integer(index, "index") < dim:
         raise DimensionMismatchError(f"index {index} outside dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0

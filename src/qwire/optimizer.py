@@ -40,6 +40,11 @@ from .pst import transfer_fidelity
 
 COUPLING_BOUND = 10.0
 
+# Every level of a chain in the box has |lambda| < 2 * COUPLING_BOUND, so
+# from this time on rounding lambda alone moves the phase lambda * t by
+# more than a radian and F keeps no correct digit: about 2.25e14.
+_T_TARGET_LIMIT = 1 / (2 * COUPLING_BOUND * float(np.finfo(float).eps))
+
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
@@ -70,7 +75,7 @@ class OptimizeConfig:
     """Search settings: chain length, target transfer time, iteration
     budget, convergence threshold, and the seed for restart jitter.
     InvalidConfigError (a ValueError) is raised for any value outside
-    its domain."""
+    its domain, which for t_target ends below _T_TARGET_LIMIT."""
 
     d: int
     t_target: float
@@ -83,12 +88,12 @@ class OptimizeConfig:
             value = getattr(self, name)
             if not (isinstance(value, Integral) and value >= low):
                 raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("t_target", "tol"):
+        for name, high in (("t_target", _T_TARGET_LIMIT), ("tol", math.inf)):
             value = getattr(self, name)
             # Real first: comparing a complex would raise TypeError
-            if not (isinstance(value, Real) and 0 < float_or_inf(value) < math.inf):
+            if not (isinstance(value, Real) and 0 < float_or_inf(value) < high):
                 raise InvalidConfigError(
-                    f"{name} must be real, positive and finite, got {value!r}"
+                    f"{name} must be real, positive and below {high:.4g}, got {value!r}"
                 )
 
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, InvalidConfigError, ZeroThetaError, require_dim
+from .errors import (
+    IndexOutOfRangeError,
+    InvalidConfigError,
+    ZeroThetaError,
+    require_dim,
+    require_integer,
+)
 from .lattice import _line_matrix
 from .numerics import (
     HERMITIAN,
@@ -68,7 +74,7 @@ def pst_hamiltonian(d: int, vartheta: float) -> Operator:
 
 def _check_sites(dim: int, source: int, target: int) -> None:
     for name, site in (("source", source), ("target", target)):
-        if not 0 <= site < dim:
+        if not 0 <= require_integer(site, name) < dim:
             raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
 
 
@@ -90,7 +96,8 @@ def _fidelity(vectors: np.ndarray, phases: np.ndarray, source: int, target: int)
 
 @dataclass(frozen=True)
 class FidelityCurve:
-    """Transfer fidelity sampled on a strictly increasing time grid."""
+    """Transfer fidelity sampled on a non-empty, strictly increasing time
+    grid."""
 
     times: np.ndarray
     fidelities: np.ndarray
@@ -100,8 +107,9 @@ class FidelityCurve:
     def __post_init__(self) -> None:
         times = np.array(self.times, dtype=float)
         fidelities = np.array(self.fidelities, dtype=float)
-        if times.shape != fidelities.shape or times.ndim != 1:
-            raise InvalidConfigError("times and fidelities must be 1-d arrays of equal length")
+        if times.shape != fidelities.shape or times.ndim != 1 or not times.size:
+            raise InvalidConfigError(
+                "times and fidelities must be non-empty 1-d arrays of equal length")
         # written so that NaN fails each check
         if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
             raise InvalidConfigError("times must be finite and strictly increasing")

@@ -28,6 +28,7 @@ from .errors import (
     InvalidConfigError,
     NonHermitianInputError,
     RegisterTooLargeError,
+    require_integer,
 )
 from .numerics import GENERAL, HERMITIAN, Operator, float_or_inf, max_abs
 
@@ -46,7 +47,7 @@ class QubitRegister:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.n >= 1:  # NaN fails too
+        if require_integer(self.n, "n") < 1:
             raise InvalidConfigError(f"register needs n >= 1, got {self.n}")
         if self.n > MAX_QUBITS:
             raise RegisterTooLargeError(f"n = {self.n} exceeds cap {MAX_QUBITS}")
@@ -77,7 +78,7 @@ def sector_map(n: int) -> SectorMap:
 def lowering_operator(n: int, site: int) -> Operator:
     """Annihilation operator on one site of an n-qubit register."""
     register = QubitRegister(n)
-    if not 0 <= site < register.n:
+    if not 0 <= require_integer(site, "site") < register.n:
         raise IndexOutOfRangeError(f"site {site} outside register of {n} qubits")
     factors = [_LOWER if k == site else _EYE2 for k in range(n)]
     return Operator(reduce(np.kron, factors), tag=GENERAL)
@@ -150,7 +151,8 @@ class ClassicalityGap(NamedTuple):
 def classicality_gap(N: int) -> ClassicalityGap:
     """State-count comparison for N two-level systems: 2^N quantum basis
     states versus 2N classical arrow parameters, and their difference."""
-    if not N >= 1:
+    N = require_integer(N, "N")
+    if N < 1:
         raise InvalidConfigError(f"N must be >= 1, got {N}")
     if N > 62:
         raise OverflowError(f"N = {N} exceeds the exact-integer cap of 62")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,7 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"d": 4, "t_target": 1j}, {"d": 4, "t_target": np.complex128(1.0)},
         {"d": 4, "t_target": 1.0, "tol": 1j}, {"d": 4, "t_target": 10**400},
+        {"d": 4, "t_target": 1e200}, {"d": 4, "t_target": optimizer._T_TARGET_LIMIT},
         {"d": 4, "t_target": "1.0"},
         {"d": 4.5, "t_target": 1.0}, {"d": 4.0, "t_target": 1.0},
         {"d": 4, "t_target": 1.0, "seed": -1}, {"d": 4, "t_target": 1.0, "seed": 1.0},
@@ -115,6 +117,18 @@ class TestConfig:
         # a QwireError too, so the CLI maps it to exit 2 without a copy of the rule
         assert isinstance(excinfo.value, QwireError)
         assert excinfo.type is InvalidConfigError
+
+    @pytest.mark.parametrize("start", [1.0, COUPLING_BOUND])
+    @pytest.mark.parametrize("d", [2, 6, 12])
+    def test_time_just_below_the_limit_searches_cleanly(self, d, start):
+        # beyond the limit rounding a level moves its phase by over a radian;
+        # just below it a short search still raises no warning
+        config = OptimizeConfig(d=d, t_target=math.nextafter(optimizer._T_TARGET_LIMIT, 0),
+                                max_iters=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = optimize_couplings(config, np.full(d - 1, start))
+        assert 0.0 <= result.fidelity <= 1.0
 
     def test_numpy_integer_d_accepted(self):
         assert OptimizeConfig(d=np.int64(4), t_target=1.0).d == 4

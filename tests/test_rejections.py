@@ -20,7 +20,15 @@ from qwire.lattice import (
     uniform_chain,
     wave_numbers,
 )
-from qwire.numerics import HERMITIAN, UNITARY, Operator, StateVector, evolution_phases, evolve
+from qwire.numerics import (
+    HERMITIAN,
+    UNITARY,
+    Operator,
+    StateVector,
+    basis_state,
+    evolution_phases,
+    evolve,
+)
 from qwire.optimizer import OptimizeConfig, objective, optimize_couplings
 from qwire.pst import (
     fidelity_curve,
@@ -118,6 +126,20 @@ QUBIT_ARGUMENTS = {
     "classicality_gap": classicality_gap,
 }
 
+# index (or size) argument -> (call taking it, the name its error gives);
+# a non-integer one raised a bare IndexError or TypeError, or was used
+QUBIT_NAMES = {"classicality_gap": "N"}
+SITE_ARGUMENTS = {
+    "transfer_fidelity-source": (lambda s: transfer_fidelity(H4, 1.0, s, 3), "source"),
+    "transfer_fidelity-target": (lambda s: transfer_fidelity(H4, 1.0, 0, s), "target"),
+    "fidelity_curve-source": (lambda s: fidelity_curve(H4, [0.0, 1.0], s, 3), "source"),
+    "fidelity_curve-target": (lambda s: fidelity_curve(H4, [0.0, 1.0], 0, s), "target"),
+    "basis_state-index": (lambda s: basis_state(4, s), "index"),
+    "basis_state-dim": (lambda s: basis_state(s, 0), "dim"),
+    "lowering_operator": (lambda s: lowering_operator(3, s), "site"),
+    "ladder_algebra_check": (lambda s: ladder_algebra_check(3, s), "site"),
+}
+
 NOT_UNIFORM = ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1.0, 2.0))
 
 # (id, call, whether it raised ValueError before)
@@ -138,6 +160,8 @@ SINGLE_CASES = [
     # time grids that are not increasing
     ("fidelity_curve-decreasing", lambda: fidelity_curve(H4, [1.0, 0.5], 0, 3), True),
     ("fidelity_curve-repeated", lambda: fidelity_curve(H4, [0.0, 1.0, 1.0], 0, 3), True),
+    # no sample at all: the curve's peak had nothing to take the maximum of
+    ("fidelity_curve-empty", lambda: fidelity_curve(H4, [], 0, 3), False),
     # finite times whose phases overflow: max |lambda| * max |t| >= 3e308
     ("evolve-overflow", lambda: evolve(H4, 1e308), True),
     ("evolution_phases-overflow", lambda: evolution_phases(H4, 1e308), False),
@@ -158,7 +182,8 @@ SINGLE_CASES = [
      lambda: dispersion_check(uniform_chain(6, RING, 0.0, -1e308)), False),
 ]
 
-# a dimension that is not an integer was refused by numpy, or not at all
+# a dimension, count or index that is not an integer was refused by numpy,
+# or not at all
 NON_INTEGER_DIMS = {"2.5": 2.5, "4.0": 4.0, "nan": math.nan, "inf": math.inf, "str": "4"}
 
 
@@ -177,6 +202,11 @@ def _cases():
     for name, call in QUBIT_ARGUMENTS.items():
         for n in (0, -3):
             yield pytest.param(call, (n,), True, id=f"{name}-n{n}")
+        for label, n in NON_INTEGER_DIMS.items():
+            yield pytest.param(call, (n,), True, id=f"{name}-n{label}")
+    for name, (call, _) in SITE_ARGUMENTS.items():
+        for label, site in NON_INTEGER_DIMS.items():
+            yield pytest.param(call, (site,), True, id=f"{name}-{label}")
     for name, call, was_value_error in SINGLE_CASES:
         yield pytest.param(call, (), was_value_error, id=name)
 
@@ -194,6 +224,26 @@ def test_refused_with_a_qwire_error(call, args, was_value_error):
 def test_non_integer_dimension_named(name, d):
     with pytest.raises(InvalidConfigError, match="d must be an integer, got "):
         DIMENSION_ARGUMENTS[name][0](d)
+
+
+@pytest.mark.parametrize("value", list(NON_INTEGER_DIMS.values()), ids=list(NON_INTEGER_DIMS))
+@pytest.mark.parametrize("name", sorted(QUBIT_ARGUMENTS) + sorted(SITE_ARGUMENTS))
+def test_non_integer_count_or_index_named(name, value):
+    if name in SITE_ARGUMENTS:
+        call, argument = SITE_ARGUMENTS[name]
+    else:
+        call, argument = QUBIT_ARGUMENTS[name], QUBIT_NAMES.get(name, "n")
+    with pytest.raises(InvalidConfigError, match=f"^{argument} must be an integer, got "):
+        call(value)
+
+
+def test_numpy_integer_count_and_index_accepted():
+    three, one = np.int64(3), np.uint8(1)
+    assert QubitRegister(three).dim == 8 and classicality_gap(three) == (8, 6, 2)
+    assert sector_map(three).indices == (4, 2, 1)
+    assert basis_state(three, one).amplitudes.tolist() == [0, 1, 0]
+    assert ladder_algebra_check(three, one)
+    assert transfer_fidelity(H4, 1.0, np.int32(0), three) == transfer_fidelity(H4, 1.0, 0, 3)
 
 
 @pytest.mark.parametrize("d", [np.int64(4), np.int32(3), np.uint8(5)])
