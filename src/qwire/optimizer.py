@@ -75,7 +75,7 @@ class OptimizeConfig:
     """Search settings: chain length, target transfer time, iteration
     budget, convergence threshold, and the seed for restart jitter.
     InvalidConfigError (a ValueError) is raised for any value outside
-    its domain, which for t_target ends below _T_TARGET_LIMIT."""
+    its domain; t_target must also lie below _T_TARGET_LIMIT."""
 
     d: int
     t_target: float
