@@ -107,7 +107,10 @@ def cmd_dispersion(args) -> Result:
     payload = {"topology": args.topology, "d": int(args.d), "E0": float(args.E0),
                "A": float(args.A), "max_deviation": float(deviations.max()),
                "rows": [dict(zip(header, row)) for row in rows]}
-    return Result(payload, payload["max_deviation"] <= DISPERSION_LIMIT, (header, rows))
+    # relative, as hermitian_eig's bound is: a deviation of a few ulp of a
+    # large energy passes
+    limit = DISPERSION_LIMIT * max(1.0, float(np.abs(energies).max()))
+    return Result(payload, payload["max_deviation"] <= limit, (header, rows))
 
 
 # ---------------------------------------------------------------- weyl-check

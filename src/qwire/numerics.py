@@ -49,7 +49,8 @@ objective and its Newton polish's gradient are two closures of one
 factory that share one float64 chain matrix and one step: write the
 chain's bonds into it, call `_eigh` on it directly and read the
 amplitude with the same arithmetic as `transfer_fidelity`.  So the
-gradient comes from the same single `_eigh` per point, and the
+gradient comes from the same single `_eigh` per point; a Hessian's 2n
+gradient probes go to `_eigh` as one (2n, d, d) stack, and the
 second-order certificate makes one more `_eigh` call on the small
 Hessian.  It relies on `OptimizeConfig` for d and the time and on one
 `ChainSpec` check of its start for the couplings.
@@ -234,14 +235,18 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ascending eigenvalues, orthonormal eigenvectors) of a finite
     hermitian float64 or complex128 matrix, read from its lower triangle:
     byte for byte what `numpy.linalg.eigh` returns, from the gufunc it calls.
+    A stack of matrices, shape (..., d, d), gives stacked results, each
+    byte-equal to its own matrix's single call.
 
-    The gufunc fills every output with NaN when LAPACK does not converge;
-    that raises LinAlgError here.  It also sets the floating-point invalid
-    flag then, which numpy reports under the caller's errstate first (a
-    RuntimeWarning by default); on success it clears the flags."""
+    The gufunc fills every output of a matrix with NaN when LAPACK does not
+    converge on it; a NaN in any matrix of a stack raises LinAlgError here.
+    It also sets the floating-point invalid flag then, which numpy reports
+    under the caller's errstate first (a RuntimeWarning by default); on
+    success it clears the flags."""
     signature = "D->dD" if matrix.dtype.kind == "c" else "d->dd"
     values, vectors = _umath_linalg.eigh_lo(matrix, signature=signature)
-    if math.isnan(values[0]):
+    # one float test for one matrix, the hot path; one reduction for a stack
+    if math.isnan(values[0]) if values.ndim == 1 else np.isnan(values[..., 0]).any():
         raise LinAlgError("Eigenvalues did not converge")
     return values, vectors
 

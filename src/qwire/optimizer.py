@@ -4,6 +4,8 @@ Maximizes end-to-end transfer fidelity at a fixed time with a simplex
 descent (reflection / expansion / contraction / shrink) on the negated
 objective, a Newton polish of each run that stops on collapse or
 plateau, and deterministic seeded restarts while no result is certified.
+The simplex hands off early: each run stops at a loose _HANDOFF = 1e-3
+(or at tol, if looser), and the polish does the climbing from there.
 The simplex stays sorted by value: a full stable sort runs only after
 the initial evaluations and after a shrink, and every other step inserts
 its one new vertex in place.  The collapse test measures the whole
@@ -13,8 +15,12 @@ Both the simplex's objective and the polish's gradient come from one
 factory, `_search`: its two closures share one chain matrix and one
 eigensolve step, so the gradient comes from the same single `_eigh` that
 gives the fidelity.  The polish forms the Hessian from central
-differences of that gradient and takes damped Newton steps inside the
-+-COUPLING_BOUND box.  A point is certified when F's Hessian
+differences of that gradient, its 2n probes solved by one stacked
+`_eigh`, and takes damped Newton steps inside the +-COUPLING_BOUND box.
+Where F's Hessian is not negative definite it takes the modified Newton
+step, each eigenvalue lambda replaced by |lambda| floored relative to
+max |lambda| (Nocedal & Wright, Numerical Optimization, 3.4), which
+climbs but certifies nothing.  A point is certified when F's Hessian
 is negative definite on the free coordinates and the Newton decrement is
 at most tol (Boyd & Vandenberghe, Convex Optimization, 9.5; Nocedal &
 Wright, Numerical Optimization, Thm 2.4); only then has the search
@@ -55,6 +61,13 @@ _SHRINK = 0.5
 _NEWTON_STEPS = 16
 _BACKTRACKS = 30
 _HESSIAN_STEP = 2.0**-17
+
+# Each simplex run hands its point to the polish once it stops on collapse
+# or plateau at this threshold (or at tol, if looser); the polish climbs the
+# rest.  Where the Hessian is not negative definite the polish's modified
+# step floors each |lambda| at _EIGEN_FLOOR relative to the largest one.
+_HANDOFF = 1e-3
+_EIGEN_FLOOR = 1e-8
 
 
 def objective(couplings, t: float, d: int) -> float:
@@ -123,7 +136,8 @@ class OptimizeResult:
     second-order estimate of the fidelity still to gain, is at most tol:
     a strict local maximum lies within reach of that estimate.
     restarts counts the runs after the first, iterations their simplex
-    steps (Newton steps are not counted).  gradient_norm is |grad F| over
+    steps and newton_steps the Hessians formed over all polishes.
+    gradient_norm is |grad F| over
     the free coordinates at the best point and decrement that of its last
     Newton iteration (inf when no Hessian was formed or it was not
     negative definite), both in the search's own couplings at t_target.
@@ -136,12 +150,15 @@ class OptimizeResult:
     restarts: int
     gradient_norm: float
     decrement: float
+    newton_steps: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
             raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
         if self.stop_reason not in (CERTIFIED, COLLAPSE, PLATEAU, BUDGET):
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
+        if not (isinstance(self.newton_steps, Integral) and self.newton_steps >= 0):
+            raise ValueError(f"newton_steps must be an integer >= 0, got {self.newton_steps!r}")
         # written so that NaN fails
         if not (0.0 <= self.gradient_norm < math.inf and 0.0 <= self.decrement):
             raise ValueError(f"gradient norm {self.gradient_norm!r} outside [0, inf) "
@@ -276,8 +293,8 @@ def _simplex_descent(
     return _SimplexRun(simplex[0].copy(), float(fvals[0]), iterations, stop_reason)
 
 
-# the negated objective and its gradient at one point
-_Gradient = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# the negated objective and its gradient at a point, or at each point of a stack
+_Gradient = Callable[[np.ndarray], tuple]
 
 
 def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Gradient]:
@@ -289,7 +306,10 @@ def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Gra
     bond diagonals, make one `_eigh` and read the end-to-end amplitude a
     with the arithmetic of `transfer_fidelity` on a real chain, bit for
     bit, without objective's per-call ChainSpec and time checks
-    (OptimizeConfig certified t_target).
+    (OptimizeConfig certified t_target).  The gradient closure also takes
+    an (m, n) stack of points: the same step then fills m fresh chain
+    matrices and makes one stacked `_eigh`, and each of the m values and
+    gradients equals its own point's single call.
 
     With H = V diag(lambda) V^T, u = V[d-1] and w = V[0], the amplitude
     a = <d-1| exp(-iHt) |0> has the Daleckii-Krein derivative
@@ -311,33 +331,49 @@ def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Gra
     half_t = 0.5 * t
     tiny = np.finfo(float).tiny  # sin(tiny) / tiny == 1.0, the sinc of a zero gap
 
-    def solve(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, complex]:
-        """-F at x, with the eigenpairs and the amplitude it came from."""
-        np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
-        lower[...] = upper
-        values, vectors = _eigh(chain)
-        amplitude = complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
-        return -min(abs(amplitude) ** 2, 1.0), values, vectors, amplitude
+    def amplitude(values: np.ndarray, vectors: np.ndarray) -> complex:
+        return complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
+
+    def negated_fidelity(amplitude: complex) -> float:
+        return -min(abs(amplitude) ** 2, 1.0)
+
+    def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex | np.ndarray]:
+        """The eigenpairs and the amplitude at x, a point, or those of each
+        point of an (m, n) stack, from one `_eigh` call."""
+        if x.ndim == 1:
+            np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
+            lower[...] = upper
+            values, vectors = _eigh(chain)
+            return values, vectors, amplitude(values, vectors)
+        chains = np.zeros((x.shape[0], d, d))
+        bonds = chains.reshape(x.shape[0], d * d)
+        np.subtract(0.0, x, out=bonds[:, 1 :: d + 1])
+        bonds[:, d :: d + 1] = bonds[:, 1 :: d + 1]
+        values, vectors = _eigh(chains)
+        return values, vectors, np.array(list(map(amplitude, values, vectors)))
 
     def negated(x: np.ndarray) -> float:
-        return solve(x)[0]
+        return negated_fidelity(solve(x)[2])
 
-    def negated_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, values, vectors, amplitude = solve(x)
-        u, w = vectors[d - 1], vectors[0]
+    def negated_and_gradient(x: np.ndarray) -> tuple:
+        values, vectors, amplitudes = solve(x)
+        u, w = vectors[..., d - 1, :], vectors[..., 0, :]
         angles = values * half_t
         half = np.exp(angles * -1j)
         scaled = half * u
-        scaled *= amplitude.conjugate() * (-2j * t)  # d(-F) = -2 Re(conj(a) da)
-        outer = np.multiply.outer(scaled, half * w).real
-        weights = outer + outer.T  # 2R, times the sinc below
-        gap = np.subtract.outer(angles, angles)
+        scaled *= (np.conjugate(amplitudes) * (-2j * t))[..., None]  # d(-F) = -2 Re(conj(a) da)
+        outer = (scaled[..., :, None] * (half * w)[..., None, :]).real
+        weights = outer + np.swapaxes(outer, -1, -2)  # 2R, times the sinc below
+        gap = angles[..., :, None] - angles[..., None, :]
         np.abs(gap, out=gap)
         np.maximum(gap, tiny, out=gap)
         weights *= np.sin(gap)
         weights /= gap
         # d(-F)/dA_l = 2 Re(conj(a) (S[l, l+1] + S[l+1, l])) = 2 (V R V^T)[l, l+1]
-        return value, np.multiply(vectors[:-1] @ weights, vectors[1:]).sum(axis=1)
+        gradients = np.multiply(vectors[..., :-1, :] @ weights, vectors[..., 1:, :]).sum(axis=-1)
+        if x.ndim == 1:
+            return negated_fidelity(amplitudes), gradients
+        return np.array(list(map(negated_fidelity, amplitudes))), gradients
 
     return negated, negated_and_gradient
 
@@ -347,25 +383,23 @@ class _Polish(NamedTuple):
     f: float
     certified: bool
     decrement: float
+    hessians: int = 0
 
 
 def _hessian(gradient: _Gradient, x: np.ndarray) -> np.ndarray:
-    """Central differences of the analytic gradient, 2n gradients,
-    symmetrized.  The step is about eps**(1/3) relative, which balances
-    rounding against the third-order error, and the quotient divides by
-    the difference of the two points as stored."""
+    """Central differences of the analytic gradient at 2n probes, all taken
+    in one stacked call, symmetrized.  The step is about eps**(1/3)
+    relative, which balances rounding against the third-order error, and
+    the quotient divides by the difference of the two points as stored."""
     n = x.shape[0]
-    rows = np.empty((n, n))
-    probe = x.copy()
-    for i in range(n):
-        step = _HESSIAN_STEP * max(1.0, abs(float(x[i])))
-        probe[i] = x[i] + step
-        forward = gradient(probe)[1]
-        high = probe[i]
-        probe[i] = x[i] - step
-        backward = gradient(probe)[1]
-        rows[i] = (forward - backward) / (high - probe[i])
-        probe[i] = x[i]
+    diagonal = np.arange(n)
+    steps = _HESSIAN_STEP * np.maximum(1.0, np.abs(x))
+    probes = np.tile(x, (2 * n, 1))  # n forward probes, then n backward ones
+    probes[diagonal, diagonal] = x + steps
+    probes[n + diagonal, diagonal] = x - steps
+    gradients = gradient(probes)[1]
+    spans = probes[diagonal, diagonal] - probes[n + diagonal, diagonal]
+    rows = (gradients[:n] - gradients[n:]) / spans[:, None]
     return (rows + rows.T) / 2
 
 
@@ -376,22 +410,26 @@ def _free(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ~((np.abs(x) == COUPLING_BOUND) & (x * g < 0))
 
 
-def _newton_step(
-    free: np.ndarray, g: np.ndarray, hessian: np.ndarray
-) -> tuple[np.ndarray | None, float]:
-    """(Newton step, decrement g^T H^-1 g / 2) of the negated objective on
-    the free coordinates, with a zero step on the fixed ones.  The step is
-    None and the decrement inf unless H is positive definite on the free
-    coordinates (F's Hessian negative definite)."""
+def _newton_step(free: np.ndarray, g: np.ndarray, hessian: np.ndarray) -> tuple[np.ndarray, float]:
+    """(step, decrement) of the negated objective on the free coordinates,
+    with a zero step on the fixed ones.  Where H is positive definite on
+    the free coordinates (F's Hessian negative definite) this is the
+    Newton step and the decrement g^T H^-1 g / 2.  Otherwise it is the
+    modified Newton step, each eigenvalue lambda of H replaced by |lambda|
+    floored at _EIGEN_FLOOR * max(1, max |lambda|) (Nocedal & Wright,
+    Numerical Optimization, 3.4): a descent direction of the negated
+    objective, with decrement inf, since no certificate holds there."""
     step = np.zeros_like(g)
     if not free.any():
         return step, 0.0
     values, vectors = _eigh(hessian[np.ix_(free, free)])
-    if not values[0] > 0:
-        return None, math.inf
+    definite = values[0] > 0
+    if not definite:
+        magnitudes = np.abs(values)
+        values = np.maximum(magnitudes, _EIGEN_FLOOR * max(1.0, float(magnitudes.max())))
     projected = vectors.T @ g[free]
     step[free] = -(vectors @ (projected / values))
-    return step, float(projected @ (projected / values)) / 2
+    return step, float(projected @ (projected / values)) / 2 if definite else math.inf
 
 
 def _polish(gradient: _Gradient, x: np.ndarray, tol: float) -> _Polish:
@@ -400,17 +438,16 @@ def _polish(gradient: _Gradient, x: np.ndarray, tol: float) -> _Polish:
     and the decrement at most tol.
 
     Each of at most _NEWTON_STEPS iterations forms one Hessian.  An
-    uncertified point's step is projected onto the box and halved until
-    it lowers the negated objective; the polish ends when none does or
-    the Hessian is not positive definite.  A certified point still takes
-    its full Newton step when that lowers the value, then the polish
-    ends.  The decrement returned is that of the last Hessian's point."""
+    uncertified point's step, the modified one where the Hessian is not
+    positive definite, is projected onto the box and halved until it
+    lowers the negated objective; the polish ends when none does.  A
+    certified point still takes its full Newton step when that lowers the
+    value, then the polish ends.  The decrement returned is that of the
+    last Hessian's point."""
     f, g = gradient(x)
-    for _ in range(_NEWTON_STEPS):
+    for hessians in range(1, _NEWTON_STEPS + 1):
         step, decrement = _newton_step(_free(x, g), g, _hessian(gradient, x))
         certified = decrement <= tol
-        if step is None:
-            break
         for _ in range(1 if certified else _BACKTRACKS):
             trial = _clip(x + step)
             f_trial, g_trial = gradient(trial)
@@ -422,7 +459,7 @@ def _polish(gradient: _Gradient, x: np.ndarray, tol: float) -> _Polish:
             break
         if certified:
             break
-    return _Polish(x, f, certified, decrement)
+    return _Polish(x, f, certified, decrement, hessians)
 
 
 def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
@@ -450,17 +487,20 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     negated, gradient = _search(config)
     rng = np.random.default_rng(config.seed)
     best = _Polish(x_start.copy(), negated(x_start), False, math.inf)
+    handoff = max(_HANDOFF, config.tol)
     iterations = 0
+    newton_steps = 0
     runs = 0
 
     while iterations < config.max_iters:
-        run = _simplex_descent(negated, x_start, config.max_iters - iterations, config.tol)
+        run = _simplex_descent(negated, x_start, config.max_iters - iterations, handoff)
         iterations += run.iterations
         runs += 1
         if run.stop_reason == BUDGET:
             found = _Polish(run.x_best, run.f_best, False, math.inf)
         else:
             found = _polish(gradient, run.x_best, config.tol)
+            newton_steps += found.hessians
         improved = found.f < best.f - config.tol
         if found.f < best.f or found.f == best.f and found.certified:
             best = found
@@ -484,6 +524,7 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
         iterations=iterations,
         stop_reason=CERTIFIED if best.certified else run.stop_reason,
         restarts=runs - 1,
+        newton_steps=newton_steps,
         gradient_norm=float(np.linalg.norm(g[_free(best_x, g)])),
         decrement=best.decrement,
     )

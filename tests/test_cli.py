@@ -59,6 +59,16 @@ class TestDispersionCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: band edge |E0| + 2|A| overflows") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [("--A", "3e5"), ("--E0", "1e6")])
+    def test_large_energies_pass_the_relative_limit(self, capsys, flags):
+        # deviations of 1-3 ulp of energies near 6e5 and 1e6 exceed 1e-10
+        # absolute, but not 1e-10 relative to max |energy|
+        code = cli.main(["dispersion", "--topology", "ring", "--d", "64", *flags,
+                         "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["max_deviation"] <= 1e-10 * max(abs(r["energy"]) for r in payload["rows"])
+
     def test_csv_round_trips(self):
         proc = run_cli("dispersion", "--topology", "ring", "--d", "5")
         _, rows = parse_csv(proc.stdout)

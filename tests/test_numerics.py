@@ -443,6 +443,33 @@ class TestEigh:
         with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
             numerics._eigh(np.full((3, 3), math.nan, dtype=dtype))
 
+    @pytest.mark.parametrize("d", range(1, 13))
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_stack_byte_equal_to_single_calls(self, dtype, d):
+        # the coupling search solves a Hessian's 2n probe chains in one call
+        rng = np.random.default_rng(2000 * d + (dtype == complex))
+        stack = rng.normal(size=(2 * d + 1, d, d)).astype(dtype)
+        if dtype == complex:
+            stack += 1j * rng.normal(size=stack.shape)
+        stack = (stack + stack.conj().swapaxes(-1, -2)) / 2
+        if d >= 2:
+            stack[-1] = _degenerate_hermitian(rng, d, dtype)
+        values, vectors = numerics._eigh(stack)
+        assert (values.shape, vectors.shape) == (stack.shape[:-1], stack.shape)
+        for k, h in enumerate(stack):
+            single_values, single_vectors = numerics._eigh(h)
+            assert values[k].tobytes() == single_values.tobytes()
+            assert vectors[k].tobytes() == single_vectors.tobytes()
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_in_any_matrix_of_a_stack_raises(self, dtype, position):
+        # the gufunc NaN-fills only the matrix it failed on, not the first one
+        stack = np.tile(np.eye(3, dtype=dtype), (7, 1, 1))
+        stack[position] = math.nan
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            numerics._eigh(stack)
+
 
 def _random_chain(topology: str, d: int) -> Operator:
     rng = np.random.default_rng(d)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm_frechet
 
 from conftest import expm_series
-from qwire import optimizer
+from qwire import numerics, optimizer
 from qwire.errors import BadCouplingCountError, InvalidConfigError, QwireError
 from qwire.optimizer import (
     _CONTRACT,
@@ -160,6 +160,13 @@ class TestConfig:
 
     # only a certified search has converged: a collapse or plateau of the
     # simplex alone is no evidence of a maximum
+    @pytest.mark.parametrize("newton_steps", [-1, 2.0, math.nan, "3"])
+    def test_result_newton_steps_checked(self, newton_steps):
+        with pytest.raises(ValueError, match="newton_steps"):
+            OptimizeResult(couplings=(1.0,), fidelity=0.5, iterations=1,
+                           stop_reason="plateau", restarts=0, gradient_norm=0.0,
+                           decrement=math.inf, newton_steps=newton_steps)
+
     @pytest.mark.parametrize("stop_reason, converged",
                              [("certified", True), ("collapse", False), ("plateau", False),
                               ("budget", False)])
@@ -395,6 +402,32 @@ class TestGradient:
         assert np.abs(gradient).max() <= 1e-13
 
 
+class TestStackedGradient:
+    """The gradient closure at an (m, n) stack of points: one `_eigh` call,
+    each row equal to its own point's single call."""
+
+    @pytest.mark.parametrize("t", [0.3, math.pi / 2, 4.0])
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_rows_equal_single_calls(self, d, t):
+        negated, gradient = _search(OptimizeConfig(d=d, t_target=t))
+        points = np.random.default_rng(d).uniform(-COUPLING_BOUND, COUPLING_BOUND, (9, d - 1))
+        points[0] = COUPLING_BOUND
+        values, gradients = gradient(points)
+        assert (values.shape, gradients.shape) == ((9,), (9, d - 1))
+        for x, value, row in zip(points, values, gradients):
+            single_value, single_row = gradient(x)
+            assert value.hex() == single_value.hex() == negated(x).hex()
+            assert row.tobytes() == single_row.tobytes()
+
+    def test_hessian_is_one_stacked_call(self, monkeypatch):
+        calls = []
+        solve = numerics._eigh
+        monkeypatch.setattr(optimizer, "_eigh", lambda m: calls.append(m.shape) or solve(m))
+        gradient = _search_gradient(OptimizeConfig(d=6, t_target=1.1))
+        optimizer._hessian(gradient, np.linspace(0.5, 1.5, 5))
+        assert calls == [(10, 6, 6)]
+
+
 class TestPolish:
     def test_certificate_on_the_transfer_profile(self):
         # F's Hessian there is negative definite, so the certificate holds
@@ -446,11 +479,22 @@ class TestPolish:
         assert step.tolist() == [0.0, -0.1, 0.125]
         assert decrement == pytest.approx((0.2**2 / 2.0 + 0.5**2 / 4.0) / 2, rel=1e-15)
 
-    def test_indefinite_hessian_gives_no_step(self):
+    def test_indefinite_hessian_gives_a_modified_step(self):
+        # |lambda| in place of lambda: a descent direction of -F, and no
+        # certificate, so the decrement is inf
         g = np.array([0.1, 0.1])
         step, decrement = optimizer._newton_step(np.array([True, True]), g,
                                                  np.array([[1.0, 0.0], [0.0, -1e-3]]))
-        assert step is None and decrement == math.inf
+        assert step.tolist() == [-0.1, -100.0]
+        assert step @ g < 0 and decrement == math.inf
+
+    def test_modified_step_floors_a_zero_eigenvalue(self):
+        # the floor is _EIGEN_FLOOR relative to max |lambda| = 4
+        g = np.array([0.1, 0.1])
+        step, decrement = optimizer._newton_step(np.array([True, True]), g, np.diag([-4.0, 0.0]))
+        floor = optimizer._EIGEN_FLOOR * 4.0
+        assert step.tolist() == [-0.1 / 4.0, -0.1 / floor]
+        assert decrement == math.inf
 
     def test_budget_stop_is_not_polished(self, monkeypatch):
         monkeypatch.setattr(optimizer, "_polish", None)  # a call would raise
@@ -527,14 +571,15 @@ class TestStopReason:
         assert np.abs(np.array(result.couplings) - pst_couplings(4, 1.0) / 2.0).max() <= 1e-14
         assert result.decrement <= 1e-20 and result.gradient_norm <= 1e-14
 
-    def test_collapse_away_from_a_maximum_is_not_converged(self):
+    def test_collapse_away_from_a_maximum_is_polished_to_it(self):
         # with tol = 0.1 the first simplex, 0.025 across, has already
-        # collapsed, at F = 0.1 where F's Hessian is not negative definite
+        # collapsed, at F = 0.1 where F's Hessian is not negative definite;
+        # the modified Newton steps climb from there to a certified maximum
         config = OptimizeConfig(d=3, t_target=math.pi / 2, tol=0.1, seed=1)
         result = optimize_couplings(config, [0.5, 0.5])
-        assert (result.stop_reason, result.iterations, result.restarts) == ("collapse", 1, 0)
-        assert not result.converged
-        assert result.decrement == math.inf and result.gradient_norm > 0.1
+        assert (result.stop_reason, result.iterations, result.restarts) == ("certified", 1, 0)
+        assert result.converged and result.newton_steps >= 2
+        assert result.decrement <= config.tol and result.fidelity >= 1 - 1e-9
 
     @pytest.mark.parametrize("d", [3, 4, 8])
     def test_certified_search_does_not_restart(self, d, monkeypatch):
@@ -547,26 +592,108 @@ class TestStopReason:
         assert result.fidelity >= 1 - 1e-10
 
     @pytest.mark.parametrize("d, t, seed", [(7, 3.0, 4), (8, math.pi / 2, 1)])
-    def test_uncertified_search_restarts(self, d, t, seed, monkeypatch):
-        # both stop against the coupling bound, where F's Hessian is not
-        # negative definite on the free coordinates
+    def test_former_ridge_stops_are_certified(self, d, t, seed, monkeypatch):
+        # both used to stop against the coupling bound, where F's Hessian is
+        # not negative definite on the free coordinates, and restart; the
+        # modified Newton step now climbs on from there
         runs = _counting_runs(monkeypatch)
         start = np.random.default_rng(seed).uniform(0.5, 1.5, d - 1)
         result = optimize_couplings(OptimizeConfig(d=d, t_target=t, seed=seed), start)
+        assert len(runs) == 1 and result.restarts == 0
+        assert result.stop_reason == CERTIFIED and result.fidelity >= 1 - 1e-10
+
+    @pytest.mark.parametrize("d, t, seed", [(8, 3.0, 6), (10, 5.0, 11)])
+    def test_uncertified_search_restarts(self, d, t, seed, monkeypatch):
+        # both end within 2e-5 of F = 1 where F's Hessian is negative definite
+        # but ill-conditioned, and no polish brings the decrement within tol
+        # in its _NEWTON_STEPS Hessians
+        runs = _counting_runs(monkeypatch)
+        start = np.random.default_rng(seed).uniform(0.5, 1.5, d - 1)
+        config = OptimizeConfig(d=d, t_target=t, seed=seed)
+        result = optimize_couplings(config, start)
         assert result.restarts == len(runs) - 1 >= 1
         assert result.stop_reason == runs[-1].stop_reason == PLATEAU
         assert result.iterations == sum(run.iterations for run in runs)
-        assert not result.converged and result.decrement == math.inf
+        assert result.newton_steps == optimizer._NEWTON_STEPS * len(runs)
+        assert not result.converged and result.decrement > config.tol
+
+    def test_uncertified_first_run_restarts_then_certifies(self, monkeypatch):
+        # d = 9 from a uniform start: the first polish ends uncertified, the
+        # jittered restart's polish certifies
+        runs = _counting_runs(monkeypatch)
+        config = OptimizeConfig(d=9, t_target=math.pi / 2)
+        result = optimize_couplings(config, np.ones(8))
+        assert len(runs) == 2 and result.restarts == 1
+        assert result.stop_reason == CERTIFIED and result.fidelity >= 1 - 1e-10
+        assert result.iterations == sum(run.iterations for run in runs)
 
     def test_near_zero_plateau_is_not_converged(self):
         # near F = 0 every simplex move is below the absolute tol; F's
-        # Hessian there is not negative definite, so nothing is certified
+        # Hessian there is not negative definite, so nothing is certified,
+        # and the modified Newton steps barely move F on so flat a surface
         config = OptimizeConfig(d=12, t_target=math.pi / 2)
         result = optimize_couplings(config, np.ones(11))
         assert (result.stop_reason, result.iterations, result.restarts) == ("plateau", 12, 0)
         assert not result.converged
-        assert result.fidelity == pytest.approx(1.2e-11, rel=0.05)
+        assert result.fidelity == pytest.approx(4.3e-11, rel=0.05)
         assert result.decrement == math.inf
+
+    @pytest.mark.parametrize("d, init, seed", [(8, "random", 1), (9, "random", 94),
+                                               (10, "uniform", 2)])
+    def test_former_ridge_searches_are_certified(self, d, init, seed, monkeypatch):
+        # these ended uncertified below F = 0.999 where F's Hessian is
+        # indefinite; each certified polish is re-checked here with numpy's
+        # own eigvalsh and solve at the point of its last Hessian
+        hessians, polishes = [], []
+        hessian, polish = optimizer._hessian, optimizer._polish
+
+        def recording_hessian(gradient, x):
+            hessians.append((gradient, x.copy(), hessian(gradient, x)))
+            return hessians[-1][2]
+
+        def recording_polish(gradient, x, tol):
+            polishes.append((polish(gradient, x, tol), hessians[-1]))
+            return polishes[-1][0]
+
+        monkeypatch.setattr(optimizer, "_hessian", recording_hessian)
+        monkeypatch.setattr(optimizer, "_polish", recording_polish)
+        rng = np.random.default_rng(seed)
+        start = np.ones(d - 1) if init == "uniform" else rng.uniform(0.5, 1.5, d - 1)
+        config = OptimizeConfig(d=d, t_target=math.pi / 2, seed=seed)
+        result = optimize_couplings(config, start)
+        assert result.stop_reason == CERTIFIED and result.fidelity >= 0.999
+        assert result.newton_steps == len(hessians)
+        certified = [last for found, last in polishes if found.certified]
+        assert certified
+        for gradient, x, h in certified:
+            g = gradient(x)[1]
+            free = optimizer._free(x, g)
+            h = h[np.ix_(free, free)]
+            assert np.linalg.eigvalsh(h)[0] > 0
+            assert g[free] @ np.linalg.solve(h, g[free]) / 2 <= config.tol
+
+    def test_handoff_threshold(self, monkeypatch):
+        # each run stops at _HANDOFF, or at tol where that is looser
+        tols = []
+        descent = optimizer._simplex_descent
+
+        def recording(f, x0, budget, tol):
+            tols.append(tol)
+            return descent(f, x0, budget, tol)
+
+        monkeypatch.setattr(optimizer, "_simplex_descent", recording)
+        for tol in (1e-9, 0.1):
+            optimize_couplings(OptimizeConfig(d=4, t_target=math.pi / 2, tol=tol), np.ones(3))
+        assert tols == [optimizer._HANDOFF, 0.1]
+
+    @pytest.mark.parametrize("d, iterations", [(7, 7), (8, 8)])
+    def test_uniform_start_hands_off_after_one_sweep(self, d, iterations):
+        # F is 4e-4 and 2e-5 there: the simplex plateaus at the hand-off
+        # after one sweep, and the Newton polish does the climbing
+        result = optimize_couplings(OptimizeConfig(d=d, t_target=math.pi / 2), np.ones(d - 1))
+        assert (result.stop_reason, result.iterations) == (CERTIFIED, iterations)
+        assert result.restarts == 0
+        assert 1 <= result.newton_steps <= optimizer._NEWTON_STEPS
 
     @pytest.mark.parametrize("seed", [108, 235, 180])
     def test_former_stalls_are_certified(self, seed):
