@@ -22,6 +22,7 @@ serialize as paired _re/_im fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -216,7 +217,11 @@ def cmd_optimize(args) -> Result:
 # -------------------------------------------------------------------- driver
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one in the process: building it costs far more than a parse,
+    and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="qwire", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,8 @@ exactly zero and as complex128 otherwise, so a real symmetric
 Hamiltonian is diagonalized in real arithmetic by the same `_eigh` that
 a complex one goes to.  `_eigh` is the package's only eigensolver call:
 it goes straight to the LAPACK gufunc behind `numpy.linalg.eigh`,
-without that wrapper's argument handling.  `hermitian_eig` and
+without that wrapper's argument handling (where a numpy release has
+moved the gufunc, it calls the wrapper).  `hermitian_eig` and
 `evolution_phases` reach it through `_hermitian_solve`, which makes one
 `_eigh` call on H, or, for a mirror-symmetric H of at least
 `_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks and
@@ -45,15 +46,14 @@ that could overflow, so every entry is finite.  The check could not fail
 on them.
 
 The coupling search in `optimizer` builds no `Operator` at all.  Its
-objective and its Newton polish's gradient are two closures of one
+objective and its Newton polish's derivatives are two closures of one
 factory that share one float64 chain matrix and one step: write the
 chain's bonds into it, call `_eigh` on it directly and read the
 amplitude with the same arithmetic as `transfer_fidelity`.  So the
-gradient comes from the same single `_eigh` per point; a Hessian's 2n
-gradient probes go to `_eigh` as one (2n, d, d) stack, and the
-second-order certificate makes one more `_eigh` call on the small
-Hessian.  It relies on `OptimizeConfig` for d and the time and on one
-`ChainSpec` check of its start for the couplings.
+value, the gradient and the Hessian at a point come from the eigenpairs
+of one `_eigh` call, and the second-order certificate makes one more
+`_eigh` call on the small Hessian.  It relies on `OptimizeConfig` for d
+and the time and on one `ChainSpec` check of its start for the couplings.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ UNITARY = "unitary"
 GENERAL = "general"
 
 _TAGS = (HERMITIAN, UNITARY, GENERAL)
+
+# `_eigh` calls numpy's private eigh gufunc, or the public wrapper where a
+# numpy release has moved the gufunc.
+if not hasattr(_umath_linalg, "eigh_lo"):
+    _umath_linalg = None
 
 # Mirror-symmetric matrices from this size up are diagonalized in two
 # parity blocks (see `_hermitian_solve`); below it one full solve is faster.
@@ -234,19 +239,20 @@ class EigenSystem:
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ascending eigenvalues, orthonormal eigenvectors) of a finite
     hermitian float64 or complex128 matrix, read from its lower triangle:
-    byte for byte what `numpy.linalg.eigh` returns, from the gufunc it calls.
-    A stack of matrices, shape (..., d, d), gives stacked results, each
-    byte-equal to its own matrix's single call.
+    byte for byte what `numpy.linalg.eigh` returns, from the gufunc it calls,
+    or from `numpy.linalg.eigh` itself where numpy has no such gufunc.
 
-    The gufunc fills every output of a matrix with NaN when LAPACK does not
-    converge on it; a NaN in any matrix of a stack raises LinAlgError here.
-    It also sets the floating-point invalid flag then, which numpy reports
-    under the caller's errstate first (a RuntimeWarning by default); on
-    success it clears the flags."""
-    signature = "D->dD" if matrix.dtype.kind == "c" else "d->dd"
-    values, vectors = _umath_linalg.eigh_lo(matrix, signature=signature)
-    # one float test for one matrix, the hot path; one reduction for a stack
-    if math.isnan(values[0]) if values.ndim == 1 else np.isnan(values[..., 0]).any():
+    The gufunc fills every output with NaN when LAPACK does not converge;
+    a NaN first eigenvalue raises LinAlgError here.  It also sets the
+    floating-point invalid flag then, which numpy reports under the
+    caller's errstate first (a RuntimeWarning by default); on success it
+    clears the flags."""
+    if _umath_linalg is None:
+        values, vectors = np.linalg.eigh(matrix)
+    else:
+        signature = "D->dD" if matrix.dtype.kind == "c" else "d->dd"
+        values, vectors = _umath_linalg.eigh_lo(matrix, signature=signature)
+    if math.isnan(values[0]):
         raise LinAlgError("Eigenvalues did not converge")
     return values, vectors
 

@@ -11,12 +11,13 @@ the initial evaluations and after a shrink, and every other step inserts
 its one new vertex in place.  The collapse test measures the whole
 simplex only when the worst vertex is already within tol of the best.
 
-Both the simplex's objective and the polish's gradient come from one
+Both the simplex's objective and the polish's derivatives come from one
 factory, `_search`: its two closures share one chain matrix and one
-eigensolve step, so the gradient comes from the same single `_eigh` that
-gives the fidelity.  The polish forms the Hessian from central
-differences of that gradient, its 2n probes solved by one stacked
-`_eigh`, and takes damped Newton steps inside the +-COUPLING_BOUND box.
+eigensolve step, so the gradient and the exact Hessian come from the
+eigenpairs of the same single `_eigh` that gives the fidelity, through
+the first and second divided differences of exp(-i lambda t).  The
+polish forms one Hessian per accepted point, tries its steps on the
+value alone and takes damped Newton steps inside the +-COUPLING_BOUND box.
 Where F's Hessian is not negative definite it takes the modified Newton
 step, each eigenvalue lambda replaced by |lambda| floored relative to
 max |lambda| (Nocedal & Wright, Numerical Optimization, 3.4), which
@@ -56,11 +57,16 @@ _CONTRACT = 0.5
 _SHRINK = 0.5
 
 # Newton polish: at most _NEWTON_STEPS Hessians (and steps) per polish, each
-# step halved at most _BACKTRACKS times; the Hessian's gradient differences
-# take a relative step _HESSIAN_STEP, about the cube root of float64 epsilon.
+# step halved at most _BACKTRACKS times.
 _NEWTON_STEPS = 16
 _BACKTRACKS = 30
-_HESSIAN_STEP = 2.0**-17
+
+# The Hessian's second divided differences: three eigenvalues within
+# _CLUSTER / t of one another take the Taylor series with coefficients
+# _SERIES[k] = (-i)^k / (k+2)! (see `_clustered_differences`).
+_CLUSTER = 0.05
+_SERIES = tuple((-1j) ** k / math.factorial(k + 2) for k in range(9))
+_TINY = float(np.finfo(float).tiny)
 
 # Each simplex run hands its point to the polish once it stops on collapse
 # or plateau at this threshold (or at tol, if looser); the polish climbs the
@@ -136,11 +142,13 @@ class OptimizeResult:
     second-order estimate of the fidelity still to gain, is at most tol:
     a strict local maximum lies within reach of that estimate.
     restarts counts the runs after the first, iterations their simplex
-    steps and newton_steps the Hessians formed over all polishes.
-    gradient_norm is |grad F| over
-    the free coordinates at the best point and decrement that of its last
-    Newton iteration (inf when no Hessian was formed or it was not
-    negative definite), both in the search's own couplings at t_target.
+    steps and newton_steps the Hessians formed over all polishes, one at
+    each point a polish starts from or accepts; each is F's exact Hessian,
+    from the same eigensolve as the point's fidelity.  gradient_norm is
+    |grad F| over the free coordinates at the best point and decrement
+    that of its last Newton iteration (inf when no Hessian was formed or
+    it was not negative definite), both in the search's own couplings at
+    t_target.
     """
 
     couplings: tuple[float, ...]
@@ -293,89 +301,172 @@ def _simplex_descent(
     return _SimplexRun(simplex[0].copy(), float(fvals[0]), iterations, stop_reason)
 
 
-# the negated objective and its gradient at a point, or at each point of a stack
-_Gradient = Callable[[np.ndarray], tuple]
+# the negated objective with its gradient and Hessian in the couplings
+_Derivatives = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]]
 
 
-def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Gradient]:
+def _first_differences(values: np.ndarray, t: float) -> np.ndarray:
+    """The first divided differences f[lambda_j, lambda_k] of
+    f(lambda) = exp(-i lambda t) over the eigenvalues, the complex matrix
+    -it exp(-it(lambda_j + lambda_k)/2) sinc(t(lambda_j - lambda_k)/2):
+    one expression, without a branch, for distinct, close and equal
+    eigenvalues.  The phase is the product of two half-angle phases."""
+    angles = values * (0.5 * t)
+    half = np.exp(angles * -1j)
+    gap = np.abs(np.subtract.outer(angles, angles))
+    np.maximum(gap, _TINY, out=gap)  # sin(tiny) / tiny == 1.0, the sinc of a zero gap
+    sinc = np.sin(gap)
+    sinc /= gap
+    return np.multiply.outer(half * (-1j * t), half) * sinc
+
+
+def _clustered_differences(a, b, c, t: float):
+    """f[a, b, c] of f(lambda) = exp(-i lambda t) from its Taylor series
+    about the mean m of a <= b <= c: -t^2 exp(-itm) sum_k (-i)^k h_k / (k+2)!,
+    where h_k is the complete homogeneous symmetric polynomial of degree k
+    in y = t (a - m, b - m, c - m).  Since y sums to zero, h_1 = 0 and
+    h_k = -e2 h_{k-2} + e3 h_{k-3} from the elementary ones e2 and e3.
+    Where t (c - a) <= _CLUSTER every |y| is at most 2 _CLUSTER / 3, and
+    the terms past the last of _SERIES are below 1e-17 relative; three
+    equal points give z^2 exp(z a) / 2, z = -it, the limit of every
+    branch."""
+    mean = (a + b + c) / 3
+    ya, yb, yc = t * (a - mean), t * (b - mean), t * (c - mean)
+    e2 = ya * yb + ya * yc + yb * yc
+    e3 = ya * yb * yc
+    h = [np.ones_like(e2), np.zeros_like(e2), -e2]
+    while len(h) < len(_SERIES):
+        h.append(e3 * h[-3] - e2 * h[-2])
+    return -t * t * np.exp(mean * (-1j * t)) * sum(map(np.multiply, _SERIES, h))
+
+
+class _Triples(NamedTuple):
+    """Index tables of the second divided differences at dimension d:
+    every index triple lo <= mid <= hi once (ahead and behind are the flat
+    positions of (mid, hi) and (lo, mid) in a d x d matrix, and equal
+    holds the positions of (l, l, l) in order of l), and for each
+    (i, k, j) in C order the position of its sorted triple, where the
+    symmetric difference f[i, k, j] is read."""
+
+    lo: np.ndarray
+    mid: np.ndarray
+    hi: np.ndarray
+    ahead: np.ndarray
+    behind: np.ndarray
+    equal: np.ndarray
+    inverse: np.ndarray
+
+
+def _triples(d: int) -> _Triples:
+    shape = (d, d, d)
+    ordered = np.sort(np.indices(shape).reshape(3, -1), axis=0)
+    keys, inverse = np.unique(np.ravel_multi_index(ordered, shape), return_inverse=True)
+    lo, mid, hi = np.unravel_index(keys, shape)
+    return _Triples(lo, mid, hi, mid * d + hi, lo * d + mid, np.flatnonzero(lo == hi), inverse)
+
+
+def _second_differences(values: np.ndarray, first: np.ndarray, t: float,
+                        triples: _Triples) -> np.ndarray:
+    """f[lambda_lo, lambda_mid, lambda_hi] of f(lambda) = exp(-i lambda t)
+    for each triple of `_triples(d)` over d ascending eigenvalues, given
+    first = `_first_differences(values, t)`.
+
+    Three equal indices give f''/2 = z^2 exp(z lambda) / 2, z = -it.
+    Otherwise, where the widest gap lambda_hi - lambda_lo exceeds
+    _CLUSTER / t, the quotient (f[mid, hi] - f[lo, mid]) / (lambda_hi -
+    lambda_lo) of the two first differences is taken: each carries the
+    rounding of its phase, about eps max(1, |t lambda|) relative to t, and
+    the gap divides it, so the quotient is good to about
+    eps max(1, |t lambda|) / _CLUSTER relative to t^2 / 2.  Within that
+    gap the three eigenvalues form a cluster and go to the Taylor series
+    of `_clustered_differences` (McCurdy, Ng & Parlett, Math. Comp. 43,
+    501 (1984))."""
+    lo, mid, hi, ahead, behind, equal, _ = triples
+    firsts = first.reshape(-1)
+    second = firsts[ahead] - firsts[behind]
+    span = values[hi] - values[lo]
+    separated = span * t > _CLUSTER
+    np.divide(second, span, out=second, where=separated)
+    second[equal] = first.diagonal() * (-0.5j * t)
+    separated[equal] = True
+    if not separated.all():
+        clustered = np.flatnonzero(~separated)
+        second[clustered] = _clustered_differences(
+            values[lo[clustered]], values[mid[clustered]], values[hi[clustered]], t)
+    return second
+
+
+def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Derivatives]:
     """The negated `objective` at config's d and t_target, and the same
-    value with its gradient in the couplings, for coupling arrays whose
-    count and finiteness were checked once per search.
+    value with its gradient and Hessian in the couplings, for coupling
+    arrays whose count and finiteness were checked once per search.
 
     Both closures share one d x d chain matrix and one step: rewrite both
     bond diagonals, make one `_eigh` and read the end-to-end amplitude a
     with the arithmetic of `transfer_fidelity` on a real chain, bit for
     bit, without objective's per-call ChainSpec and time checks
-    (OptimizeConfig certified t_target).  The gradient closure also takes
-    an (m, n) stack of points: the same step then fills m fresh chain
-    matrices and makes one stacked `_eigh`, and each of the m values and
-    gradients equals its own point's single call.
+    (OptimizeConfig certified t_target).  So all three derivatives come
+    from the eigenpairs of one `_eigh`.
 
-    With H = V diag(lambda) V^T, u = V[d-1] and w = V[0], the amplitude
-    a = <d-1| exp(-iHt) |0> has the Daleckii-Krein derivative
-    da/dA_l = -(S[l, l+1] + S[l+1, l]), S = V (Phi o u w^T) V^T, where
-    Phi_jk = -it exp(-it(lambda_j + lambda_k)/2) sinc(t(lambda_j - lambda_k)/2)
-    is the divided difference of exp(-i lambda t): one expression, without
-    a branch, for distinct, close and equal eigenvalues.  The gradient of
-    F = |a|^2 is 2 Re(conj(a) grad a), so only the real symmetric matrix
-    R = Re(conj(a) Phi o (u w^T + w u^T)) is formed, with
-    exp(-it(lambda_j + lambda_k)/2) split into the product of two
-    half-angle phases h_j h_k, and the bond entries of V R V^T are read
-    off without the full product."""
+    With H = V diag(lambda) V^T, u = V[d-1], w = V[0] and the bond
+    matrices E_l = dH/dA_l (-1 at (l, l+1) and (l+1, l)), in the
+    eigenbasis Et_l = V^T E_l V, the amplitude a = <d-1| exp(-iHt) |0> has
+    the Daleckii-Krein derivatives
+        da/dA_l = sum_ij u_i w_j f[i, j] Et_l[i, j],
+        d2a/dA_l dA_m = sum_ikj u_i w_j f[i, k, j] (Et_l[i, k] Et_m[k, j]
+                                                    + Et_m[i, k] Et_l[k, j]),
+    with the divided differences f[.] of exp(-i lambda t) at the
+    eigenvalues (Najfeld & Havel, Adv. Appl. Math. 16, 321 (1995)).  The
+    first is -(S[l, l+1] + S[l+1, l]), S = V (f[.,.] o u w^T) V^T.  F = |a|^2
+    has grad F = 2 Re(conj(a) grad a) and the Hessian
+    2 Re(grad a grad a^H) + 2 Re(conj(a) hess a), which needs only the
+    real array R3 = Re(conj(a) f[., ., .]).  The contraction is three
+    matrix products, O(n d^3 + d^4): Y = (V o u) R3 as a d x d^2 matrix,
+    read as d x d blocks Y_p[k, j], M_l[k, j] = V[l+1, k] Y_l[k, j] +
+    V[l, k] Y_{l+1}[k, j] and Z_l = V M_l (V o w)^T.  The part of
+    Re(conj(a) hess a) with Et_l on the left is then
+    T[l, m] = Z_l[m, m+1] + Z_l[m+1, m] (the minus signs of the two bonds
+    cancel), and the part with Et_m on the left is its transpose.  Each
+    term is summed symmetric, so the Hessian is exactly symmetric."""
     d = config.d
     chain = np.zeros((d, d))
     flat = chain.reshape(-1)
     upper, lower = flat[1 :: d + 1], flat[d :: d + 1]  # h[l, l+1] and h[l+1, l]
     t = float(config.t_target)
     minus_it = -1j * t
-    half_t = 0.5 * t
-    tiny = np.finfo(float).tiny  # sin(tiny) / tiny == 1.0, the sinc of a zero gap
+    triples = _triples(d)
 
-    def amplitude(values: np.ndarray, vectors: np.ndarray) -> complex:
-        return complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
-
-    def negated_fidelity(amplitude: complex) -> float:
-        return -min(abs(amplitude) ** 2, 1.0)
-
-    def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex | np.ndarray]:
-        """The eigenpairs and the amplitude at x, a point, or those of each
-        point of an (m, n) stack, from one `_eigh` call."""
-        if x.ndim == 1:
-            np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
-            lower[...] = upper
-            values, vectors = _eigh(chain)
-            return values, vectors, amplitude(values, vectors)
-        chains = np.zeros((x.shape[0], d, d))
-        bonds = chains.reshape(x.shape[0], d * d)
-        np.subtract(0.0, x, out=bonds[:, 1 :: d + 1])
-        bonds[:, d :: d + 1] = bonds[:, 1 :: d + 1]
-        values, vectors = _eigh(chains)
-        return values, vectors, np.array(list(map(amplitude, values, vectors)))
+    def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+        np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
+        lower[...] = upper
+        values, vectors = _eigh(chain)
+        return values, vectors, complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
 
     def negated(x: np.ndarray) -> float:
-        return negated_fidelity(solve(x)[2])
+        return -min(abs(solve(x)[2]) ** 2, 1.0)
 
-    def negated_and_gradient(x: np.ndarray) -> tuple:
-        values, vectors, amplitudes = solve(x)
-        u, w = vectors[..., d - 1, :], vectors[..., 0, :]
-        angles = values * half_t
-        half = np.exp(angles * -1j)
-        scaled = half * u
-        scaled *= (np.conjugate(amplitudes) * (-2j * t))[..., None]  # d(-F) = -2 Re(conj(a) da)
-        outer = (scaled[..., :, None] * (half * w)[..., None, :]).real
-        weights = outer + np.swapaxes(outer, -1, -2)  # 2R, times the sinc below
-        gap = angles[..., :, None] - angles[..., None, :]
-        np.abs(gap, out=gap)
-        np.maximum(gap, tiny, out=gap)
-        weights *= np.sin(gap)
-        weights /= gap
-        # d(-F)/dA_l = 2 Re(conj(a) (S[l, l+1] + S[l+1, l])) = 2 (V R V^T)[l, l+1]
-        gradients = np.multiply(vectors[..., :-1, :] @ weights, vectors[..., 1:, :]).sum(axis=-1)
-        if x.ndim == 1:
-            return negated_fidelity(amplitudes), gradients
-        return np.array(list(map(negated_fidelity, amplitudes))), gradients
+    def derivatives(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        values, vectors, a = solve(x)
+        u, w = vectors[d - 1], vectors[0]
+        first = _first_differences(values, t)
+        uw = np.multiply.outer(u, w)
+        # -da/dA_l = S[l, l+1] + S[l+1, l] = (V (f[.,.] o (u w^T + w u^T)) V^T)[l, l+1]
+        slopes = ((vectors[:-1] @ (first * (uw + uw.T))) * vectors[1:]).sum(axis=1)
+        outer = np.multiply.outer(slopes.real, slopes.real)
+        outer += np.multiply.outer(slopes.imag, slopes.imag)  # Re(grad a grad a^H)
+        second = _second_differences(values, first, t, triples)
+        r3 = (a.conjugate() * second).real[triples.inverse].reshape(d, d * d)
+        y = ((vectors * u) @ r3).reshape(d, d, d)
+        m = vectors[1:, :, None] * y[:-1]
+        m += vectors[:-1, :, None] * y[1:]
+        z = (vectors @ m @ (vectors * w).T).reshape(d - 1, d * d)
+        terms = z[:, 1 :: d + 1] + z[:, d :: d + 1]  # Z_l[m, m+1] + Z_l[m+1, m]
+        hessian = outer + (terms + terms.T)
+        hessian *= -2.0
+        gradient = 2.0 * (a.conjugate() * slopes).real
+        return -min(abs(a) ** 2, 1.0), gradient, hessian
 
-    return negated, negated_and_gradient
+    return negated, derivatives
 
 
 class _Polish(NamedTuple):
@@ -384,23 +475,6 @@ class _Polish(NamedTuple):
     certified: bool
     decrement: float
     hessians: int = 0
-
-
-def _hessian(gradient: _Gradient, x: np.ndarray) -> np.ndarray:
-    """Central differences of the analytic gradient at 2n probes, all taken
-    in one stacked call, symmetrized.  The step is about eps**(1/3)
-    relative, which balances rounding against the third-order error, and
-    the quotient divides by the difference of the two points as stored."""
-    n = x.shape[0]
-    diagonal = np.arange(n)
-    steps = _HESSIAN_STEP * np.maximum(1.0, np.abs(x))
-    probes = np.tile(x, (2 * n, 1))  # n forward probes, then n backward ones
-    probes[diagonal, diagonal] = x + steps
-    probes[n + diagonal, diagonal] = x - steps
-    gradients = gradient(probes)[1]
-    spans = probes[diagonal, diagonal] - probes[n + diagonal, diagonal]
-    rows = (gradients[:n] - gradients[n:]) / spans[:, None]
-    return (rows + rows.T) / 2
 
 
 def _free(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -432,27 +506,30 @@ def _newton_step(free: np.ndarray, g: np.ndarray, hessian: np.ndarray) -> tuple[
     return step, float(projected @ (projected / values)) / 2 if definite else math.inf
 
 
-def _polish(gradient: _Gradient, x: np.ndarray, tol: float) -> _Polish:
+def _polish(negated: Callable[[np.ndarray], float], derivatives: _Derivatives,
+            x: np.ndarray, tol: float) -> _Polish:
     """Damped Newton from a simplex result, then its second-order
     certificate: the Hessian positive definite on the free coordinates
     and the decrement at most tol.
 
-    Each of at most _NEWTON_STEPS iterations forms one Hessian.  An
-    uncertified point's step, the modified one where the Hessian is not
-    positive definite, is projected onto the box and halved until it
-    lowers the negated objective; the polish ends when none does.  A
-    certified point still takes its full Newton step when that lowers the
-    value, then the polish ends.  The decrement returned is that of the
-    last Hessian's point."""
-    f, g = gradient(x)
+    Each of at most _NEWTON_STEPS iterations forms one Hessian, with the
+    value and gradient, from one `derivatives` call at its point; the
+    trial points in between need only `negated`.  An uncertified point's
+    step, the modified one where the Hessian is not positive definite, is
+    projected onto the box and halved until it lowers the negated
+    objective; the polish ends when none does.  A certified point still
+    takes its full Newton step when that lowers the value, then the
+    polish ends.  The decrement returned is that of the last Hessian's
+    point."""
     for hessians in range(1, _NEWTON_STEPS + 1):
-        step, decrement = _newton_step(_free(x, g), g, _hessian(gradient, x))
+        f, g, hessian = derivatives(x)
+        step, decrement = _newton_step(_free(x, g), g, hessian)
         certified = decrement <= tol
         for _ in range(1 if certified else _BACKTRACKS):
             trial = _clip(x + step)
-            f_trial, g_trial = gradient(trial)
+            f_trial = negated(trial)
             if f_trial < f:
-                x, f, g = trial, f_trial, g_trial
+                x, f = trial, f_trial
                 break
             step *= 0.5
         else:
@@ -472,9 +549,10 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     The search ends at the first certified best point.  Otherwise it
     restarts from the best point with seeded jitter as long as the
     previous run improved the best value by at least tol and budget
-    remains.  The best objective seen is non-decreasing throughout, and
-    identical inputs give identical results; a search certified in its
-    first run never reads the seed.
+    remains.  The best objective seen never decreases, except that a
+    certified point displaces an uncertified best one less than tol above
+    it.  Identical inputs give identical results; a search certified in
+    its first run never reads the seed.
     """
     # Validated once per search, as objective validates each call: ChainSpec
     # refuses a complex, non-finite or miscounted start before clipping
@@ -484,7 +562,7 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     # every d >= 2.
     spec = ChainSpec(config.d, LINE, 0.0, np.asarray(initial).reshape(-1).tolist())
     x_start = _clip(np.array(spec.couplings))
-    negated, gradient = _search(config)
+    negated, derivatives = _search(config)
     rng = np.random.default_rng(config.seed)
     best = _Polish(x_start.copy(), negated(x_start), False, math.inf)
     handoff = max(_HANDOFF, config.tol)
@@ -499,10 +577,12 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
         if run.stop_reason == BUDGET:
             found = _Polish(run.x_best, run.f_best, False, math.inf)
         else:
-            found = _polish(gradient, run.x_best, config.tol)
+            found = _polish(negated, derivatives, run.x_best, config.tol)
             newton_steps += found.hessians
         improved = found.f < best.f - config.tol
-        if found.f < best.f or found.f == best.f and found.certified:
+        # a certified point displaces a best one less than tol above it, the
+        # resolution the restarts also use: near F = 1 that gap is rounding
+        if found.f < best.f or found.certified and found.f <= best.f + config.tol:
             best = found
         if best.certified or run.stop_reason == BUDGET or not improved:
             break
@@ -517,7 +597,7 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     else:
         reported = best_x
         fidelity = -best.f
-    g = gradient(best_x)[1]
+    g = derivatives(best_x)[1]
     return OptimizeResult(
         couplings=tuple(reported),
         fidelity=float(np.clip(fidelity, 0.0, 1.0)),

@@ -280,6 +280,26 @@ class TestExitCodesAndDeterminism:
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli("weyl-check").returncode == 2
 
+    def test_one_parser_per_process_repeats_every_run(self, capsys):
+        # the parser is built once and shared: a good run, a flag argparse
+        # refuses (SystemExit 2), one the command refuses (exit 2) and the
+        # good run again give the same bytes and codes each time
+        def outcome(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        good = ["pst", "--d", "4", "--t-max", "3.2", "--samples", "5"]
+        bad = [["pst", "--d", "four"], ["pst", "--d", "4", "--samples", "1"]]
+        first = [outcome(argv) for argv in (good, *bad)]
+        again = [outcome(argv) for argv in (good, *bad, good)]
+        assert again == [*first, first[0]]
+        assert [code for code, _, _ in first] == [0, 2, 2]
+        assert first[0][2] and all(err.startswith(("usage:", "error:")) for _, _, err in first[1:])
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestInProcessFormats:
     """Every subcommand through `cli.main` in both formats: the JSON and CSV
