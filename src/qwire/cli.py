@@ -10,7 +10,9 @@ Subcommands
 Exit codes follow the error's type: 0 success, 1 ArithmeticError (a
 tolerance, convergence or certification failure), 2 QwireError (an
 argument the library refuses; the CLI adds only pst's own flag rules and
-names optimize's --t-target), 3 RegisterTooLargeError (resource cap).
+names optimize's --t-target when it is not positive and finite, while a
+finite one at or above OptimizeConfig's limit is refused under the field
+name t_target), 3 RegisterTooLargeError (resource cap).
 optimize also exits 1 when its search is not certified (the payload's
 "converged" is false: the budget ran out, or the Newton polish found no
 strict local maximum) or its fidelity is below 0.999.

@@ -6,10 +6,6 @@ objective, a Newton polish of each run that stops on collapse or
 plateau, and deterministic seeded restarts while no result is certified.
 The simplex hands off early: each run stops at a loose _HANDOFF = 1e-3
 (or at tol, if looser), and the polish does the climbing from there.
-The simplex stays sorted by value: a full stable sort runs only after
-the initial evaluations and after a shrink, and every other step inserts
-its one new vertex in place.  The collapse test measures the whole
-simplex only when the worst vertex is already within tol of the best.
 
 Both the simplex's objective and the polish's derivatives come from one
 factory, `_search`: its two closures share one chain matrix and one
@@ -33,7 +29,6 @@ uniform start and certify, unmoved, when given as the initial point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
@@ -116,8 +111,9 @@ class OptimizeConfig:
                 )
 
 
-# Why a simplex run stopped: its vertices came within tol of the best one,
-# its best value gained less than tol over a sweep, or iterations ran out.
+# Why a simplex run stopped: its vertices came within the hand-off threshold
+# max(_HANDOFF, tol) of the best one, its best value gained less than that
+# threshold over a sweep, or iterations ran out.
 # Why a search stopped: one of those, or CERTIFIED when the Newton polish
 # after a collapse or plateau certified a strict local maximum.
 COLLAPSE = "collapse"
@@ -209,23 +205,6 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     return simplex
 
 
-def _sorted(simplex: np.ndarray, fvals: list[float]) -> tuple[np.ndarray, list[float]]:
-    """The vertices and their values by ascending value, equal values in
-    row order: the order of a stable argsort."""
-    order = sorted(range(len(fvals)), key=fvals.__getitem__)
-    return simplex[order], [fvals[i] for i in order]
-
-
-def _replace_worst(simplex: np.ndarray, fvals: list[float], x: np.ndarray, fx: float) -> None:
-    """Drops the last (worst) vertex and inserts x after every value equal
-    to fx, where a stable sort would put it, shifting the rows below."""
-    del fvals[-1]
-    k = bisect_right(fvals, fx)
-    fvals.insert(k, fx)
-    simplex[k + 1 :] = simplex[k:-1]
-    simplex[k] = x
-
-
 def _simplex_descent(
     f: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -236,21 +215,20 @@ def _simplex_descent(
     simplex collapses below tol or the best value improves by less than
     tol over a full sweep (n+1 consecutive steps).
 
-    The vertices stay sorted by value, best first, ties in arrival order.
-    A full stable sort runs only after the initial evaluations and after a
-    shrink; otherwise the one new vertex is inserted after every equal
-    value.  The collapse test measures the whole simplex only when the
-    worst vertex, whose distance from the best bounds the size from below,
-    is already within tol."""
+    Each iteration orders the vertices by a stable argsort of their
+    values, best first, ties in row order, and writes its new vertex into
+    the last row; a shrink rewrites every row but the best."""
     n = x0.shape[0]
     simplex = _initial_simplex(x0)
-    simplex, fvals = _sorted(simplex, [f(x) for x in simplex])
+    fvals = np.array([f(x) for x in simplex])
     sweep = n + 1
-    checkpoint = fvals[0]
+    checkpoint = float(fvals.min())
     iterations = 0
     stop_reason = BUDGET
 
     while iterations < max_iters:
+        order = fvals.argsort(kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
         worst = simplex[-1]
         centroid = np.add.reduce(simplex[:-1], axis=0) / n
         step = centroid - worst
@@ -261,11 +239,11 @@ def _simplex_descent(
             expanded = _clip(centroid + _EXPAND * step)
             f_expanded = f(expanded)
             if f_expanded < f_reflected:
-                _replace_worst(simplex, fvals, expanded, f_expanded)
+                simplex[-1], fvals[-1] = expanded, f_expanded
             else:
-                _replace_worst(simplex, fvals, reflected, f_reflected)
+                simplex[-1], fvals[-1] = reflected, f_reflected
         elif f_reflected < fvals[-2]:
-            _replace_worst(simplex, fvals, reflected, f_reflected)
+            simplex[-1], fvals[-1] = reflected, f_reflected
         else:
             if f_reflected < fvals[-1]:
                 contracted = _clip(centroid + _CONTRACT * (reflected - centroid))
@@ -276,29 +254,27 @@ def _simplex_descent(
                 f_contracted = f(contracted)
                 accept = f_contracted < fvals[-1]
             if accept:
-                _replace_worst(simplex, fvals, contracted, f_contracted)
+                simplex[-1], fvals[-1] = contracted, f_contracted
             else:
                 best = simplex[0]
                 for i in range(1, n + 1):
                     simplex[i] = _clip(best + _SHRINK * (simplex[i] - best))
                     fvals[i] = f(simplex[i])
-                simplex, fvals = _sorted(simplex, fvals)
 
         iterations += 1
 
-        # the worst vertex's distance from the best is a lower bound on the
-        # size, and cheaper to take as floats than through ndarray.max
-        best = simplex[0]
-        if max(map(abs, (simplex[-1] - best).tolist())) < tol and abs(simplex - best).max() < tol:
+        if abs(simplex - simplex[fvals.argmin()]).max() < tol:
             stop_reason = COLLAPSE
             break
         if iterations % sweep == 0:
-            if checkpoint - fvals[0] < tol:
+            best_now = float(fvals.min())
+            if checkpoint - best_now < tol:
                 stop_reason = PLATEAU
                 break
-            checkpoint = fvals[0]
+            checkpoint = best_now
 
-    return _SimplexRun(simplex[0].copy(), float(fvals[0]), iterations, stop_reason)
+    k = fvals.argmin()
+    return _SimplexRun(simplex[k].copy(), float(fvals[k]), iterations, stop_reason)
 
 
 # the negated objective with its gradient and Hessian in the couplings

@@ -906,8 +906,9 @@ def _rounded_square(x):
 
 
 class TestSortedSimplex:
-    """The loop keeps its vertices sorted by insertion; the reference re-sorts
-    them with a stable argsort on every iteration.  Both must agree."""
+    """The shipped loop must agree bit for bit with `_reference_descent`, the
+    argsort-per-iteration loop written out on its own: every output, on
+    every stop reason, on ties and on the n = 1 simplex."""
 
     coordinate = st.one_of(st.sampled_from([0.0, 1.0, COUPLING_BOUND, -COUPLING_BOUND]),
                            st.floats(-COUPLING_BOUND, COUPLING_BOUND))
@@ -928,7 +929,7 @@ class TestSortedSimplex:
     def test_ties_keep_the_stable_order(self, f, x0, max_iters, tol):
         _run_both(f, x0, max_iters, tol)
 
-    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("d", range(2, 11))
     def test_every_stop_reason_matches(self, d):
         negated = _search_objective(OptimizeConfig(d=d, t_target=math.pi / 2))
         uniform, zeros = np.ones(d - 1), np.zeros(d - 1)
@@ -984,3 +985,17 @@ class TestSortedSimplex:
         reference = _reference_descent(_constant, x0, 50, 1e-2)
         assert (reference.iterations, reference.stop_reason) == (3, COLLAPSE)
         assert _run_both(_constant, x0, 50, 1e-2) == COLLAPSE
+
+    def test_collapse_is_measured_from_the_new_best(self, monkeypatch):
+        # reflecting W = (1.5, 0) through A = (0, 0) and B = (0.9, 0) gives
+        # R = (-0.6, 0), the new best; the expansion to (-1.65, 0) is worse.
+        # Every vertex lies within tol = 1 of A, but B is 1.5 from R, so the
+        # simplex has not collapsed.
+        def shifted_square(x):
+            return (x[0] + 0.6) ** 2
+
+        x0 = self._from([(0.0, 0.0), (0.9, 0.0), (1.5, 0.0)], monkeypatch)
+        run = optimizer._simplex_descent(shifted_square, x0, 1, 1.0)
+        assert (run.iterations, run.stop_reason) == (1, BUDGET)
+        assert run.x_best == pytest.approx([-0.6, 0.0])
+        assert _run_both(shifted_square, x0, 1, 1.0) == BUDGET
