@@ -51,13 +51,13 @@ SECTOR_CLI_CAP = 10
 
 class Result(NamedTuple):
     """What a command hands to `main`: the JSON payload, whether it met its
-    tolerance, its CSV (header, rows) table, or None for one row under the
-    payload's keys, and an optional summary line for stderr (stdout when
-    the payload goes to a file)."""
+    tolerance, its CSV (header, columns) table, or None for one row under
+    the payload's keys, and an optional summary line for stderr (stdout
+    when the payload goes to a file)."""
 
     payload: dict
     ok: bool
-    table: tuple[list[str], list] | None = None
+    table: tuple[list[str], tuple] | None = None
     summary: dict | None = None
 
 
@@ -69,20 +69,19 @@ def _fmt_cell(value) -> str:
     return repr(float(value))
 
 
-def _fmt_column(column: tuple) -> list[str]:
+def _fmt_column(column) -> list[str]:
     """Each cell of one CSV column as `_fmt_cell` writes it.  A column with
     no bool or integer cell, the bulk of every table, is cast to float64
-    and printed by one list repr, which writes each float as
-    repr(float(v)) does; any other column goes cell by cell."""
+    once and each Python float printed by its repr, as repr(float(v))
+    writes it; any other column goes cell by cell."""
     if any(issubclass(kind, (int, np.integer)) for kind in set(map(type, column))):
         return list(map(_fmt_cell, column))
-    return repr(np.asarray(column, dtype=float).tolist())[1:-1].split(", ")
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
-def _csv(header: list[str], rows) -> str:
-    columns = [_fmt_column(column) for column in zip(*rows)]
+def _csv(header: list[str], columns) -> str:
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*columns)))
+    lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
     return "\n".join(lines) + "\n"
 
 
@@ -106,14 +105,14 @@ def cmd_dispersion(args) -> Result:
     deviations = np.abs(energies - matched)
 
     header = ["j", "k_b", "energy", "eigenvalue", "deviation"]
-    rows = list(zip(j.tolist(), kb, energies, matched, deviations))
+    columns = (j.tolist(), kb, energies, matched, deviations)
     payload = {"topology": args.topology, "d": int(args.d), "E0": float(args.E0),
                "A": float(args.A), "max_deviation": float(deviations.max()),
-               "rows": [dict(zip(header, row)) for row in rows]}
+               "rows": [dict(zip(header, row)) for row in zip(*columns)]}
     # relative, as hermitian_eig's bound is: a deviation of a few ulp of a
     # large energy passes
     limit = DISPERSION_LIMIT * max(1.0, float(np.abs(energies).max()))
-    return Result(payload, payload["max_deviation"] <= limit, (header, rows))
+    return Result(payload, payload["max_deviation"] <= limit, (header, columns))
 
 
 # ---------------------------------------------------------------- weyl-check
@@ -163,8 +162,7 @@ def cmd_pst(args) -> Result:
                "peak_fidelity": peak, "period": period, "uniform": bool(args.uniform)}
     payload = {"source": 0, "target": int(d - 1), "times": curve.times.tolist(),
                "fidelities": curve.fidelities.tolist()}
-    rows = list(zip(curve.times, curve.fidelities))
-    return Result(payload, True, (["t", "fidelity"], rows), summary)
+    return Result(payload, True, (["t", "fidelity"], (curve.times, curve.fidelities)), summary)
 
 
 # --------------------------------------------------------------- sector-check
@@ -211,9 +209,8 @@ def cmd_optimize(args) -> Result:
     result = optimize_couplings(config, initial)
     payload = {"d": int(d), "couplings": list(result.couplings), "fidelity": result.fidelity,
                "iterations": int(result.iterations), "converged": bool(result.converged)}
-    rows = [[j + 1, a] for j, a in enumerate(result.couplings)]
     ok = result.converged and result.fidelity >= OPTIMIZE_FIDELITY_FLOOR
-    return Result(payload, ok, (["j", "coupling"], rows))
+    return Result(payload, ok, (["j", "coupling"], (range(1, d), result.couplings)))
 
 
 # -------------------------------------------------------------------- driver
@@ -293,10 +290,11 @@ def main(argv=None) -> int:
         # result that missed its tolerance is exit 1
         return EXIT_USAGE if isinstance(exc, QwireError) else EXIT_TOLERANCE
 
+    payload = result.payload
     if args.format == "csv":
-        text = _csv(*(result.table or (list(result.payload), [result.payload.values()])))
+        text = _csv(*(result.table or (list(payload), [[v] for v in payload.values()])))
     else:
-        text = json.dumps(result.payload) + "\n"
+        text = json.dumps(payload) + "\n"
     try:
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")

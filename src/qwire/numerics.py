@@ -353,12 +353,11 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     has H's dtype.  Raises NonHermitianInputError unless H is tagged
     hermitian, and InvalidConfigError (a ValueError) for a complex or
     non-finite time or an overflowing max |lambda| * max |t|.  When every
-    time is zero the propagator is exactly the identity, so no eigensolve
-    is made and (I, ones) comes back.
+    time is zero no eigensolve is made: V is the identity, the eigenvalues
+    are taken as zeros and every phase is exp(-i 0) = 1 - 0j, so the
+    propagator is exactly the identity.
     """
     vectors, values, times = _evolution_factors(hamiltonian, times)
-    if not times.any():
-        return vectors, np.ones((*times.shape, values.shape[0]), dtype=complex)
     return vectors, _phases(values, times)
 
 

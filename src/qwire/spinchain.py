@@ -59,20 +59,21 @@ class QubitRegister:
 
 @dataclass(frozen=True)
 class SectorMap:
-    """Basis indices of the n single-excitation states, ordered by the
-    excited site's position; derived from n at construction."""
+    """Basis indices of the single-excitation states of a valid n-qubit
+    register, ordered by the excited site's position; derived at construction."""
 
     n: int
     indices: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        QubitRegister(self.n)
         indices = tuple(2 ** (self.n - 1 - k) for k in range(self.n))
         object.__setattr__(self, "indices", indices)
 
 
 def sector_map(n: int) -> SectorMap:
     """SectorMap for an n-qubit register under the big-endian convention."""
-    return SectorMap(n=QubitRegister(n).n)
+    return SectorMap(n=n)
 
 
 def lowering_operator(n: int, site: int) -> Operator:

@@ -34,6 +34,24 @@ def clock_matrix(d: int) -> Operator:
     return Operator(np.diag(np.exp(2j * np.pi * np.arange(d) / d)), tag=UNITARY)
 
 
+def _proportionality(u: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
+    """(lambda, max |U V - lambda V U|) from one product each way, lambda
+    read off at the largest entry of V U; NotProportionalError unless the
+    residual is <= 1e-12 (NaN fails too)."""
+    uv = u @ v
+    vu = v @ u
+    pivot = np.unravel_index(np.argmax(np.abs(vu)), vu.shape)
+    if abs(vu[pivot]) == 0.0:
+        raise NotProportionalError("V U is the zero matrix")
+    lam = complex(uv[pivot] / vu[pivot])
+    residual = max_abs(uv - lam * vu)
+    if not residual <= COMMUTATION_ATOL:
+        raise NotProportionalError(
+            f"U V and V U are not proportional: residual {residual:.3e}"
+        )
+    return lam, residual
+
+
 def commutation_phase(u: Operator, v: Operator) -> complex:
     """Scalar lambda with U V = lambda V U, measured from the matrices.
 
@@ -48,18 +66,7 @@ def commutation_phase(u: Operator, v: Operator) -> complex:
     for name, op in (("U", u), ("V", v)):
         if op.tag != UNITARY:
             raise InvalidConfigError(f"{name} must be a unitary-tagged operator, got {op.tag!r}")
-    uv = u.matrix @ v.matrix
-    vu = v.matrix @ u.matrix
-    pivot = np.unravel_index(np.argmax(np.abs(vu)), vu.shape)
-    if abs(vu[pivot]) == 0.0:
-        raise NotProportionalError("V U is the zero matrix")
-    lam = complex(uv[pivot] / vu[pivot])
-    residual = max_abs(uv - lam * vu)
-    if not residual <= COMMUTATION_ATOL:
-        raise NotProportionalError(
-            f"U V and V U are not proportional: residual {residual:.3e}"
-        )
-    return lam
+    return _proportionality(u.matrix, v.matrix)[0]
 
 
 def momentum_basis(d: int) -> Operator:
@@ -139,16 +146,16 @@ def verify_shift_identity(d: int, theta: float) -> ShiftIdentityResult:
 
 @dataclass(frozen=True)
 class WeylPair:
-    """The (shift, clock) pair for dimension d = shift.dim with its
-    measured commutation phase, validated at construction: the clock has
-    the same dimension, both operators have order d and the phase is a
-    primitive d-th root of unity.  The certification residuals
-    max |U^d - I|, max |V^d - I| and max |U V - lambda V U| are kept on
-    the pair."""
+    """The (shift, clock) pair for dimension d = shift.dim, validated at
+    construction: the clock has the same dimension, both operators have
+    order d, and the phase lambda of U V = lambda V U, measured there
+    from one product each way, is a primitive d-th root of unity.  The
+    phase and the residuals max |U^d - I|, max |V^d - I| and
+    max |U V - lambda V U| are kept on the pair."""
 
     shift: Operator
     clock: Operator
-    commutation_phase: complex
+    commutation_phase: complex = field(init=False)
     dim: int = field(init=False)
     shift_pow_residual: float = field(init=False)
     clock_pow_residual: float = field(init=False)
@@ -164,16 +171,11 @@ class WeylPair:
             if not dev <= IDENTITY_ATOL:  # NaN fails too
                 raise ValueError(f"{name}^d deviates from identity by {dev:.3e}")
             object.__setattr__(self, f"{name}_pow_residual", dev)
-        lam = self.commutation_phase
+        lam, residual = _proportionality(self.shift.matrix, self.clock.matrix)
+        object.__setattr__(self, "commutation_phase", lam)
+        object.__setattr__(self, "commutation_residual", residual)
         if abs(abs(lam) - 1.0) > COMMUTATION_ATOL:
             raise ValueError(f"commutation phase must be unit modulus, got {lam!r}")
-        residual = max_abs(
-            self.shift.matrix @ self.clock.matrix
-            - lam * self.clock.matrix @ self.shift.matrix
-        )
-        if not residual <= COMMUTATION_ATOL:
-            raise ValueError(f"commutation relation residual {residual:.3e}")
-        object.__setattr__(self, "commutation_residual", residual)
         powers = lam ** np.arange(1, self.dim)
         if np.any(np.abs(powers - 1.0) <= COMMUTATION_ATOL):
             raise ValueError("commutation phase is not a primitive d-th root of unity")
@@ -183,6 +185,4 @@ class WeylPair:
 
 def weyl_pair(d: int) -> WeylPair:
     """Construct and certify the shift/clock pair for dimension d."""
-    u = shift_matrix(d)  # raises for d < 2
-    v = clock_matrix(d)
-    return WeylPair(shift=u, clock=v, commutation_phase=commutation_phase(u, v))
+    return WeylPair(shift=shift_matrix(d), clock=clock_matrix(d))  # raises for d < 2

@@ -436,9 +436,10 @@ def _reference_csv(header, rows) -> str:
 
 
 class TestColumnEmitter:
-    """`cli._csv` picks one formatter per column; its bytes equal the former
-    per-cell emitter's on every subcommand's table and on the one-row
-    payload fallback."""
+    """`cli._csv` takes a table's columns and picks one formatter per
+    column; its bytes equal the former per-cell emitter's, fed the same
+    table as rows, on every subcommand's table and on the one-row payload
+    fallback."""
 
     COMMANDS = [
         ("dispersion", "--topology", "ring", "--d", "9", "--E0", "-0.3", "--A", "1.7"),
@@ -454,26 +455,28 @@ class TestColumnEmitter:
     def test_subcommand_tables(self, argv):
         args = cli.build_parser().parse_args(argv)
         result = cli._COMMANDS[args.command](args)
-        table = result.table or (list(result.payload), [result.payload.values()])
-        assert cli._csv(*table) == _reference_csv(*table)
+        header, columns = result.table or (list(result.payload),
+                                           [(v,) for v in result.payload.values()])
+        assert cli._csv(header, columns) == _reference_csv(header, list(zip(*columns)))
 
     def test_payload_fallback_with_every_cell_type(self):
         payload = {"holds": True, "fails": False, "n": 3, "m": np.int64(-4), "x": 0.1,
                    "y": np.float64(5e-324), "z": -0.0, "w": math.inf, "v": math.nan,
                    "u": np.float32(0.1), "flag": np.bool_(True), "big": 10**20}
-        table = (list(payload), [payload.values()])
-        text = cli._csv(*table)
-        assert text == _reference_csv(*table)
+        columns = [(v,) for v in payload.values()]
+        text = cli._csv(list(payload), columns)
+        assert text == _reference_csv(list(payload), list(zip(*columns)))
         assert text.split("\n")[1].split(",")[:5] == ["true", "false", "3", "-4", "0.1"]
 
-    @pytest.mark.parametrize("rows", [
-        [],
-        [(1.5, 2)],
-        [(True, 1.0), (False, 2.5)],
-        [(1, 0.5), (True, 1e300), (np.int32(7), -1e-300)],  # mixed columns
+    @pytest.mark.parametrize("columns", [
+        ([], []),
+        ([1.5], [2]),
+        ([True, False], [1.0, 2.5]),
+        ([1, True, np.int32(7)], [0.5, 1e300, -1e-300]),  # mixed columns
     ], ids=["empty", "one-row", "bool-column", "mixed"])
-    def test_edge_tables(self, rows):
-        assert cli._csv(["a", "b"], rows) == _reference_csv(["a", "b"], rows)
+    def test_edge_tables(self, columns):
+        expected = _reference_csv(["a", "b"], list(zip(*columns)))
+        assert cli._csv(["a", "b"], columns) == expected
 
 
 class TestRejectionTable:

@@ -356,6 +356,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(Operator(X, tag=HERMITIAN), math.inf)
 
+    def test_all_zero_grid_phases_are_those_of_a_zero_time(self):
+        # a positive spectrum: every angle 0 * lambda is +0, as in the all-zero grid
+        h = build_hamiltonian(uniform_chain(5, LINE, 3.0, 1.0))
+        zero_row = evolution_phases(h, [0.0, 1.0])[1][0]
+        for row in evolution_phases(h, [0.0, 0.0])[1]:
+            assert row.tobytes() == zero_row.tobytes()
+
     @pytest.mark.parametrize("t", [0.7, -2, 0, np.float64(1.25)])
     def test_one_time_matches_the_array_route(self, t):
         # one time and a one-element grid take the same path and give the same phases

@@ -6,6 +6,7 @@ import pytest
 from qwire.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidConfigError,
     NonHermitianInputError,
     RegisterTooLargeError,
 )
@@ -181,6 +182,15 @@ class TestSectorMap:
     def test_indices_are_derived_from_n(self, n):
         assert SectorMap(n=n).indices == tuple(1 << (n - 1 - k) for k in range(n))
         assert sector_map(n) == SectorMap(n=n)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5])
+    def test_rejects_n_outside_the_register_rule(self, n):
+        with pytest.raises(InvalidConfigError):
+            SectorMap(n=n)
+
+    def test_rejects_n_above_the_register_cap(self):
+        with pytest.raises(RegisterTooLargeError):
+            SectorMap(n=MAX_QUBITS + 1)
 
 
 class TestSectorReduction:

@@ -12,7 +12,15 @@ from qwire.errors import (
     NotProportionalError,
     ZeroThetaError,
 )
-from qwire.numerics import HERMITIAN, Operator, basis_state, evolve, hermitian_eig, max_abs
+from qwire.numerics import (
+    HERMITIAN,
+    UNITARY,
+    Operator,
+    basis_state,
+    evolve,
+    hermitian_eig,
+    max_abs,
+)
 from qwire.weyl import (
     WeylPair,
     clock_matrix,
@@ -280,14 +288,33 @@ class TestWeylPair:
         assert pair.dim == d
         assert abs(pair.commutation_phase - cmath.exp(-2j * cmath.pi / d)) <= 1e-12
 
-    def test_rejects_wrong_phase(self):
-        with pytest.raises(ValueError):
-            WeylPair(shift=shift_matrix(3), clock=clock_matrix(3), commutation_phase=1.0 + 0j)
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_measures_the_phase_weyl_pair_reports(self, d):
+        pair = WeylPair(shift_matrix(d), clock_matrix(d))
+        reference = weyl_pair(d)
+        # fields, not the pairs: Operator equality is ambiguous on arrays
+        assert pair.commutation_phase == reference.commutation_phase
+        assert pair.commutation_phase == commutation_phase(shift_matrix(d), clock_matrix(d))
+        assert (pair.dim, pair.shift_pow_residual, pair.clock_pow_residual,
+                pair.commutation_residual) == (
+            reference.dim, reference.shift_pow_residual, reference.clock_pow_residual,
+            reference.commutation_residual)
+
+    def test_rejects_measured_phase_that_is_not_primitive(self):
+        # C^2 has order 4 like C, but U C^2 = -C^2 U: lambda = -1 squares to 1
+        c = clock_matrix(4).matrix
+        with pytest.raises(ValueError, match="not a primitive d-th root of unity"):
+            WeylPair(shift=shift_matrix(4), clock=Operator(c @ c, tag=UNITARY))
+
+    def test_rejects_clock_with_no_common_phase(self):
+        # order 4, but the shift moves its phases to ones no scalar relates
+        clock = Operator(np.diag([1, 1, 1j, -1j]), tag=UNITARY)
+        with pytest.raises(NotProportionalError, match="not proportional"):
+            WeylPair(shift=shift_matrix(4), clock=clock)
 
     def test_rejects_mismatched_clock(self):
         with pytest.raises(DimensionMismatchError, match="clock dim 4 != shift dim 3"):
-            WeylPair(shift=shift_matrix(3), clock=clock_matrix(4),
-                     commutation_phase=commutation_phase(shift_matrix(3), clock_matrix(3)))
+            WeylPair(shift=shift_matrix(3), clock=clock_matrix(4))
 
     def test_rejects_small_dimension(self):
         with pytest.raises(DimensionTooSmallError):
@@ -306,6 +333,5 @@ class TestWeylPair:
 
     def test_rejects_nan_operator(self):
         nan_shift = Operator(np.full((3, 3), np.nan))
-        with pytest.raises(ValueError):
-            WeylPair(shift=nan_shift, clock=clock_matrix(3),
-                     commutation_phase=commutation_phase(shift_matrix(3), clock_matrix(3)))
+        with pytest.raises(ValueError, match=r"shift\^d deviates from identity by nan"):
+            WeylPair(shift=nan_shift, clock=clock_matrix(3))
