@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lattice, pst, spinchain, weyl
-from .errors import NotProportionalError, QwireError, RegisterTooLargeError
+from .errors import NotProportionalError, QwireError, RegisterTooLargeError, require_real
 from .numerics import hermitian_eig, max_abs
 from .optimizer import OptimizeConfig, optimize_couplings
 
@@ -83,11 +83,6 @@ def _csv(header: list[str], columns) -> str:
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
     return "\n".join(lines) + "\n"
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise QwireError(message)
 
 
 # ---------------------------------------------------------------- dispersion
@@ -142,11 +137,11 @@ def cmd_weyl_check(args) -> Result:
 
 
 def cmd_pst(args) -> Result:
-    d, vartheta = args.d, args.vartheta
-    _require(0 < vartheta < math.inf, f"vartheta must be positive and finite, got {vartheta!r}")
+    d, vartheta = args.d, require_real(args.vartheta, "vartheta", QwireError, positive=True)
     t_max = args.t_max if args.t_max is not None else math.pi / vartheta
-    _require(0 < t_max < math.inf, f"t-max must be positive and finite, got {t_max!r}")
-    _require(args.samples >= 2, f"samples must be >= 2, got {args.samples}")
+    t_max = require_real(t_max, "t-max", QwireError, positive=True)
+    if args.samples < 2:
+        raise QwireError(f"samples must be >= 2, got {args.samples}")
     grid = np.linspace(0.0, t_max, args.samples)  # t_max > 0: a nonzero time
     if args.uniform:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
@@ -199,8 +194,7 @@ def cmd_sector_check(args) -> Result:
 def cmd_optimize(args) -> Result:
     d = args.d
     # OptimizeConfig checks every setting; this one repeats its rule to name the flag
-    _require(0 < args.t_target < math.inf,
-             f"t-target must be positive and finite, got {args.t_target!r}")
+    require_real(args.t_target, "t-target", QwireError, positive=True)
     config = OptimizeConfig(d=d, t_target=args.t_target, max_iters=args.max_iters,
                             tol=args.tol, seed=args.seed)
     rng = np.random.default_rng(args.seed)

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCouplingCountError, InvalidConfigError, NonHermitianInputError, require_dim
-from .numerics import HERMITIAN, Operator, StateVector, float_or_inf, hermitian_eig
+from .errors import BadCouplingCountError, InvalidConfigError, NonHermitianInputError
+from .errors import require_dim, require_real, require_reals
+from .numerics import HERMITIAN, Operator, StateVector, hermitian_eig
 
 RING = "ring"
 LINE = "line"
@@ -18,7 +19,8 @@ LINE = "line"
 @dataclass(frozen=True)
 class ChainSpec:
     """Chain description: size, topology, on-site energy, and one coupling
-    per bond (d-1 bonds on a line, d on a ring)."""
+    per bond (d-1 bonds on a line, d on a ring); E0 and the couplings must
+    be finite reals and are kept as Python floats."""
 
     d: int
     topology: str
@@ -29,20 +31,14 @@ class ChainSpec:
         require_dim(self.d)
         if self.topology not in (RING, LINE):
             raise InvalidConfigError(f"topology must be 'ring' or 'line', got {self.topology!r}")
-        # numpy complex scalars convert to float with a warning; refuse them
-        if np.iscomplexobj(self.couplings):
-            raise InvalidConfigError(f"couplings must be real, got {self.couplings!r}")
-        couplings = tuple(map(float_or_inf, self.couplings))
+        couplings = tuple(require_reals(self.couplings, "couplings", ndim=1).tolist())
         expected = self.d if self.topology == RING else self.d - 1
         if len(couplings) != expected:
             raise BadCouplingCountError(
                 f"{self.topology} chain with d={self.d} needs {expected} couplings, "
                 f"got {len(couplings)}"
             )
-        if not all(map(math.isfinite, couplings)):
-            raise InvalidConfigError("couplings must be finite")
-        if np.iscomplexobj(self.E0) or not math.isfinite(float_or_inf(self.E0)):
-            raise InvalidConfigError(f"E0 must be finite and real, got {self.E0!r}")
+        object.__setattr__(self, "E0", require_real(self.E0, "E0"))
         object.__setattr__(self, "couplings", couplings)
 
     @property
@@ -117,9 +113,9 @@ def dispersion(topology: str, d: int, E0: float, A: float) -> np.ndarray:
     own rules refuse d, the topology, E0 and A as `ChainSpec` does, and
     InvalidConfigError is raised when the band edge |E0| + 2|A| overflows."""
     spec = uniform_chain(d, topology, E0, A)
+    E0, A = spec.E0, spec.couplings[0]
     # Python floats: an overflowing sum becomes inf without a numpy warning
-    edge = abs(float(spec.E0)) + 2 * abs(spec.couplings[0])
-    if not math.isfinite(edge):
+    if not math.isfinite(abs(E0) + 2 * abs(A)):
         raise InvalidConfigError(f"band edge |E0| + 2|A| overflows: E0={E0!r}, A={A!r}")
     _, kb = wave_numbers(topology, d)
     return E0 - 2 * A * np.cos(kb)

@@ -70,6 +70,7 @@ from .errors import (
     NonHermitianInputError,
     NotNormalizedError,
     require_integer,
+    require_reals,
 )
 
 # Tolerance policy: absolute for exact algebraic identities at small
@@ -98,16 +99,6 @@ _PARITY_SPLIT_DIM = 128
 def max_abs(matrix: np.ndarray) -> float:
     """Largest entry magnitude (the max norm used by all tolerances)."""
     return float(np.max(np.abs(matrix))) if matrix.size else 0.0
-
-
-def float_or_inf(x) -> float:
-    """float(x), or +-inf for a Python int beyond the float range, where
-    float() raises OverflowError, so a finiteness check refuses that int
-    with its own error."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -327,14 +318,7 @@ def _evolution_factors(hamiltonian: Operator, times) -> tuple[np.ndarray, np.nda
     every phase angle lambda_k t is exactly 0."""
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
-    if np.iscomplexobj(times):  # the float cast would drop the imaginary part
-        raise InvalidConfigError(f"evolution times must be real, got {times!r}")
-    try:
-        times = np.asarray(times, dtype=float)
-    except OverflowError:  # a Python int beyond the float range
-        raise InvalidConfigError("evolution times must be finite") from None
-    if not np.isfinite(times).all():
-        raise InvalidConfigError("evolution times must be finite")
+    times = require_reals(times, "evolution times")
     d = hamiltonian.dim
     if not times.any():
         return np.eye(d, dtype=hamiltonian.matrix.dtype), np.zeros(d), times

@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, require_real
 from .lattice import LINE, ChainSpec, build_hamiltonian
-from .numerics import _eigh, float_or_inf
+from .numerics import _eigh
 from .pst import transfer_fidelity
 
 COUPLING_BOUND = 10.0
@@ -80,7 +80,7 @@ def objective(couplings, t: float, d: int) -> float:
     and InvalidConfigError (a ValueError) unless they are finite and real.
     """
     couplings = np.asarray(couplings).reshape(-1)  # ChainSpec converts and checks
-    spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings.tolist())
+    spec = ChainSpec(d=d, topology=LINE, E0=0.0, couplings=couplings)
     return transfer_fidelity(build_hamiltonian(spec), t, 0, spec.d - 1)
 
 
@@ -102,13 +102,10 @@ class OptimizeConfig:
             value = getattr(self, name)
             if not (isinstance(value, Integral) and value >= low):
                 raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name, high in (("t_target", _T_TARGET_LIMIT), ("tol", math.inf)):
-            value = getattr(self, name)
-            # Real first: comparing a complex would raise TypeError
-            if not (isinstance(value, Real) and 0 < float_or_inf(value) < high):
-                raise InvalidConfigError(
-                    f"{name} must be real, positive and below {high:.4g}, got {value!r}"
-                )
+        if not require_real(self.t_target, "t_target", positive=True) < _T_TARGET_LIMIT:
+            raise InvalidConfigError(
+                f"t_target must be below {_T_TARGET_LIMIT:.4g}, got {self.t_target!r}")
+        require_real(self.tol, "tol", positive=True)
 
 
 # Why a simplex run stopped: its vertices came within the hand-off threshold
@@ -536,7 +533,7 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     # jitter of finite points keep count and finiteness; OptimizeConfig
     # certifies d and t_target, and the end sites 0 and d-1 exist for
     # every d >= 2.
-    spec = ChainSpec(config.d, LINE, 0.0, np.asarray(initial).reshape(-1).tolist())
+    spec = ChainSpec(config.d, LINE, 0.0, np.asarray(initial).reshape(-1))
     x_start = _clip(np.array(spec.couplings))
     negated, derivatives = _search(config)
     rng = np.random.default_rng(config.seed)

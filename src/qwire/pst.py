@@ -20,16 +20,10 @@ from .errors import (
     ZeroThetaError,
     require_dim,
     require_integer,
+    require_real,
 )
 from .lattice import _line_matrix
-from .numerics import (
-    HERMITIAN,
-    Operator,
-    _evolution_factors,
-    _phases,
-    evolution_phases,
-    float_or_inf,
-)
+from .numerics import HERMITIAN, Operator, _evolution_factors, _phases, evolution_phases
 
 MIRROR_ATOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
@@ -39,11 +33,10 @@ def pst_couplings(d: int, A: float) -> np.ndarray:
     """Bond amplitudes A*sqrt(j*(d-j)) for j = 1..d-1 (a palindrome);
     InvalidConfigError unless A is real and every amplitude finite."""
     require_dim(d)
-    if np.iscomplexobj(A):
-        raise InvalidConfigError(f"A must be real, got {A!r}")
+    scale = require_real(A, "A")
     j = np.arange(1, d, dtype=float)
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        couplings = float_or_inf(A) * np.sqrt(j * (d - j))
+        couplings = scale * np.sqrt(j * (d - j))
     if not np.isfinite(couplings).all():
         raise InvalidConfigError(f"A*sqrt(j(d-j)) must be finite, got A={A!r} at d={d}")
     return couplings
@@ -58,12 +51,9 @@ def pst_hamiltonian(d: int, vartheta: float) -> Operator:
     and every entry vartheta*sqrt(j*(d-j)) is finite; the matrix is then
     hermitian and finite by construction."""
     profile = pst_couplings(d, 1.0)  # raises for d < 2
-    if np.iscomplexobj(vartheta):
-        raise ZeroThetaError(f"vartheta must be real, got {vartheta!r}")
-    if not 0 < float_or_inf(vartheta) < math.inf:
-        raise ZeroThetaError(f"vartheta must be positive and finite, got {vartheta!r}")
+    rate = require_real(vartheta, "vartheta", ZeroThetaError, positive=True)
     with np.errstate(over="ignore"):  # an overflow is rejected just below
-        hop = vartheta * profile
+        hop = rate * profile
     if not np.isfinite(hop).all():
         raise ZeroThetaError(
             f"vartheta*sqrt(j(d-j)) must be finite, got vartheta={vartheta!r} at d={d}"

@@ -15,7 +15,6 @@ behind `ladder_algebra_check`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import NamedTuple
@@ -29,8 +28,9 @@ from .errors import (
     NonHermitianInputError,
     RegisterTooLargeError,
     require_integer,
+    require_reals,
 )
-from .numerics import GENERAL, HERMITIAN, Operator, float_or_inf, max_abs
+from .numerics import GENERAL, HERMITIAN, Operator, max_abs
 
 MAX_QUBITS = 12  # dense 4096 x 4096 is the desk-scale ceiling
 
@@ -103,15 +103,11 @@ def xy_chain_hamiltonian(couplings) -> Operator:
     2^n states, n = len(couplings) + 1.
 
     The result commutes with the total excitation number.
-    NonHermitianInputError is raised for a NaN, infinite or complex
-    coupling; finite real couplings make the matrix hermitian and finite
-    by construction.
+    NonHermitianInputError is raised unless couplings is a sequence of
+    finite reals; those make the matrix hermitian and finite by
+    construction.
     """
-    if np.iscomplexobj(couplings):  # float() would drop the imaginary part
-        raise NonHermitianInputError(f"exchange couplings must be real, got {couplings!r}")
-    couplings = [float_or_inf(a) for a in couplings]
-    if not all(map(math.isfinite, couplings)):
-        raise NonHermitianInputError(f"exchange couplings must be finite, got {couplings}")
+    couplings = require_reals(couplings, "exchange couplings", NonHermitianInputError, ndim=1)
     n = len(couplings) + 1
     index = np.arange(QubitRegister(n).dim)
     h = np.zeros((index.size, index.size))

@@ -15,8 +15,9 @@ from .errors import (
     NotProportionalError,
     ZeroThetaError,
     require_dim,
+    require_real,
 )
-from .numerics import HERMITIAN, UNITARY, Operator, evolve, float_or_inf, max_abs
+from .numerics import HERMITIAN, UNITARY, Operator, evolve, max_abs
 
 COMMUTATION_ATOL = 1e-12
 IDENTITY_ATOL = 1e-10
@@ -90,12 +91,11 @@ def equidistant_hamiltonian(d: int, theta: float) -> Operator:
     overflows.
     """
     require_dim(d)
-    # the symmetrization below would hide complex levels
-    if np.iscomplexobj(theta):
-        raise ZeroThetaError(f"theta must be real, got {theta!r}")
-    if not 0 < abs(float_or_inf(theta)) < math.inf:  # negative theta is allowed
-        raise ZeroThetaError(f"theta must be nonzero and finite, got {theta!r}")
-    if not math.isfinite(float_or_inf(theta * (d - 1))):
+    # real first: the symmetrization below would hide complex levels
+    theta = require_real(theta, "theta", ZeroThetaError)
+    if theta == 0:  # negative theta is allowed
+        raise ZeroThetaError(f"theta must be nonzero, got {theta!r}")
+    if not math.isfinite(theta * (d - 1)):
         raise ZeroThetaError(f"top level (d-1)*theta overflows: theta={theta!r}, d={d}")
     plane_waves = momentum_basis(d).matrix.conj()
     levels = theta * np.arange(d, dtype=float)
@@ -109,11 +109,8 @@ def time_step(d: int, theta: float) -> float:
     ZeroThetaError is raised unless theta is real, 0 < theta < inf and
     the step is a finite nonzero number (theta*d must not overflow)."""
     require_dim(d)
-    if np.iscomplexobj(theta):  # before the comparison, which a complex theta breaks
-        raise ZeroThetaError(f"theta must be real, got {theta!r}")
-    if not 0 < float_or_inf(theta) < math.inf:
-        raise ZeroThetaError(f"theta must be positive and finite, got {theta!r}")
-    step = 2 * math.pi / float_or_inf(theta * d)
+    theta = require_real(theta, "theta", ZeroThetaError, positive=True)
+    step = 2 * math.pi / (theta * d)
     if not 0 < step < math.inf:
         raise ZeroThetaError(f"theta = {theta!r} gives no finite nonzero time step at d = {d}")
     return step

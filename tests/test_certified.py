@@ -122,7 +122,7 @@ class TestComplexInputRejected:
     """A complex value written to both triangles would not be hermitian."""
 
     def test_on_site_energy(self):
-        with pytest.raises(ValueError, match="E0 must be finite and real"):
+        with pytest.raises(ValueError, match="E0 must be real"):
             ChainSpec(d=3, topology=LINE, E0=np.complex128(1 + 1j), couplings=(1.0, 1.0))
 
     @pytest.mark.parametrize("topology,position", [(LINE, 0), (LINE, 1), (LINE, 2),

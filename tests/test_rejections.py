@@ -6,11 +6,19 @@ entry point raised ValueError before the library's rejections became
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qwire.errors import InvalidConfigError, QwireError
+from qwire.errors import (
+    InvalidConfigError,
+    NonHermitianInputError,
+    QwireError,
+    ZeroThetaError,
+    require_real,
+    require_reals,
+)
 from qwire.lattice import (
     LINE,
     RING,
@@ -60,7 +68,7 @@ from qwire.weyl import (
 H4 = pst_hamiltonian(4, 1.0)  # spectrum -3, -1, 1, 3
 
 NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
-NOT_REAL = {**NON_FINITE, "complex": 1j}
+NOT_REAL = {**NON_FINITE, "complex": 1j, "str": "1", "none": None}
 
 # name -> (call taking the bad value, whether it raised ValueError before)
 REAL_ARGUMENTS = {
@@ -180,6 +188,9 @@ SINGLE_CASES = [
     ("dispersion-band-overflow-two-site-ring", lambda: dispersion(RING, 2, 0.0, 1e308), False),
     ("dispersion_check-band-overflow",
      lambda: dispersion_check(uniform_chain(6, RING, 0.0, -1e308)), False),
+    # a bare number where a coupling sequence belongs is not one coupling
+    ("ChainSpec-bare-coupling", lambda: ChainSpec(d=3, topology=LINE, E0=0.0, couplings=5), True),
+    ("xy_chain_hamiltonian-bare-coupling", lambda: xy_chain_hamiltonian(5), False),
 ]
 
 # a dimension, count or index that is not an integer was refused by numpy,
@@ -280,3 +291,51 @@ class TestPhaseOverflow:
         h = Operator(np.diag([1e308, -1e308]), tag=HERMITIAN)
         vectors, phases = evolution_phases(h, [0.0, 0.0])
         assert np.array_equal(vectors, np.eye(2)) and np.array_equal(phases, np.ones((2, 2)))
+
+
+class TestRealRule:
+    """`require_reals` and its one-number wrapper `require_real`: the rule
+    every real argument goes through, under the caller's error class."""
+
+    @pytest.mark.parametrize("value", [3, -2.5, True, np.float32(0.1), np.int64(7),
+                                       np.uint8(200), np.array(1.5), 2**64 + 1])
+    def test_real_number_accepted_as_its_float(self, value):
+        real = require_real(value, "x")
+        assert type(real) is float and real == float(value)
+
+    @pytest.mark.parametrize("value", [10**400, np.complex128(1 + 0j), 1j, "1", None,
+                                       np.array([1.0, 2.0]), [1.0], math.nan])
+    @pytest.mark.parametrize("error", [InvalidConfigError, ZeroThetaError])
+    def test_bad_number_refused_by_name(self, value, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning or RuntimeWarning
+            with pytest.raises(error, match="^rate must be ") as excinfo:
+                require_real(value, "rate", error)
+        assert type(excinfo.value) is error
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_positive_refuses_zero_negative_and_non_finite(self, value):
+        with pytest.raises(ZeroThetaError, match="^rate must be positive and finite, got "):
+            require_real(value, "rate", ZeroThetaError, positive=True)
+
+    def test_sequence_cast_once(self):
+        reals = require_reals([1, 2.5, True, np.float32(0.5)], "couplings", ndim=1)
+        assert reals.dtype == np.float64 and reals.tolist() == [1.0, 2.5, 1.0, 0.5]
+
+    @pytest.mark.parametrize("values", [[1.0, "1"], [1.0, None], np.array([1.0, "1"], dtype=object),
+                                        [1.0, np.complex128(1.0)], [1.0, [1.0, 2.0]]])
+    def test_sequence_with_a_non_real_entry_refused(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonHermitianInputError, match="^couplings must be real, got "):
+                require_reals(values, "couplings", NonHermitianInputError)
+
+    def test_sequence_beyond_the_float_range_refused(self):
+        with pytest.raises(InvalidConfigError, match="^couplings must be finite$"):
+            require_reals([1.0, -(10**400)], "couplings")
+
+    def test_bare_coupling_refused_with_the_entry_points_class(self):
+        with pytest.raises(InvalidConfigError, match="^couplings must be a sequence"):
+            ChainSpec(d=2, topology=LINE, E0=0.0, couplings=5)
+        with pytest.raises(NonHermitianInputError, match="^exchange couplings must be a sequence"):
+            xy_chain_hamiltonian(5)
