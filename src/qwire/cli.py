@@ -34,7 +34,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lattice, pst, spinchain, weyl
-from .errors import NotProportionalError, QwireError, RegisterTooLargeError, require_real
+from .errors import (
+    NotProportionalError,
+    QwireError,
+    RegisterTooLargeError,
+    require_dim,
+    require_real,
+)
 from .numerics import hermitian_eig, max_abs
 from .optimizer import OptimizeConfig, optimize_couplings
 
@@ -167,7 +173,7 @@ def cmd_sector_check(args) -> Result:
     n = args.n
     if n > SECTOR_CLI_CAP:
         raise RegisterTooLargeError(f"n = {n} exceeds the sector-check cap {SECTOR_CLI_CAP}")
-    # the library builders come first: they refuse n < 2
+    require_dim(n, "n")
     if args.pst:
         couplings = pst.pst_couplings(n, 1.0)
         reference = pst.pst_hamiltonian(n, 1.0).matrix

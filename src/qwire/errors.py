@@ -62,12 +62,16 @@ def require_integer(value, name: str) -> int:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def require_dim(d: int) -> None:
-    """The integer d >= 2 rule of every chain, dispersion and shift/clock
-    builder: InvalidConfigError for a d that is not an integer,
-    DimensionTooSmallError for one below 2."""
-    if require_integer(d, "d") < 2:
-        raise DimensionTooSmallError(f"d must be >= 2, got {d}")
+def require_dim(d, name: str = "d") -> int:
+    """operator.index(d) under the integer d >= 2 rule of every chain,
+    dispersion and shift/clock builder: InvalidConfigError naming the
+    argument for a d that is not an integer, DimensionTooSmallError for
+    one below 2.  The result is a Python int, so products with it cannot
+    overflow in numpy."""
+    dim = require_integer(d, name)
+    if dim < 2:
+        raise DimensionTooSmallError(f"{name} must be >= 2, got {d}")
+    return dim
 
 
 def require_reals(values, name: str, error=InvalidConfigError, positive: bool = False,

@@ -25,8 +25,12 @@ diagonalizes H once, refuses an overflowing max |lambda| * max |t| (a
 phase would be NaN) and returns the eigenvectors V and eigenvalues.
 `evolution_phases` turns them into the phases exp(-i lambda_k t) for
 every requested time (the coupling search, below, repeats only the
-unchecked last step, inline), and `pst.fidelity_curve` into cosines and
-sines of the same angles.  `evolve` builds the propagator
+unchecked last step, inline).  `pst.fidelity_curve` factors each phase
+of a grid evenly spaced from 0 (each time but the last exactly i times
+the second) as exp(-i lambda_k a*B*dt) exp(-i lambda_k b*dt), so about
+2*sqrt(N)*d exponentials serve N times, within about
+3*eps*max|lambda|*t_max; any other grid it contracts from the cosines
+and sines of the angles lambda_k t.  `evolve` builds the propagator
 V diag(phases) V^dag; the transfer amplitudes in `pst` contract with
 V[target] * conj(V[source]) and never form the d x d propagator.  All
 values are immutable after construction and safe to share between
@@ -262,7 +266,9 @@ def _hermitian_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M[h, h].  A block eigenvector y becomes V's column (y, +-Jy)/sqrt(2),
     with y's last entry as the middle row of an even column; an odd
     column has a zero middle row.  The columns are merged by a stable
-    argsort of the two spectra, so the values stay ascending."""
+    argsort of the two spectra, so the values stay ascending.  They are
+    permuted in place, 64 rows at a time: a second d x d array would cost
+    fresh memory pages, 2 MB of them at d = 512."""
     d = matrix.shape[0]
     if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
         return _eigh(matrix)
@@ -286,7 +292,10 @@ def _hermitian_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors[d - h :, d - h :] = -r * odd_vectors[::-1]
     values = np.concatenate((even_values, odd_values))
     order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+    for start in range(0, d, 64):
+        rows = vectors[start : start + 64]
+        rows[...] = rows[:, order]
+    return values[order], vectors
 
 
 def hermitian_eig(operator: Operator) -> EigenSystem:

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, require_real
+from .errors import InvalidConfigError, require_integer, require_real
 from .lattice import LINE, ChainSpec, build_hamiltonian
 from .numerics import _eigh
 from .pst import transfer_fidelity
@@ -100,7 +100,7 @@ class OptimizeConfig:
     def __post_init__(self) -> None:
         for name, low in (("d", 2), ("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= low):
+            if not require_integer(value, name) >= low:
                 raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not require_real(self.t_target, "t_target", positive=True) < _T_TARGET_LIMIT:
             raise InvalidConfigError(

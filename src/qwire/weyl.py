@@ -90,7 +90,7 @@ def equidistant_hamiltonian(d: int, theta: float) -> Operator:
     complex, zero or non-finite theta or a top level (d-1)*theta that
     overflows.
     """
-    require_dim(d)
+    d = require_dim(d)
     # real first: the symmetrization below would hide complex levels
     theta = require_real(theta, "theta", ZeroThetaError)
     if theta == 0:  # negative theta is allowed
@@ -108,7 +108,7 @@ def time_step(d: int, theta: float) -> float:
 
     ZeroThetaError is raised unless theta is real, 0 < theta < inf and
     the step is a finite nonzero number (theta*d must not overflow)."""
-    require_dim(d)
+    d = require_dim(d)
     theta = require_real(theta, "theta", ZeroThetaError, positive=True)
     step = 2 * math.pi / (theta * d)
     if not 0 < step < math.inf:

@@ -526,12 +526,12 @@ class TestRejectionTable:
 
     @pytest.mark.parametrize("pst_flag", [(), ("--pst",)], ids=["uniform", "pst"])
     @pytest.mark.parametrize("n", ["1", "0", "-3"])
-    def test_small_sector_refused_by_the_library(self, capsys, n, pst_flag):
-        # no CLI copy of n >= 2: the chain builders refuse n before any array is sized
+    def test_small_sector_refused_naming_n(self, capsys, n, pst_flag):
+        # the flag is --n, so the error names n, not the builders' d
         code = cli.main(["sector-check", "--n", n, *pst_flag])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == f"error: d must be >= 2, got {n}\n"
+        assert err == f"error: n must be >= 2, got {n}\n"
 
     @pytest.mark.parametrize("d", ["1", "0", "-1"])
     def test_small_weyl_dimension_is_not_a_certification_failure(self, capsys, d):

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -650,6 +651,18 @@ class TestParitySolve:
     @pytest.mark.parametrize("d", [128, 129, 255, 256, 513])
     def test_transfer_time_stays_perfect(self, d):
         assert transfer_time(d, 0.9).peak_fidelity >= 1 - 1e-12
+
+    @pytest.mark.parametrize("d", [512, 513])
+    def test_columns_permuted_in_place(self, d):
+        # a gathered copy of V would add a d x d array to the peak
+        matrix = pst_hamiltonian(d, 0.9).matrix
+        tracemalloc.start()
+        try:
+            numerics._hermitian_solve(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * matrix.nbytes
 
 
 HUGE = 10**400  # a Python int with no float value

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,25 +231,45 @@ def _complex_phase_curves(h: Operator, times, pairs) -> list[np.ndarray]:
             for source, target in pairs]
 
 
+def _trig_curve(h: Operator, times, source: int, target: int) -> np.ndarray:
+    """The cosine/sine contraction fidelity_curve keeps for a grid that is
+    not evenly spaced from 0, written out as a reference."""
+    vectors, values, times = numerics._evolution_factors(h, np.asarray(times, dtype=float))
+    w = vectors[target] * vectors[source].conj()
+    weights = np.stack((w.real, w.imag), axis=1)
+    angles = np.multiply.outer(times, values)
+    cos_part = np.cos(angles) @ weights
+    sin_part = np.sin(angles) @ weights
+    real = cos_part[:, 0] + sin_part[:, 1]
+    imag = cos_part[:, 1] - sin_part[:, 0]
+    return np.minimum(real * real + imag * imag, 1.0)
+
+
 def _mirror_symmetric(rng: np.random.Generator, d: int) -> Operator:
     x = rng.normal(size=(d, d))
     h = x + x.T
     return Operator(h + h[::-1, ::-1], tag=HERMITIAN)
 
 
-class TestRealArithmeticCurve:
-    """fidelity_curve contracts cosines and sines of the real angles
-    lambda_k t; it agrees with the complex exponential route to rounding.
-    The real mirror-symmetric matrices go through the parity split from
+def _unit_spectrum(d: int, kind: str) -> Operator:
+    """A mirror-symmetric real or a random complex hermitian H with its
+    spectrum scaled into [-1, 1] (Gershgorin)."""
+    rng = np.random.default_rng(d)
+    h = _mirror_symmetric(rng, d) if kind == "real" else random_hermitian(rng, d)
+    return Operator(h.matrix / max(1.0, np.abs(h.matrix).sum(axis=1).max()), tag=HERMITIAN)
+
+
+class TestCurveContraction:
+    """fidelity_curve factors the phases of a grid evenly spaced from 0
+    and contracts cosines and sines of the angles lambda_k t on any other
+    grid; both agree with the complex exponential route to rounding.  The
+    real mirror-symmetric matrices go through the parity split from
     d = 128 up."""
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("d", range(2, 201))
     def test_matches_complex_phases(self, d, kind):
-        rng = np.random.default_rng(d)
-        h = _mirror_symmetric(rng, d) if kind == "real" else random_hermitian(rng, d)
-        # Gershgorin: the spectrum lies within [-1, 1] after this scaling
-        h = Operator(h.matrix / max(1.0, np.abs(h.matrix).sum(axis=1).max()), tag=HERMITIAN)
+        h = _unit_spectrum(d, kind)
         grid = np.linspace(0.0, 40.0, 37)
         pairs = [(0, d - 1), (d - 1, d // 2)]
         for (source, target), expected in zip(pairs, _complex_phase_curves(h, grid, pairs)):
@@ -263,6 +284,49 @@ class TestRealArithmeticCurve:
         for (source, target), expected in zip(pairs, _complex_phase_curves(h, [0.0], pairs)):
             curve = fidelity_curve(h, [0.0], source, target)
             assert curve.fidelities.tolist() == expected.tolist() == [float(source == target)]
+
+    # N - 1 = 1, 2, 4, 36, 3999, 4000: perfect squares, primes and neither
+    @pytest.mark.parametrize("samples", [2, 3, 5, 37, 4000, 4001])
+    @pytest.mark.parametrize("d", [2, 5, 64, 127, 128, 129, 200, 257])
+    def test_factored_matches_complex_phases(self, d, samples, monkeypatch):
+        factored = []
+        progression = pst._progression_amplitudes
+
+        def counting(w, values, times):
+            factored.append(times.size)
+            return progression(w, values, times)
+
+        monkeypatch.setattr(pst, "_progression_amplitudes", counting)
+        grid = np.linspace(0.0, 40.0, samples)
+        for kind in ("real", "complex"):
+            h = _unit_spectrum(d, kind)
+            expected, = _complex_phase_curves(h, grid, [(0, d - 1)])
+            curve = fidelity_curve(h, grid, 0, d - 1)
+            assert max_abs(curve.fidelities - expected) <= 1e-13
+        assert factored == [samples, samples]
+
+    @pytest.mark.parametrize("index", [0, 1, 18, 35])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("d", [5, 129])
+    def test_uneven_grid_keeps_cosines_and_sines(self, d, kind, index):
+        # one time one ulp off the progression sends the grid down the general path
+        grid = np.linspace(0.0, 40.0, 37)
+        grid[index] = np.nextafter(grid[index], math.inf)
+        h = _unit_spectrum(d, kind)
+        curve = fidelity_curve(h, grid, 0, d - 1)
+        assert curve.fidelities.tobytes() == _trig_curve(h, grid, 0, d - 1).tobytes()
+
+    def test_factored_curve_memory(self):
+        h = pst_hamiltonian(200, 1.0)
+        grid = np.linspace(0.0, math.pi, 4000)
+        tracemalloc.start()
+        try:
+            fidelity_curve(h, grid, 0, 199)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the cosine/sine route holds two 4000 x 200 float64 arrays, 12.8 MB
+        assert peak < 2_000_000
 
 
 class TestEvolutionInputChecks:

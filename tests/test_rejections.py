@@ -231,7 +231,7 @@ def test_refused_with_a_qwire_error(call, args, was_value_error):
 
 
 @pytest.mark.parametrize("d", list(NON_INTEGER_DIMS.values()), ids=list(NON_INTEGER_DIMS))
-@pytest.mark.parametrize("name", sorted(set(DIMENSION_ARGUMENTS) - {"OptimizeConfig"}))
+@pytest.mark.parametrize("name", sorted(DIMENSION_ARGUMENTS))
 def test_non_integer_dimension_named(name, d):
     with pytest.raises(InvalidConfigError, match="d must be an integer, got "):
         DIMENSION_ARGUMENTS[name][0](d)

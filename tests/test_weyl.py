@@ -177,7 +177,10 @@ class TestEquidistantHamiltonian:
         with pytest.raises(ZeroThetaError):
             equidistant_hamiltonian(4, 0.0)
 
-    @pytest.mark.parametrize("d,theta", [(4, 1e308), (4, -1e308), (1001, 1e306)])
+    # a numpy integer d must not overflow in numpy, with a RuntimeWarning
+    @pytest.mark.parametrize("d,theta", [
+        (4, 1e308), (4, -1e308), (1001, 1e306), (np.int64(4), 1e308),
+    ])
     def test_overflowing_levels_rejected(self, d, theta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -223,7 +226,9 @@ class TestTimeStep:
             with pytest.raises(ZeroThetaError, match="must be real"):
                 call(4, theta)
 
-    @pytest.mark.parametrize("d,theta", [(4, 1e308), (2, 1e308), (3, 5e-324)])
+    @pytest.mark.parametrize("d,theta", [
+        (4, 1e308), (2, 1e308), (3, 5e-324), (np.int64(4), 1e308),
+    ])
     @pytest.mark.parametrize("call", [time_step, verify_shift_identity])
     def test_step_overflow_rejected(self, call, d, theta):
         # theta*d overflows to inf (step 0.0), or the step itself to inf
