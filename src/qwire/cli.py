@@ -153,7 +153,9 @@ def cmd_pst(args) -> Result:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
         curve = pst.fidelity_curve(lattice.build_hamiltonian(spec), grid, 0, d - 1)
         t_star, peak = curve.peak
-        period = float(math.pi / vartheta)
+        period = math.pi / vartheta
+        if not math.isfinite(period):  # the rule of pst's crossing
+            raise QwireError(f"the period pi/vartheta must be finite, got vartheta={vartheta!r}")
     else:
         # one eigensolve for both; ArithmeticError (exit 1) when the
         # crossing misses fidelity 1

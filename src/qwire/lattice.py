@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import BadCouplingCountError, InvalidConfigError, NonHermitianInputError
 from .errors import require_dim, require_real, require_reals
-from .numerics import HERMITIAN, Operator, StateVector, hermitian_eig
+from .numerics import Operator, StateVector, hermitian_eig
 
 RING = "ring"
 LINE = "line"
@@ -88,7 +88,7 @@ def build_hamiltonian(spec: ChainSpec) -> Operator:
                 f"ring bonds {spec.couplings} sum to a non-finite corner entry {corner!r}"
             )
         h[0, d - 1] = h[d - 1, 0] = corner
-    return Operator._certified(h, HERMITIAN)
+    return Operator._certified(h)
 
 
 def wave_numbers(topology: str, d: int) -> tuple[np.ndarray, np.ndarray]:

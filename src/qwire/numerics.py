@@ -25,22 +25,23 @@ diagonalizes H once, refuses an overflowing max |lambda| * max |t| (a
 phase would be NaN) and returns the eigenvectors V and eigenvalues.
 `evolution_phases` turns them into the phases exp(-i lambda_k t) for
 every requested time (the coupling search, below, repeats only the
-unchecked last step, inline).  `pst.fidelity_curve` factors each phase
-of a grid evenly spaced from 0 (each time but the last exactly i times
-the second) as exp(-i lambda_k a*B*dt) exp(-i lambda_k b*dt), so about
-2*sqrt(N)*d exponentials serve N times, within about
-3*eps*max|lambda|*t_max; any other grid it contracts from the cosines
-and sines of the angles lambda_k t.  `evolve` builds the propagator
-V diag(phases) V^dag; the transfer amplitudes in `pst` contract with
-V[target] * conj(V[source]) and never form the d x d propagator.  All
-values are immutable after construction and safe to share between
-threads.
+unchecked last step, inline).  The transfer amplitudes in `pst` contract
+the phases with V[target] * conj(V[source]) in one place,
+`pst._amplitudes`, and never form the d x d propagator.  It factors each
+phase of a grid evenly spaced from 0 (each time but the last exactly i
+times the second) as exp(-i lambda_k a*B*dt) exp(-i lambda_k b*dt), so
+about 2*sqrt(N)*d exponentials serve N times, within about
+3*eps*max|lambda|*t_max; one time, or any other grid, it contracts from
+the phases exp(-i lambda_k t) directly.  `evolve` builds the propagator
+V diag(phases) V^dag.  All values are immutable after construction and
+safe to share between threads.
 
 The public `Operator` constructor copies its matrix and checks the tag.
 
 Four builders are hermitian and finite by construction and skip that
-check through the private `Operator._certified`, which freezes their
-freshly made float64 matrix without copying or re-checking it:
+check through the private `Operator._certified`, which tags their
+freshly made float64 matrix hermitian and freezes it without copying or
+re-checking it:
 `lattice.build_hamiltonian`, `pst.pst_hamiltonian`,
 `spinchain.xy_chain_hamiltonian` and `spinchain.number_operator`.  Each
 writes one real float to an entry and to its mirror, or only real floats
@@ -150,15 +151,15 @@ class Operator:
         object.__setattr__(self, "matrix", _freeze(m))
 
     @classmethod
-    def _certified(cls, matrix: np.ndarray, tag: str) -> Operator:
-        """Freeze a square matrix whose tag holds by construction, without
-        copying it or checking it; a real one must already be float64, as
-        the constructor would store it.  Only the builders named in the
-        module docstring may call this; everything else goes through the
-        checked constructor."""
+    def _certified(cls, matrix: np.ndarray) -> Operator:
+        """Freeze a square matrix that is hermitian by construction, tagged
+        HERMITIAN, without copying it or checking it; a real one must
+        already be float64, as the constructor would store it.  Only the
+        builders named in the module docstring may call this; everything
+        else goes through the checked constructor."""
         op = object.__new__(cls)
         object.__setattr__(op, "matrix", _freeze(matrix))
-        object.__setattr__(op, "tag", tag)
+        object.__setattr__(op, "tag", HERMITIAN)
         return op
 
     @property

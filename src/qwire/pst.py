@@ -23,7 +23,7 @@ from .errors import (
     require_real,
 )
 from .lattice import _line_matrix
-from .numerics import HERMITIAN, Operator, _evolution_factors, _phases, evolution_phases
+from .numerics import Operator, _evolution_factors, _phases
 
 MIRROR_ATOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
@@ -59,7 +59,7 @@ def pst_hamiltonian(d: int, vartheta: float) -> Operator:
             f"vartheta*sqrt(j(d-j)) must be finite, got vartheta={vartheta!r} at d={d}"
         )
     # a line chain carries -A on bond l, so A = -hop puts +hop off the diagonal
-    return Operator._certified(_line_matrix(d, 0.0, -hop), HERMITIAN)
+    return Operator._certified(_line_matrix(d, 0.0, -hop))
 
 
 def _check_sites(dim: int, source: int, target: int) -> None:
@@ -74,14 +74,8 @@ def transfer_fidelity(hamiltonian: Operator, t: float, source: int, target: int)
     with the amplitude summed as V[target,k] conj(V[source,k])
     exp(-i lambda_k t) over k."""
     _check_sites(hamiltonian.dim, source, target)
-    return _fidelity(*evolution_phases(hamiltonian, t), source, target)
-
-
-def _fidelity(vectors: np.ndarray, phases: np.ndarray, source: int, target: int) -> float:
-    """The arithmetic of `transfer_fidelity` from the factors V and
-    exp(-i lambda t) of one time's propagator."""
-    amplitude = complex(phases @ (vectors[target] * vectors[source].conj()))
-    return min(abs(amplitude) ** 2, 1.0)
+    amplitude = _amplitudes(*_evolution_factors(hamiltonian, t), source, target)
+    return min(abs(complex(amplitude)) ** 2, 1.0)
 
 
 @dataclass(frozen=True)
@@ -118,60 +112,50 @@ class FidelityCurve:
 
 
 def fidelity_curve(hamiltonian: Operator, t_grid, source: int, target: int) -> FidelityCurve:
-    """Transfer fidelity at every grid time, via one eigendecomposition.
-
-    The amplitude is sum_k w_k exp(-i lambda_k t), with w_k = V[target,k]
-    conj(V[source,k]).  On an evenly spaced grid from 0, such as every
-    `np.linspace(0, t_max, N)` (checked exactly: each time but the last
-    is i times the second), each phase at t_i = i*dt is factored as
-    exp(-i lambda_k a*B*dt) exp(-i lambda_k b*dt) with i = a*B + b and
-    B = ceil(sqrt(N - 1)), so about 2*sqrt(N)*d exponentials give every
-    amplitude through one complex matrix product; the last time is
-    contracted directly.  Any other grid is contracted in real
-    arithmetic from the cosines C and sines S of the angles lambda_k t:
-    the real part is C Re w + S Im w and the imaginary part
-    C Im w - S Re w.  This takes the same time checks and eigenvectors as
-    `transfer_fidelity` and agrees with its complex phases to rounding,
-    not bit for bit: within about 1e-15 on the general path, and within
-    about 3*eps*max|lambda|*t_max on the factored one."""
+    """Transfer fidelity at every grid time, via one eigendecomposition,
+    with the amplitudes of `_amplitudes`.  It takes the same time checks
+    and eigenvectors as `transfer_fidelity` and agrees with its complex
+    phases to rounding, not bit for bit: the squared magnitude is
+    re^2 + im^2 here, and an evenly spaced grid from 0 has its phases
+    factored, within about 3*eps*max|lambda|*t_max."""
     _check_sites(hamiltonian.dim, source, target)
     # _evolution_factors refuses complex times
     vectors, values, times = _evolution_factors(hamiltonian, np.asarray(t_grid).reshape(-1))
-    return _contract_curve(vectors, values, times, source, target)
+    amplitudes = _amplitudes(vectors, values, times, source, target)
+    fidelities = np.minimum(amplitudes.real ** 2 + amplitudes.imag ** 2, 1.0)
+    return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
 
 
-def _contract_curve(vectors: np.ndarray, values: np.ndarray, times: np.ndarray,
-                    source: int, target: int) -> FidelityCurve:
-    """`fidelity_curve` from the factors `_evolution_factors` returned.
+def _amplitudes(vectors: np.ndarray, values: np.ndarray, times,
+                source: int, target: int) -> np.ndarray:
+    """The amplitudes sum_k w_k exp(-i lambda_k t), w_k = V[target,k]
+    conj(V[source,k]), at one time or at each time of a grid, from the
+    factors `_evolution_factors` returned.
 
-    The factored path builds two complex arrays of about sqrt(N) x d
-    entries and the general path two float64 arrays of N x d.  Each
+    On an evenly spaced grid from 0, such as every
+    `np.linspace(0, t_max, N)` (checked exactly: each time but the last
+    is i times the second), `_progression_amplitudes` factors the phases
+    into about 2*sqrt(N)*d exponentials.  One time, or any other grid,
+    is contracted directly as exp(-i lambda_k t) @ w."""
+    w = vectors[target] * vectors[source].conj()
+    n = times.size
+    if n > 1 and times[1] > 0 and np.array_equal(times[:-1], np.arange(n - 1) * times[1]):
+        return _progression_amplitudes(w, values, times)
+    return _phases(values, times) @ w
+
+
+def _progression_amplitudes(w: np.ndarray, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(-i lambda_k t) on a grid whose times but the last
+    are i*dt, dt = times[1] > 0: the A x B amplitudes at i = a*B + b,
+    B = ceil(sqrt(N - 1)), are one product of the coarse phases
+    exp(-i lambda_k a*B*dt), scaled by w, with the fine phases
+    exp(-i lambda_k b*dt); the last time is contracted directly.
+
+    It builds two complex arrays of about sqrt(N) x d entries.  Each
     factored phase carries the rounding of two angles and of the times
     a*B*dt and b*dt, so it differs from exp(-i lambda_k t_i) by about
     3*eps*max|lambda|*t_max, and an amplitude by at most that, since
     sum_k |w_k| <= 1."""
-    w = vectors[target] * vectors[source].conj()
-    n = times.size
-    if n > 1 and times[1] > 0 and np.array_equal(times[:-1], np.arange(n - 1) * times[1]):
-        real, imag = _progression_amplitudes(w, values, times)
-    else:
-        weights = np.stack((w.real, w.imag), axis=1)  # d x 2
-        angles = np.multiply.outer(times, values)
-        cos_part = np.cos(angles) @ weights
-        sin_part = np.sin(angles, out=angles) @ weights
-        real = cos_part[:, 0] + sin_part[:, 1]
-        imag = cos_part[:, 1] - sin_part[:, 0]
-    fidelities = np.minimum(real * real + imag * imag, 1.0)
-    return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
-
-
-def _progression_amplitudes(w: np.ndarray, values: np.ndarray,
-                            times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(real, imaginary) parts of sum_k w_k exp(-i lambda_k t) on a grid
-    whose times but the last are i*dt, dt = times[1] > 0: the A x B
-    amplitudes at i = a*B + b are one product of the coarse phases
-    exp(-i lambda_k a*B*dt), scaled by w, with the fine phases
-    exp(-i lambda_k b*dt)."""
     count = times.size - 1  # times i*dt for i < count
     fine = math.isqrt(count - 1) + 1  # B = ceil(sqrt(count))
     coarse = -(-count // fine)  # A
@@ -181,7 +165,7 @@ def _progression_amplitudes(w: np.ndarray, values: np.ndarray,
     amplitudes = np.empty(count + 1, dtype=complex)
     amplitudes[:count] = (coarse_phases @ fine_phases).reshape(-1)[:count]
     amplitudes[count] = _phases(values, times[-1]) @ w
-    return amplitudes.real, amplitudes.imag
+    return amplitudes
 
 
 @dataclass(frozen=True)
@@ -208,30 +192,37 @@ class TransferReport:
 def transfer_time(d: int, vartheta: float) -> TransferReport:
     """Perfect-transfer report: the excitation crosses at t* = pi/(2*vartheta)
     and returns to its start after the period pi/vartheta."""
+    return _curve_and_crossing(d, vartheta, ())[1]
+
+
+def _curve_and_crossing(d: int, vartheta: float,
+                        t_grid) -> tuple[FidelityCurve | None, TransferReport]:
+    """`fidelity_curve(pst_hamiltonian(d, vartheta), t_grid, 0, d - 1)`
+    (None for an empty grid) and the crossing report `transfer_time`
+    returns, from one eigensolve.  The curve is fidelity_curve's bit for
+    bit unless every grid time is zero: fidelity_curve then makes no
+    eigensolve, and the two agree to rounding.
+
+    t* goes to `_evolution_factors` after the grid times, under the same
+    checks; ZeroThetaError is raised first when the period 2*t* is not
+    finite.  The fidelity at t* is transfer_fidelity's, bit for bit, and
+    ArithmeticError is raised when it misses 1 by more than
+    PEAK_FIDELITY_FLOOR."""
     hamiltonian = pst_hamiltonian(d, vartheta)  # checks vartheta before it divides
     t_star = (np.pi / 2) / float(vartheta)  # 2*vartheta could overflow
-    return _report(d, vartheta, t_star, transfer_fidelity(hamiltonian, t_star, 0, d - 1))
-
-
-def _report(d: int, vartheta: float, t_star: float, peak: float) -> TransferReport:
+    if not math.isfinite(2 * t_star):
+        raise ZeroThetaError(f"the period pi/vartheta must be finite, got vartheta={vartheta!r}")
+    vectors, values, times = _evolution_factors(hamiltonian, np.append(t_grid, t_star))
+    peak = min(abs(complex(_amplitudes(vectors, values, times[-1], 0, d - 1))) ** 2, 1.0)
     if peak < 1.0 - PEAK_FIDELITY_FLOOR:
         raise ArithmeticError(f"transfer chain d={d} missed perfect fidelity: {peak!r}")
-    return TransferReport(d=d, vartheta=vartheta, t_star=t_star, peak_fidelity=peak)
-
-
-def _curve_and_crossing(d: int, vartheta: float, t_grid) -> tuple[FidelityCurve, TransferReport]:
-    """`fidelity_curve(pst_hamiltonian(d, vartheta), t_grid, 0, d - 1)` and
-    `transfer_time(d, vartheta)` from one eigensolve, each bit for bit.
-
-    t_grid must hold a nonzero time, or no eigensolve is made.  The
-    phases at t* need no overflow check of their own: every |lambda| is
-    at most vartheta*(d-1), so |lambda|*t* <= pi*(d-1)/2."""
-    hamiltonian = pst_hamiltonian(d, vartheta)
-    vectors, values, times = _evolution_factors(hamiltonian, np.asarray(t_grid).reshape(-1))
-    curve = _contract_curve(vectors, values, times, 0, d - 1)
-    t_star = (np.pi / 2) / float(vartheta)
-    peak = _fidelity(vectors, _phases(values, t_star), 0, d - 1)
-    return curve, _report(d, vartheta, t_star, peak)
+    report = TransferReport(d=d, vartheta=vartheta, t_star=t_star, peak_fidelity=peak)
+    grid = times[:-1]
+    if not grid.size:
+        return None, report
+    amplitudes = _amplitudes(vectors, values, grid, 0, d - 1)
+    fidelities = np.minimum(amplitudes.real ** 2 + amplitudes.imag ** 2, 1.0)
+    return FidelityCurve(times=grid, fidelities=fidelities, source=0, target=d - 1), report
 
 
 def mirror_check(hamiltonian: Operator) -> bool:

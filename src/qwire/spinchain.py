@@ -116,7 +116,7 @@ def xy_chain_hamiltonian(couplings) -> Operator:
         # the bond hops wherever sites j and j+1 differ: swap their bits
         hop = index[((index & here) == 0) != ((index & after) == 0)]
         h[hop ^ (here | after), hop] = amplitude  # the swap is its own mirror
-    return Operator._certified(h, HERMITIAN)
+    return Operator._certified(h)
 
 
 def number_operator(n: int) -> Operator:
@@ -124,7 +124,7 @@ def number_operator(n: int) -> Operator:
     basis index on the diagonal."""
     index = np.arange(QubitRegister(n).dim)
     popcount = sum((index >> k) & 1 for k in range(n))
-    return Operator._certified(np.diag(popcount.astype(float)), HERMITIAN)
+    return Operator._certified(np.diag(popcount.astype(float)))
 
 
 def single_excitation_sector(h_full: Operator, smap: SectorMap) -> Operator:

@@ -148,10 +148,16 @@ class TestPstCommand:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["peak_fidelity"] >= 1 - 1e-10
 
-    @pytest.mark.parametrize("flags", [("--t-max", "inf"), ("--vartheta", "inf", "--t-max", "1")])
+    # a period pi/vartheta that overflows was a ValueError traceback at
+    # 5e-324, and "period": Infinity at 1e-308
+    @pytest.mark.parametrize("flags", [
+        ("--t-max", "inf"), ("--vartheta", "inf", "--t-max", "1"),
+        ("--vartheta", "5e-324", "--t-max", "1"), ("--vartheta", "1e-308", "--t-max", "1"),
+        ("--uniform", "--vartheta", "1e-308", "--t-max", "1"),
+    ])
     def test_non_finite_time_scale_rejected(self, flags):
         proc = run_cli("pst", "--d", "4", "--samples", "3", *flags)
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and proc.stdout == ""
         assert "finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -354,6 +360,32 @@ class TestInProcessFormats:
         assert code == 0 and stderr == ""
         assert stdout == json_summary
         assert out.read_text() == json_text
+
+    @staticmethod
+    def _refuse_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    @pytest.mark.parametrize("args", [
+        ("dispersion", "--topology", "ring", "--d", "6"),
+        ("weyl-check", "--d", "8"),
+        ("pst", "--d", "8", "--samples", "50"),
+        ("pst", "--d", "2", "--samples", "3", "--vartheta", "1.7e308"),
+        ("pst", "--d", "4", "--vartheta", "1e-300", "--t-max", "1", "--samples", "5"),
+        ("pst", "--d", "5", "--t-max", "20", "--samples", "200", "--uniform"),
+        ("pst", "--d", "4", "--uniform", "--vartheta", "1e308", "--samples", "5"),
+        ("sector-check", "--n", "4", "--pst"),
+        ("optimize", "--d", "4", "--t-target", "1.5707963", "--init", "uniform"),
+    ], ids=["dispersion", "weyl-check", "pst", "pst-largest-vartheta", "pst-small-vartheta",
+            "pst-uniform", "pst-uniform-large-vartheta", "sector-check", "optimize"])
+    def test_json_has_no_nan_or_infinity(self, capsys, args):
+        # json.dumps writes NaN, Infinity and -Infinity, which JSON does not have
+        code, out, err = self._main(capsys, *args, "--format", "json")
+        assert code == 0
+        json.loads(out, parse_constant=self._refuse_constant)
+        if args[0] == "pst":
+            json.loads(err, parse_constant=self._refuse_constant)
+        else:
+            assert err == ""
 
     def test_sector_check_csv(self, capsys):
         _, json_text, _ = self._main(capsys, "sector-check", "--n", "5", "--pst")

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -231,18 +232,13 @@ def _complex_phase_curves(h: Operator, times, pairs) -> list[np.ndarray]:
             for source, target in pairs]
 
 
-def _trig_curve(h: Operator, times, source: int, target: int) -> np.ndarray:
-    """The cosine/sine contraction fidelity_curve keeps for a grid that is
-    not evenly spaced from 0, written out as a reference."""
+def _direct_curve(h: Operator, times, source: int, target: int) -> np.ndarray:
+    """The direct complex contraction fidelity_curve makes on a grid that
+    is not evenly spaced from 0, written out as a reference."""
     vectors, values, times = numerics._evolution_factors(h, np.asarray(times, dtype=float))
     w = vectors[target] * vectors[source].conj()
-    weights = np.stack((w.real, w.imag), axis=1)
-    angles = np.multiply.outer(times, values)
-    cos_part = np.cos(angles) @ weights
-    sin_part = np.sin(angles) @ weights
-    real = cos_part[:, 0] + sin_part[:, 1]
-    imag = cos_part[:, 1] - sin_part[:, 0]
-    return np.minimum(real * real + imag * imag, 1.0)
+    amplitudes = np.exp(-1j * np.multiply.outer(times, values)) @ w
+    return np.minimum(amplitudes.real ** 2 + amplitudes.imag ** 2, 1.0)
 
 
 def _mirror_symmetric(rng: np.random.Generator, d: int) -> Operator:
@@ -261,7 +257,7 @@ def _unit_spectrum(d: int, kind: str) -> Operator:
 
 class TestCurveContraction:
     """fidelity_curve factors the phases of a grid evenly spaced from 0
-    and contracts cosines and sines of the angles lambda_k t on any other
+    and contracts the phases exp(-i lambda_k t) directly on any other
     grid; both agree with the complex exponential route to rounding.  The
     real mirror-symmetric matrices go through the parity split from
     d = 128 up."""
@@ -308,13 +304,17 @@ class TestCurveContraction:
     @pytest.mark.parametrize("index", [0, 1, 18, 35])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("d", [5, 129])
-    def test_uneven_grid_keeps_cosines_and_sines(self, d, kind, index):
-        # one time one ulp off the progression sends the grid down the general path
+    def test_uneven_grid_contracts_phases_directly(self, d, kind, index):
+        # one time one ulp off the progression sends the grid down the direct path
         grid = np.linspace(0.0, 40.0, 37)
         grid[index] = np.nextafter(grid[index], math.inf)
         h = _unit_spectrum(d, kind)
         curve = fidelity_curve(h, grid, 0, d - 1)
-        assert curve.fidelities.tobytes() == _trig_curve(h, grid, 0, d - 1).tobytes()
+        assert curve.fidelities.tobytes() == _direct_curve(h, grid, 0, d - 1).tobytes()
+        expected, = _complex_phase_curves(h, grid, [(0, d - 1)])
+        pointwise = [transfer_fidelity(h, t, 0, d - 1) for t in grid]
+        assert max_abs(curve.fidelities - expected) <= 1e-15
+        assert max_abs(curve.fidelities - pointwise) <= 1e-15
 
     def test_factored_curve_memory(self):
         h = pst_hamiltonian(200, 1.0)
@@ -325,7 +325,7 @@ class TestCurveContraction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the cosine/sine route holds two 4000 x 200 float64 arrays, 12.8 MB
+        # the direct route holds 4000 x 200 complex phases, 12.8 MB
         assert peak < 2_000_000
 
 
@@ -448,6 +448,16 @@ class TestTransferTime:
         assert report.t_star == (math.pi / 2) / 1.7e308 > 0
         assert report.peak_fidelity >= 1 - 1e-10
 
+    @pytest.mark.parametrize("vartheta", [5e-324, 1e-308])
+    def test_overflowing_period_refused_naming_vartheta(self, vartheta):
+        # t* = inf at 5e-324 reached the phases unchecked; at 1e-308 only the period was inf
+        message = re.escape(f"the period pi/vartheta must be finite, got vartheta={vartheta!r}")
+        with pytest.raises(ZeroThetaError, match=message):
+            transfer_time(4, vartheta)
+        with pytest.raises(ZeroThetaError, match=message):
+            _curve_and_crossing(4, vartheta, np.linspace(0.0, 1.0, 5))
+        assert math.isfinite(transfer_time(4, 1e-300).period)
+
     def test_report_invariants(self):
         assert TransferReport(d=4, vartheta=1.0, t_star=1.5, peak_fidelity=1.0).period == 3.0
         with pytest.raises(ValueError):
@@ -488,6 +498,22 @@ class TestCurveAndCrossing:
         # the crossing keeps transfer_fidelity's complex phases, bit for bit
         assert report == expected_report
         assert report.peak_fidelity.hex() == expected_report.peak_fidelity.hex()
+
+    def test_crossing_time_follows_the_grid_through_one_check(self, monkeypatch):
+        seen = []
+        factors = pst._evolution_factors
+
+        def recording(hamiltonian, times):
+            seen.append(times.tolist())
+            return factors(hamiltonian, times)
+
+        monkeypatch.setattr(pst, "_evolution_factors", recording)
+        curve, report = _curve_and_crossing(4, 1.0, [0.0, 1.0])
+        assert seen == [[0.0, 1.0, math.pi / 2]]
+        assert curve.times.tolist() == [0.0, 1.0]
+        # an empty grid is the crossing alone: transfer_time
+        assert _curve_and_crossing(4, 1.0, ()) == (None, report)
+        assert seen[1:] == [[math.pi / 2]]
 
     def test_missed_crossing_still_raises(self, monkeypatch):
         monkeypatch.setattr(pst, "PEAK_FIDELITY_FLOOR", -1.0)  # every peak misses 2

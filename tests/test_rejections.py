@@ -182,6 +182,12 @@ SINGLE_CASES = [
      lambda: transfer_fidelity(pst_hamiltonian(8, 1.0), 1e308, 0, 7), False),
     ("fidelity_curve-overflow", lambda: fidelity_curve(H4, [0.0, 1e308], 0, 3), True),
     ("objective-overflow", lambda: objective([2.0, 2.0, 2.0], 1e308, 4), False),
+    # a vartheta so small that the period pi/vartheta overflows is refused as
+    # ZeroThetaError, like every other bad vartheta (not a ValueError): before,
+    # t* = inf was refused as an evolution time (InvalidConfigError), and a
+    # finite t* gave a report whose period was inf
+    ("transfer_time-crossing-overflow", lambda: transfer_time(4, 5e-324), False),
+    ("transfer_time-period-overflow", lambda: transfer_time(4, 1e-308), False),
     # a band edge |E0| + 2|A| beyond the float range: the energies would be inf
     ("dispersion-band-overflow-ring", lambda: dispersion(RING, 6, 0.0, 1e308), False),
     ("dispersion-band-overflow-line", lambda: dispersion(LINE, 5, -1e308, 5e307), False),
