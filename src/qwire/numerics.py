@@ -16,21 +16,25 @@ moved the gufunc, it calls the wrapper).  `hermitian_eig` and
 `evolution_phases` reach it through `_hermitian_solve`, which makes one
 `_eigh` call on H, or, for a mirror-symmetric H of at least
 `_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks and
-rebuilds V from them.  `hermitian_eig` checks the eigenvectors it gets
-and returns only the eigenvalues, with the residual that certified them.
+rebuilds from them the whole V or just the rows of V it is asked for.
+`hermitian_eig`, `evolve` and `evolution_phases` get the whole V;
+`hermitian_eig` checks it and returns only the eigenvalues, with the
+residual that certified them.
 
 All time evolution goes through `_evolution_factors`, one path for one
 time or an array of times: it refuses a complex or non-finite time,
 diagonalizes H once, refuses an overflowing max |lambda| * max |t| (a
-phase would be NaN) and returns the eigenvectors V and eigenvalues.
-`evolution_phases` turns them into the phases exp(-i lambda_k t) for
-every requested time (the coupling search, below, repeats only the
-unchecked last step, inline).  The transfer amplitudes in `pst` contract
-the phases with V[target] * conj(V[source]) in one place,
-`pst._amplitudes`, and never form the d x d propagator.  It factors each
-phase of a grid evenly spaced from 0 (each time but the last exactly i
-times the second) as exp(-i lambda_k a*B*dt) exp(-i lambda_k b*dt), so
-about 2*sqrt(N)*d exponentials serve N times, within about
+phase would be NaN) and returns the eigenvectors V, or the rows of V
+asked for, and eigenvalues.  `evolution_phases` turns them into the
+phases exp(-i lambda_k t) for every requested time (the coupling search,
+below, repeats only the unchecked last step, inline).  The transfer
+amplitudes in `pst` ask for rows source and target of V alone, so the
+parity solve makes no d x d V for them, and contract the phases with
+V[target] * conj(V[source]) in one place, `pst._amplitudes`; they never
+form the d x d propagator.  `pst._amplitudes` factors each phase of a
+grid evenly spaced from 0 (each time but the last exactly i times the
+second) as exp(-i lambda_k a*B*dt) exp(-i lambda_k b*dt), so about
+2*sqrt(N)*d exponentials serve N times, within about
 3*eps*max|lambda|*t_max; one time, or any other grid, it contracts from
 the phases exp(-i lambda_k t) directly.  `evolve` builds the propagator
 V diag(phases) V^dag.  All values are immutable after construction and
@@ -75,6 +79,7 @@ from .errors import (
     NonHermitianInputError,
     NotNormalizedError,
     require_integer,
+    require_real,
     require_reals,
 )
 
@@ -253,11 +258,15 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _hermitian_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """(ascending eigenvalues, orthonormal eigenvectors) of a finite
     hermitian matrix: one `_eigh` call, or two on its parity blocks when it
     is mirror-symmetric (M equals M reversed along both axes) and has at
-    least `_PARITY_SPLIT_DIM` rows.
+    least `_PARITY_SPLIT_DIM` rows.  With `rows`, a sequence of row
+    indices, only those rows of V are returned, in that order, byte for
+    byte V[rows]: the transfer amplitudes in `pst` ask for rows source
+    and target.  Without it, as for `hermitian_eig`, `evolution_phases`
+    and `evolve`, the whole d x d V is returned.
 
     With d = 2h + p (p = 0 or 1), JMJ = M makes M block diagonal in the
     basis (e_i +- e_{d-1-i})/sqrt(2), with e_h itself in the even half
@@ -267,12 +276,15 @@ def _hermitian_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M[h, h].  A block eigenvector y becomes V's column (y, +-Jy)/sqrt(2),
     with y's last entry as the middle row of an even column; an odd
     column has a zero middle row.  The columns are merged by a stable
-    argsort of the two spectra, so the values stay ascending.  They are
-    permuted in place, 64 rows at a time: a second d x d array would cost
-    fresh memory pages, 2 MB of them at d = 512."""
+    argsort of the two spectra, so the values stay ascending.  The whole
+    V is permuted in place, 64 rows at a time: a second d x d array would
+    cost fresh memory pages, 2 MB of them at d = 512.  Asked for rows, the
+    parity route builds just those rows from the block rows and makes no
+    d x d array at all."""
     d = matrix.shape[0]
     if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
-        return _eigh(matrix)
+        values, vectors = _eigh(matrix)
+        return values, vectors if rows is None else vectors[list(rows)]
     h = d // 2
     top = matrix[:h, :h]
     folded = matrix[:h, ::-1][:, :h]  # M[:h, h+p:] with its columns reversed
@@ -284,18 +296,28 @@ def _hermitian_solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         even[h, h] = matrix[h, h]
     even_values, even_vectors = _eigh(even)
     odd_values, odd_vectors = _eigh(top - folded)
+    values = np.concatenate((even_values, odd_values))
+    order = np.argsort(values, kind="stable")
     r = math.sqrt(0.5)
+    if rows is not None:
+        picked = np.zeros((len(rows), d), dtype=matrix.dtype)
+        for row, i in zip(picked, rows):
+            if h <= i < d - h:  # the middle row of an odd d: zero in the odd half
+                row[: d - h] = even_vectors[h]
+                continue
+            k = min(i, d - 1 - i)  # row d-1-k mirrors row k, odd half negated
+            row[: d - h] = r * even_vectors[k]
+            row[d - h :] = r * odd_vectors[k] if i < h else -r * odd_vectors[k]
+        return values[order], picked[:, order]
     vectors = np.zeros((d, d), dtype=matrix.dtype)
     vectors[:h, : d - h] = r * even_vectors[:h]
     vectors[d - h :, : d - h] = r * even_vectors[h - 1 :: -1]
     vectors[h : d - h, : d - h] = even_vectors[h:]  # the middle row of an odd d
     vectors[:h, d - h :] = r * odd_vectors
     vectors[d - h :, d - h :] = -r * odd_vectors[::-1]
-    values = np.concatenate((even_values, odd_values))
-    order = np.argsort(values, kind="stable")
     for start in range(0, d, 64):
-        rows = vectors[start : start + 64]
-        rows[...] = rows[:, order]
+        block = vectors[start : start + 64]
+        block[...] = block[:, order]
     return values[order], vectors
 
 
@@ -321,18 +343,22 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
     return EigenSystem(values=values, residual=residual)
 
 
-def _evolution_factors(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _evolution_factors(hamiltonian: Operator, times,
+                       rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(V, eigenvalues, times as float64) behind exp(-i H t), after every
-    check `evolution_phases` documents.  When every time is zero no
-    eigensolve is made: V is the identity and the values are zeros, so
-    every phase angle lambda_k t is exactly 0."""
+    check `evolution_phases` documents; with `rows`, a sequence of row
+    indices, V[rows] in place of V, which the parity solve builds without
+    forming V (see `_hermitian_solve`).  When every time is zero no
+    eigensolve is made: V is the identity (or its rows) and the values are
+    zeros, so every phase angle lambda_k t is exactly 0."""
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
     times = require_reals(times, "evolution times")
     d = hamiltonian.dim
     if not times.any():
-        return np.eye(d, dtype=hamiltonian.matrix.dtype), np.zeros(d), times
-    values, vectors = _hermitian_solve(hamiltonian.matrix)
+        vectors = np.eye(d, dtype=hamiltonian.matrix.dtype)
+        return vectors if rows is None else vectors[list(rows)], np.zeros(d), times
+    values, vectors = _hermitian_solve(hamiltonian.matrix, rows)
     # Python floats: an overflowing product becomes inf without a numpy warning
     scale = max(abs(float(values[0])), abs(float(values[-1]))) * float(abs(times).max())
     if not math.isfinite(scale):
@@ -361,6 +387,7 @@ def _phases(values: np.ndarray, times) -> np.ndarray:
 
 
 def evolve(hamiltonian: Operator, t: float) -> Operator:
-    """Unitary time evolution exp(-i H t) via the spectral theorem."""
-    vectors, phases = evolution_phases(hamiltonian, t)
+    """Unitary time evolution exp(-i H t) via the spectral theorem, for
+    one real time t."""
+    vectors, phases = evolution_phases(hamiltonian, require_real(t, "evolution times"))
     return Operator((vectors * phases) @ vectors.conj().T, tag=UNITARY)

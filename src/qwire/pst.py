@@ -72,9 +72,11 @@ def transfer_fidelity(hamiltonian: Operator, t: float, source: int, target: int)
     """Probability |<target| exp(-iHt) |source>|^2 of finding the
     excitation at the target site at time t (exactly 1 or 0 at t = 0),
     with the amplitude summed as V[target,k] conj(V[source,k])
-    exp(-i lambda_k t) over k."""
+    exp(-i lambda_k t) over k.  InvalidConfigError unless t is one real,
+    finite number."""
     _check_sites(hamiltonian.dim, source, target)
-    amplitude = _amplitudes(*_evolution_factors(hamiltonian, t), source, target)
+    t = require_real(t, "evolution times")  # one time, refused before any eigensolve
+    amplitude = _amplitudes(*_evolution_factors(hamiltonian, t, (source, target)))
     return min(abs(complex(amplitude)) ** 2, 1.0)
 
 
@@ -120,24 +122,26 @@ def fidelity_curve(hamiltonian: Operator, t_grid, source: int, target: int) -> F
     factored, within about 3*eps*max|lambda|*t_max."""
     _check_sites(hamiltonian.dim, source, target)
     # _evolution_factors refuses complex times
-    vectors, values, times = _evolution_factors(hamiltonian, np.asarray(t_grid).reshape(-1))
-    amplitudes = _amplitudes(vectors, values, times, source, target)
+    pair, values, times = _evolution_factors(hamiltonian, np.asarray(t_grid).reshape(-1),
+                                             (source, target))
+    amplitudes = _amplitudes(pair, values, times)
     fidelities = np.minimum(amplitudes.real ** 2 + amplitudes.imag ** 2, 1.0)
     return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
 
 
-def _amplitudes(vectors: np.ndarray, values: np.ndarray, times,
-                source: int, target: int) -> np.ndarray:
+def _amplitudes(pair: np.ndarray, values: np.ndarray, times) -> np.ndarray:
     """The amplitudes sum_k w_k exp(-i lambda_k t), w_k = V[target,k]
     conj(V[source,k]), at one time or at each time of a grid, from the
-    factors `_evolution_factors` returned.
+    factors `_evolution_factors(H, times, (source, target))` returned:
+    `pair` holds V's rows source and target, the only two read, so the
+    parity solve never forms V.
 
     On an evenly spaced grid from 0, such as every
     `np.linspace(0, t_max, N)` (checked exactly: each time but the last
     is i times the second), `_progression_amplitudes` factors the phases
     into about 2*sqrt(N)*d exponentials.  One time, or any other grid,
     is contracted directly as exp(-i lambda_k t) @ w."""
-    w = vectors[target] * vectors[source].conj()
+    w = pair[1] * pair[0].conj()
     n = times.size
     if n > 1 and times[1] > 0 and np.array_equal(times[:-1], np.arange(n - 1) * times[1]):
         return _progression_amplitudes(w, values, times)
@@ -212,15 +216,15 @@ def _curve_and_crossing(d: int, vartheta: float,
     t_star = (np.pi / 2) / float(vartheta)  # 2*vartheta could overflow
     if not math.isfinite(2 * t_star):
         raise ZeroThetaError(f"the period pi/vartheta must be finite, got vartheta={vartheta!r}")
-    vectors, values, times = _evolution_factors(hamiltonian, np.append(t_grid, t_star))
-    peak = min(abs(complex(_amplitudes(vectors, values, times[-1], 0, d - 1))) ** 2, 1.0)
+    pair, values, times = _evolution_factors(hamiltonian, np.append(t_grid, t_star), (0, d - 1))
+    peak = min(abs(complex(_amplitudes(pair, values, times[-1]))) ** 2, 1.0)
     if peak < 1.0 - PEAK_FIDELITY_FLOOR:
         raise ArithmeticError(f"transfer chain d={d} missed perfect fidelity: {peak!r}")
     report = TransferReport(d=d, vartheta=vartheta, t_star=t_star, peak_fidelity=peak)
     grid = times[:-1]
     if not grid.size:
         return None, report
-    amplitudes = _amplitudes(vectors, values, grid, 0, d - 1)
+    amplitudes = _amplitudes(pair, values, grid)
     fidelities = np.minimum(amplitudes.real ** 2 + amplitudes.imag ** 2, 1.0)
     return FidelityCurve(times=grid, fidelities=fidelities, source=0, target=d - 1), report
 

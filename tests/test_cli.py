@@ -172,9 +172,9 @@ class TestPstCommand:
         solves = []
         solve = numerics._hermitian_solve
 
-        def counting(matrix):
+        def counting(matrix, *args):
             solves.append(matrix.shape)
-            return solve(matrix)
+            return solve(matrix, *args)
 
         monkeypatch.setattr(numerics, "_hermitian_solve", counting)
         assert cli.main(["pst", "--d", str(d), "--samples", "50"]) == 0

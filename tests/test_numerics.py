@@ -560,11 +560,15 @@ def persymmetric_hermitian(draw, low=128, high=300):
     odd or even d, with entries scaled by 1e-3 ... 1e3."""
     d = draw(st.integers(low, high))
     dtype = draw(st.sampled_from([float, complex]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _persymmetric(d, dtype, draw(st.integers(0, 2**32 - 1)), draw(st.floats(-3.0, 3.0)))
+
+
+def _persymmetric(d, dtype, seed, exponent):
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=(d, d)).astype(dtype)
     if dtype == complex:
         x += 1j * rng.normal(size=(d, d))
-    x *= 10.0 ** draw(st.floats(-3.0, 3.0))
+    x *= 10.0 ** exponent
     h = x + x.conj().T  # exactly hermitian: each pair of entries adds the same two terms
     h = h + h[::-1, ::-1]  # and exactly mirror-symmetric, for the same reason
     assert np.array_equal(h, h[::-1, ::-1]) and np.array_equal(h, h.conj().T)
@@ -663,6 +667,58 @@ class TestParitySolve:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * matrix.nbytes
+
+    @pytest.mark.parametrize("d", [512, 513])
+    def test_transfer_time_builds_no_full_v(self, d):
+        # only rows 0 and d-1 of V are built; the whole V would add a d x d
+        # array to the Hamiltonian's (3.03 x H.nbytes with it)
+        nbytes = pst_hamiltonian(d, 0.9).matrix.nbytes
+        tracemalloc.start()
+        try:
+            transfer_time(d, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * nbytes
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0))
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("d", [127, 128, 129, 200, 255, 256, 512, 513])
+    def test_rows_are_those_of_the_full_v(self, d, dtype, seed, exponent):
+        h = _persymmetric(d, dtype, seed, exponent)
+        values, vectors = numerics._hermitian_solve(h)
+        pairs = [(0, d - 1), (d - 1, 0), (1, d - 2), (0, 0), (1, 3)]
+        if d % 2:
+            pairs.append((d // 2, 0))
+        for rows in pairs:
+            row_values, picked = numerics._hermitian_solve(h, rows)
+            assert row_values.tobytes() == values.tobytes()
+            assert picked.tobytes() == vectors[list(rows)].tobytes()
+        if d % 2 and d > 128:  # split: the middle row is +0.0, never -0.0, in odd columns
+            middle = numerics._hermitian_solve(h, (d // 2,))[1][0]
+            zeros = middle[middle == 0]
+            assert zeros.size == d // 2
+            assert not (np.signbit(zeros.real) | np.signbit(zeros.imag)).any()
+
+    def test_rows_of_a_matrix_that_is_not_mirror_symmetric(self):
+        h = _random_chain(LINE, 200).matrix
+        values, vectors = numerics._hermitian_solve(h)
+        row_values, picked = numerics._hermitian_solve(h, (199, 0))
+        assert row_values.tobytes() == values.tobytes()
+        assert picked.tobytes() == vectors[[199, 0]].tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_zero_time_rows_are_the_identity_rows(self, kind, monkeypatch):
+        h = pst_hamiltonian(129, 0.9) if kind == "real" else random_hermitian(
+            np.random.default_rng(3), 129)
+        identity_v, values, _ = numerics._evolution_factors(h, [0.0, 0.0])
+        monkeypatch.setattr(numerics, "_eigh", None)  # no eigensolve is made
+        for rows in [(0, 128), (128, 0), (64, 64)]:
+            picked, row_values, _ = numerics._evolution_factors(h, [0.0, 0.0], rows)
+            assert picked.tobytes() == identity_v[list(rows)].tobytes()
+            assert picked.dtype == h.matrix.dtype
+            assert row_values.tobytes() == values.tobytes()
 
 
 HUGE = 10**400  # a Python int with no float value

@@ -486,9 +486,9 @@ class TestCurveAndCrossing:
         solves = []
         solve = numerics._hermitian_solve
 
-        def counting(matrix):
+        def counting(matrix, *args):
             solves.append(matrix.shape)
-            return solve(matrix)
+            return solve(matrix, *args)
 
         monkeypatch.setattr(numerics, "_hermitian_solve", counting)
         curve, report = _curve_and_crossing(d, vartheta, grid)
@@ -503,9 +503,9 @@ class TestCurveAndCrossing:
         seen = []
         factors = pst._evolution_factors
 
-        def recording(hamiltonian, times):
+        def recording(hamiltonian, times, *args):
             seen.append(times.tolist())
-            return factors(hamiltonian, times)
+            return factors(hamiltonian, times, *args)
 
         monkeypatch.setattr(pst, "_evolution_factors", recording)
         curve, report = _curve_and_crossing(4, 1.0, [0.0, 1.0])

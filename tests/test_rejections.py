@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qwire import numerics
 from qwire.errors import (
     InvalidConfigError,
     NonHermitianInputError,
@@ -274,6 +275,19 @@ def test_largest_finite_band_accepted():
     # |E0| + 2|A| just below the float limit: finite energies, no warning
     energies = dispersion(RING, 4, 1.7e308 - 2 * 5e306, 5e306)
     assert np.isfinite(energies).all()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: transfer_fidelity(H4, [0.5, 1.0], 0, 3), id="transfer_fidelity-pair"),
+    pytest.param(lambda: transfer_fidelity(H4, [[1.0]], 0, 3), id="transfer_fidelity-nested"),
+    pytest.param(lambda: transfer_fidelity(H4, np.array([1.0]), 0, 3), id="transfer_fidelity-1d"),
+    pytest.param(lambda: evolve(H4, [0.5, 1.0]), id="evolve-pair"),
+    pytest.param(lambda: evolve(H4, [[1.0]]), id="evolve-nested"),
+])
+def test_time_that_is_not_one_number_refused_before_the_eigensolve(call, monkeypatch):
+    monkeypatch.setattr(numerics, "_eigh", None)  # an eigensolve would raise TypeError
+    with pytest.raises(InvalidConfigError, match="^evolution times must be one real number, got "):
+        call()
 
 
 class TestPhaseOverflow:
