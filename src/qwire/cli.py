@@ -205,8 +205,8 @@ def cmd_optimize(args) -> Result:
     require_real(args.t_target, "t-target", QwireError, positive=True)
     config = OptimizeConfig(d=d, t_target=args.t_target, max_iters=args.max_iters,
                             tol=args.tol, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    initial = np.ones(d - 1) if args.init == "uniform" else rng.uniform(0.5, 1.5, d - 1)
+    initial = (np.ones(d - 1) if args.init == "uniform"
+               else np.random.default_rng(args.seed).uniform(0.5, 1.5, d - 1))
 
     result = optimize_couplings(config, initial)
     payload = {"d": int(d), "couplings": list(result.couplings), "fidelity": result.fidelity,

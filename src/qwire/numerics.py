@@ -61,7 +61,10 @@ chain's bonds into it, call `_eigh` on it directly and read the
 amplitude with the same arithmetic as `transfer_fidelity`.  So the
 value, the gradient and the Hessian at a point come from the eigenpairs
 of one `_eigh` call, and the second-order certificate makes one more
-`_eigh` call on the small Hessian.  It relies on `OptimizeConfig` for d
+`_eigh` call on the small Hessian.  The step remembers the last point
+it solved, so each distinct point is solved once: the Hessian at a
+trial the polish has just accepted reuses the trial's eigenpairs, and
+the final gradient forms no Hessian.  It relies on `OptimizeConfig` for d
 and the time and on one `ChainSpec` check of its start for the couplings.
 """
 

@@ -11,9 +11,12 @@ Both the simplex's objective and the polish's derivatives come from one
 factory, `_search`: its two closures share one chain matrix and one
 eigensolve step, so the gradient and the exact Hessian come from the
 eigenpairs of the same single `_eigh` that gives the fidelity, through
-the first and second divided differences of exp(-i lambda t).  The
-polish forms one Hessian per accepted point, tries its steps on the
-value alone and takes damped Newton steps inside the +-COUPLING_BOUND box.
+the first and second divided differences of exp(-i lambda t).  The step
+remembers the last point it solved, so each distinct point is solved
+once.  The polish forms one Hessian per accepted point, from the
+eigenpairs that accepted the trial, tries its steps on the value alone
+and takes damped Newton steps inside the +-COUPLING_BOUND box; the
+final gradient forms no Hessian.
 Where F's Hessian is not negative definite it takes the modified Newton
 step, each eigenvalue lambda replaced by |lambda| floored relative to
 max |lambda| (Nocedal & Wright, Numerical Optimization, 3.4), which
@@ -274,8 +277,9 @@ def _simplex_descent(
     return _SimplexRun(simplex[k].copy(), float(fvals[k]), iterations, stop_reason)
 
 
-# the negated objective with its gradient and Hessian in the couplings
-_Derivatives = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]]
+# the negated objective with its gradient and, unless the second argument is
+# False, its Hessian in the couplings
+_Derivatives = Callable[..., tuple[float, np.ndarray, np.ndarray | None]]
 
 
 def _first_differences(values: np.ndarray, t: float) -> np.ndarray:
@@ -331,10 +335,13 @@ class _Triples(NamedTuple):
 
 
 def _triples(d: int) -> _Triples:
-    shape = (d, d, d)
-    ordered = np.sort(np.indices(shape).reshape(3, -1), axis=0)
-    keys, inverse = np.unique(np.ravel_multi_index(ordered, shape), return_inverse=True)
-    lo, mid, hi = np.unravel_index(keys, shape)
+    i, k, j = np.indices((d, d, d)).reshape(3, -1)
+    kept = (i <= k) & (k <= j)
+    lo, mid, hi = i[kept], k[kept], j[kept]
+    rank = np.cumsum(kept) - 1  # at a kept triple's flat position, its place among them
+    least = np.minimum(np.minimum(i, k), j)
+    most = np.maximum(np.maximum(i, k), j)
+    inverse = rank[(least * d + (i + k + j - least - most)) * d + most]
     return _Triples(lo, mid, hi, mid * d + hi, lo * d + mid, np.flatnonzero(lo == hi), inverse)
 
 
@@ -372,14 +379,20 @@ def _second_differences(values: np.ndarray, first: np.ndarray, t: float,
 def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Derivatives]:
     """The negated `objective` at config's d and t_target, and the same
     value with its gradient and Hessian in the couplings, for coupling
-    arrays whose count and finiteness were checked once per search.
+    arrays whose count and finiteness were checked once per search;
+    `derivatives(x, False)` gives None for the Hessian and forms none.
 
     Both closures share one d x d chain matrix and one step: rewrite both
     bond diagonals, make one `_eigh` and read the end-to-end amplitude a
     with the arithmetic of `transfer_fidelity` on a real chain, bit for
     bit, without objective's per-call ChainSpec and time checks
     (OptimizeConfig certified t_target).  So all three derivatives come
-    from the eigenpairs of one `_eigh`.
+    from the eigenpairs of one `_eigh`.  The step keeps the read-only
+    eigenpairs and amplitude of the last point it solved, keyed by the
+    point's bytes, so each distinct point is solved once: `derivatives`
+    at a trial that `negated` has just accepted reuses its eigenpairs,
+    and a call at a new point gives what a fresh closure gives, byte for
+    byte.
 
     With H = V diag(lambda) V^T, u = V[d-1], w = V[0] and the bond
     matrices E_l = dH/dA_l (-1 at (l, l+1) and (l+1, l)), in the
@@ -409,22 +422,37 @@ def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Der
     minus_it = -1j * t
     triples = _triples(d)
 
+    # the last point solved, keyed by its bytes: the simplex rewrites its rows
+    # in place, so the array object would not tell a new point from the old
+    last_key, last = None, None
+
     def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-        np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
-        lower[...] = upper
-        values, vectors = _eigh(chain)
-        return values, vectors, complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
+        nonlocal last_key, last
+        key = x.tobytes()
+        if key != last_key:
+            np.subtract(0.0, x, out=upper)  # -A_l, as lattice._line_matrix writes it
+            lower[...] = upper
+            values, vectors = _eigh(chain)
+            values.flags.writeable = vectors.flags.writeable = False
+            amplitude = complex(np.exp(values * minus_it) @ (vectors[d - 1] * vectors[0]))
+            last_key, last = key, (values, vectors, amplitude)
+        return last
 
     def negated(x: np.ndarray) -> float:
         return -min(abs(solve(x)[2]) ** 2, 1.0)
 
-    def derivatives(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def derivatives(x: np.ndarray, hessian: bool = True
+                    ) -> tuple[float, np.ndarray, np.ndarray | None]:
         values, vectors, a = solve(x)
         u, w = vectors[d - 1], vectors[0]
         first = _first_differences(values, t)
         uw = np.multiply.outer(u, w)
         # -da/dA_l = S[l, l+1] + S[l+1, l] = (V (f[.,.] o (u w^T + w u^T)) V^T)[l, l+1]
         slopes = ((vectors[:-1] @ (first * (uw + uw.T))) * vectors[1:]).sum(axis=1)
+        value = -min(abs(a) ** 2, 1.0)
+        gradient = 2.0 * (a.conjugate() * slopes).real
+        if not hessian:
+            return value, gradient, None
         outer = np.multiply.outer(slopes.real, slopes.real)
         outer += np.multiply.outer(slopes.imag, slopes.imag)  # Re(grad a grad a^H)
         second = _second_differences(values, first, t, triples)
@@ -434,10 +462,9 @@ def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Der
         m += vectors[:-1, :, None] * y[1:]
         z = (vectors @ m @ (vectors * w).T).reshape(d - 1, d * d)
         terms = z[:, 1 :: d + 1] + z[:, d :: d + 1]  # Z_l[m, m+1] + Z_l[m+1, m]
-        hessian = outer + (terms + terms.T)
-        hessian *= -2.0
-        gradient = 2.0 * (a.conjugate() * slopes).real
-        return -min(abs(a) ** 2, 1.0), gradient, hessian
+        matrix = outer + (terms + terms.T)
+        matrix *= -2.0
+        return value, gradient, matrix
 
     return negated, derivatives
 
@@ -466,16 +493,21 @@ def _newton_step(free: np.ndarray, g: np.ndarray, hessian: np.ndarray) -> tuple[
     floored at _EIGEN_FLOOR * max(1, max |lambda|) (Nocedal & Wright,
     Numerical Optimization, 3.4): a descent direction of the negated
     objective, with decrement inf, since no certificate holds there."""
-    step = np.zeros_like(g)
     if not free.any():
-        return step, 0.0
-    values, vectors = _eigh(hessian[np.ix_(free, free)])
+        return np.zeros_like(g), 0.0
+    everywhere = free.all()  # then H and g need no gather, and the step no scatter
+    values, vectors = _eigh(hessian if everywhere else hessian[np.ix_(free, free)])
     definite = values[0] > 0
     if not definite:
         magnitudes = np.abs(values)
         values = np.maximum(magnitudes, _EIGEN_FLOOR * max(1.0, float(magnitudes.max())))
-    projected = vectors.T @ g[free]
-    step[free] = -(vectors @ (projected / values))
+    projected = vectors.T @ (g if everywhere else g[free])
+    direction = -(vectors @ (projected / values))
+    if everywhere:
+        step = direction
+    else:
+        step = np.zeros_like(g)
+        step[free] = direction
     return step, float(projected @ (projected / values)) / 2 if definite else math.inf
 
 
@@ -536,7 +568,6 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     spec = ChainSpec(config.d, LINE, 0.0, np.asarray(initial).reshape(-1))
     x_start = _clip(np.array(spec.couplings))
     negated, derivatives = _search(config)
-    rng = np.random.default_rng(config.seed)
     best = _Polish(x_start.copy(), negated(x_start), False, math.inf)
     handoff = max(_HANDOFF, config.tol)
     iterations = 0
@@ -559,6 +590,8 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
             best = found
         if best.certified or run.stop_reason == BUDGET or not improved:
             break
+        if runs == 1:  # the first restart: a search that needs none never builds it
+            rng = np.random.default_rng(config.seed)
         jitter = 0.05 * max(1.0, float(np.max(np.abs(best.x))))
         x_start = _clip(best.x + jitter * rng.standard_normal(best.x.shape[0]))
 
@@ -570,7 +603,7 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
     else:
         reported = best_x
         fidelity = -best.f
-    g = derivatives(best_x)[1]
+    g = derivatives(best_x, False)[1]
     return OptimizeResult(
         couplings=tuple(reported),
         fidelity=float(np.clip(fidelity, 0.0, 1.0)),

@@ -374,7 +374,7 @@ class TestGradient:
         ])
         assert np.abs(gradient - differences).max() <= 1e-9 * max(1.0, t**3)
 
-    def test_one_closure_leaves_no_state_between_calls(self):
+    def test_one_closure_leaves_no_state_between_calls(self, monkeypatch):
         # x1, x2, x1 on one closure: the chain matrix is refilled every call
         derivatives = _search_derivatives(OptimizeConfig(d=6, t_target=1.1))
         x1, x2 = np.linspace(0.5, 1.5, 5), np.linspace(-3.0, 2.0, 5)
@@ -395,6 +395,37 @@ class TestGradient:
         assert v2.hex() == fresh_v2.hex()
         assert g2.tobytes() == fresh_g2.tobytes()
         assert h2.tobytes() == fresh_h2.tobytes()
+        # derivatives at the point negated just solved reuse its eigenpairs;
+        # the point is known by its bytes, so one rewritten in place, as a
+        # simplex row is, is solved again; either way the result is a fresh
+        # closure's, byte for byte
+        fresh = [_search_derivatives(config)(x1), (fresh_v2, fresh_g2, fresh_h2)]
+        solves = []
+        eigh = optimizer._eigh
+
+        def counting(matrix):
+            solves.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(optimizer, "_eigh", counting)
+        negated, derivatives = _search(config)
+        x = x1.copy()
+        negated(x)
+        assert len(solves) == 1
+        memo = derivatives(x)
+        assert len(solves) == 1
+        x[:] = x2
+        moved = derivatives(x)
+        assert len(solves) == 2
+        for got, want in zip((memo, moved), fresh):
+            assert got[0].hex() == want[0].hex()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+        # without the Hessian: the same value and gradient, and no solve
+        value, gradient, none = derivatives(x, False)
+        assert none is None and len(solves) == 2
+        assert value.hex() == moved[0].hex()
+        assert gradient.tobytes() == moved[1].tobytes()
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_vanishes_on_the_transfer_profile(self, d):
@@ -445,6 +476,19 @@ class TestHessian:
     """The exact Hessian from the eigenpairs of the gradient's one `_eigh`:
     its divided differences against their closed forms and limits, and the
     whole Hessian against an independent route."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_triples_match_sorted_unique_keys(self, d):
+        # the tables as sorting each triple and taking the unique flat keys
+        # builds them
+        shape = (d, d, d)
+        ordered = np.sort(np.indices(shape).reshape(3, -1), axis=0)
+        keys, inverse = np.unique(np.ravel_multi_index(ordered, shape), return_inverse=True)
+        lo, mid, hi = np.unravel_index(keys, shape)
+        oracle = (lo, mid, hi, mid * d + hi, lo * d + mid, np.flatnonzero(lo == hi), inverse)
+        triples = optimizer._triples(d)
+        for name, got, want in zip(optimizer._Triples._fields, triples, oracle):
+            assert np.array_equal(got, want), name
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=_profiles())
@@ -580,6 +624,51 @@ class TestPolish:
         floor = optimizer._EIGEN_FLOOR * 4.0
         assert step.tolist() == [-0.1 / 4.0, -0.1 / floor]
         assert decrement == math.inf
+
+    @pytest.mark.parametrize("x", [pst_couplings(6, 1.0), np.ones(5)])
+    def test_all_free_step_needs_no_gather(self, x):
+        # every coordinate free: the step and decrement are those of the
+        # gathered route, here H and g with one fixed coordinate appended,
+        # byte for byte; the transfer profile's H is definite, the uniform
+        # start's is not
+        _, g, hessian = _search_derivatives(OptimizeConfig(d=6, t_target=math.pi / 2))(x)
+        padded = np.eye(6)
+        padded[:5, :5] = hessian
+        free = np.ones(6, dtype=bool)
+        free[5] = False
+        step, decrement = optimizer._newton_step(free[:5], g, hessian)
+        gathered, gathered_decrement = optimizer._newton_step(free, np.append(g, 1.0), padded)
+        assert step.tobytes() == gathered[:5].tobytes() and gathered[5] == 0.0
+        assert decrement.hex() == gathered_decrement.hex()
+
+    def test_each_distinct_point_is_solved_once(self, monkeypatch):
+        # d = 8 from the uniform start: one chain eigensolve per closure call
+        # at a point other than the previous call's, and one Hessian
+        # eigensolve per Newton step
+        d = 8
+        points, sizes = [], []
+        search, eigh = optimizer._search, optimizer._eigh
+
+        def counting(matrix):
+            sizes.append(matrix.shape[0])
+            return eigh(matrix)
+
+        def recording_search(config):
+            def recorded(closure):
+                def call(x, *rest):
+                    points.append(x.tobytes())
+                    return closure(x, *rest)
+                return call
+            return tuple(map(recorded, search(config)))
+
+        monkeypatch.setattr(optimizer, "_eigh", counting)
+        monkeypatch.setattr(optimizer, "_search", recording_search)
+        result = optimize_couplings(OptimizeConfig(d=d, t_target=math.pi / 2), np.ones(d - 1))
+        distinct = sum(a != b for a, b in zip([None] + points, points))
+        assert distinct < len(points)
+        assert sizes.count(d) == distinct
+        assert sizes.count(d - 1) == result.newton_steps > 0
+        assert len(sizes) == distinct + result.newton_steps
 
     def test_budget_stop_is_not_polished(self, monkeypatch):
         monkeypatch.setattr(optimizer, "_polish", None)  # a call would raise
@@ -735,8 +824,8 @@ class TestStopReason:
         def recording_search(config):
             negated, derivatives = search(config)
 
-            def recording(x):
-                hessians.append((x.copy(), *derivatives(x)))
+            def recording(x, *rest):
+                hessians.append((x.copy(), *derivatives(x, *rest)))
                 return hessians[-1][1:]
 
             return negated, recording
