@@ -15,10 +15,10 @@ without that wrapper's argument handling (where a numpy release has
 moved the gufunc, it calls the wrapper).  `hermitian_eig` and
 `evolution_phases` reach it through `_hermitian_solve`, which makes one
 `_eigh` call on H, or, for a mirror-symmetric H of at least
-`_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks and
-rebuilds from them the whole V or just the rows of V it is asked for.
-`hermitian_eig`, `evolve` and `evolution_phases` get the whole V;
-`hermitian_eig` checks it and returns only the eigenvalues, with the
+`_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks, from
+which one gather builds the rows of V it is asked for (all of them by
+default).  `hermitian_eig`, `evolve` and `evolution_phases` get the whole
+V; `hermitian_eig` checks it and returns only the eigenvalues, with the
 residual that certified them.
 
 All time evolution goes through `_evolution_factors`, one path for one
@@ -54,18 +54,8 @@ complex input up front and checks any sum or product of finite inputs
 that could overflow, so every entry is finite.  The check could not fail
 on them.
 
-The coupling search in `optimizer` builds no `Operator` at all.  Its
-objective and its Newton polish's derivatives are two closures of one
-factory that share one float64 chain matrix and one step: write the
-chain's bonds into it, call `_eigh` on it directly and read the
-amplitude with the same arithmetic as `transfer_fidelity`.  So the
-value, the gradient and the Hessian at a point come from the eigenpairs
-of one `_eigh` call, and the second-order certificate makes one more
-`_eigh` call on the small Hessian.  The step remembers the last point
-it solved, so each distinct point is solved once: the Hessian at a
-trial the polish has just accepted reuses the trial's eigenpairs, and
-the final gradient forms no Hessian.  It relies on `OptimizeConfig` for d
-and the time and on one `ChainSpec` check of its start for the couplings.
+The coupling search in `optimizer` builds no `Operator`: it calls `_eigh`
+on its own chain matrix (see that module's docstring).
 """
 
 from __future__ import annotations
@@ -279,11 +269,11 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     M[h, h].  A block eigenvector y becomes V's column (y, +-Jy)/sqrt(2),
     with y's last entry as the middle row of an even column; an odd
     column has a zero middle row.  The columns are merged by a stable
-    argsort of the two spectra, so the values stay ascending.  The whole
-    V is permuted in place, 64 rows at a time: a second d x d array would
-    cost fresh memory pages, 2 MB of them at d = 512.  Asked for rows, the
-    parity route builds just those rows from the block rows and makes no
-    d x d array at all."""
+    argsort of the two spectra, so the values stay ascending.  Row i of V
+    is gathered from row min(i, d-1-i) of each block's eigenvectors and
+    its columns are permuted in place, 64 rows at a time, so asked for
+    rows the route makes no d x d array, and for the whole V no second
+    one."""
     d = matrix.shape[0]
     if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
         values, vectors = _eigh(matrix)
@@ -301,24 +291,17 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     odd_values, odd_vectors = _eigh(top - folded)
     values = np.concatenate((even_values, odd_values))
     order = np.argsort(values, kind="stable")
+    i = np.arange(d) if rows is None else np.asarray(rows)
+    k = np.minimum(i, d - 1 - i)  # row d-1-k mirrors row k, odd half negated
+    middle = k == h  # the middle row of an odd d: unscaled, zero in the odd half
     r = math.sqrt(0.5)
-    if rows is not None:
-        picked = np.zeros((len(rows), d), dtype=matrix.dtype)
-        for row, i in zip(picked, rows):
-            if h <= i < d - h:  # the middle row of an odd d: zero in the odd half
-                row[: d - h] = even_vectors[h]
-                continue
-            k = min(i, d - 1 - i)  # row d-1-k mirrors row k, odd half negated
-            row[: d - h] = r * even_vectors[k]
-            row[d - h :] = r * odd_vectors[k] if i < h else -r * odd_vectors[k]
-        return values[order], picked[:, order]
-    vectors = np.zeros((d, d), dtype=matrix.dtype)
-    vectors[:h, : d - h] = r * even_vectors[:h]
-    vectors[d - h :, : d - h] = r * even_vectors[h - 1 :: -1]
-    vectors[h : d - h, : d - h] = even_vectors[h:]  # the middle row of an odd d
-    vectors[:h, d - h :] = r * odd_vectors
-    vectors[d - h :, d - h :] = -r * odd_vectors[::-1]
-    for start in range(0, d, 64):
+    vectors = np.empty((i.size, d), dtype=matrix.dtype)
+    np.multiply(even_vectors[k], r, out=vectors[:, : d - h])
+    np.multiply(odd_vectors.take(k, axis=0, mode="clip"), np.where(i < h, r, -r)[:, None],
+                out=vectors[:, d - h :])
+    vectors[middle, : d - h] = even_vectors[k[middle]]
+    vectors[middle, d - h :] = 0.0
+    for start in range(0, i.size, 64):
         block = vectors[start : start + 64]
         block[...] = block[:, order]
     return values[order], vectors

@@ -38,12 +38,12 @@ def clock_matrix(d: int) -> Operator:
 def _proportionality(u: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
     """(lambda, max |U V - lambda V U|) from one product each way, lambda
     read off at the largest entry of V U; NotProportionalError unless the
-    residual is <= 1e-12 (NaN fails too)."""
+    residual is <= 1e-12 (NaN fails too).  Both callers pass invertible
+    U and V (unitary-tagged, or of certified order d), so V U is never
+    the zero matrix."""
     uv = u @ v
     vu = v @ u
     pivot = np.unravel_index(np.argmax(np.abs(vu)), vu.shape)
-    if abs(vu[pivot]) == 0.0:
-        raise NotProportionalError("V U is the zero matrix")
     lam = complex(uv[pivot] / vu[pivot])
     residual = max_abs(uv - lam * vu)
     if not residual <= COMMUTATION_ATOL:
@@ -148,7 +148,9 @@ class WeylPair:
     order d, and the phase lambda of U V = lambda V U, measured there
     from one product each way, is a primitive d-th root of unity.  The
     phase and the residuals max |U^d - I|, max |V^d - I| and
-    max |U V - lambda V U| are kept on the pair."""
+    max |U V - lambda V U| are kept on the pair.  A pair that fails is
+    refused with DimensionMismatchError, NotProportionalError or
+    InvalidConfigError (a ValueError)."""
 
     shift: Operator
     clock: Operator
@@ -166,18 +168,18 @@ class WeylPair:
         for name, op in (("shift", self.shift), ("clock", self.clock)):
             dev = max_abs(np.linalg.matrix_power(op.matrix, self.dim) - eye)
             if not dev <= IDENTITY_ATOL:  # NaN fails too
-                raise ValueError(f"{name}^d deviates from identity by {dev:.3e}")
+                raise InvalidConfigError(f"{name}^d deviates from identity by {dev:.3e}")
             object.__setattr__(self, f"{name}_pow_residual", dev)
         lam, residual = _proportionality(self.shift.matrix, self.clock.matrix)
         object.__setattr__(self, "commutation_phase", lam)
         object.__setattr__(self, "commutation_residual", residual)
         if abs(abs(lam) - 1.0) > COMMUTATION_ATOL:
-            raise ValueError(f"commutation phase must be unit modulus, got {lam!r}")
+            raise InvalidConfigError(f"commutation phase must be unit modulus, got {lam!r}")
         powers = lam ** np.arange(1, self.dim)
         if np.any(np.abs(powers - 1.0) <= COMMUTATION_ATOL):
-            raise ValueError("commutation phase is not a primitive d-th root of unity")
+            raise InvalidConfigError("commutation phase is not a primitive d-th root of unity")
         if abs(lam**self.dim - 1.0) > COMMUTATION_ATOL * self.dim:
-            raise ValueError("commutation phase is not a d-th root of unity")
+            raise InvalidConfigError("commutation phase is not a d-th root of unity")
 
 
 def weyl_pair(d: int) -> WeylPair:

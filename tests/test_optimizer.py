@@ -608,6 +608,16 @@ class TestPolish:
         assert step.tolist() == [0.0, -0.1, 0.125]
         assert decrement == pytest.approx((0.2**2 / 2.0 + 0.5**2 / 4.0) / 2, rel=1e-15)
 
+    def test_no_free_coordinate_takes_no_step(self):
+        # every coordinate on the bound with -g pointing outward: nothing to
+        # solve, and a zero decrement certifies the point
+        x = np.array([COUPLING_BOUND, -COUPLING_BOUND])
+        g = np.array([-0.5, 0.5])
+        free = optimizer._free(x, g)
+        assert not free.any()
+        step, decrement = optimizer._newton_step(free, g, np.diag([1.0, 2.0]))
+        assert step.tolist() == [0.0, 0.0] and decrement == 0.0
+
     def test_indefinite_hessian_gives_a_modified_step(self):
         # |lambda| in place of lambda: a descent direction of -F, and no
         # certificate, so the decrement is inf

@@ -32,11 +32,13 @@ from qwire.lattice import (
 from qwire.numerics import (
     HERMITIAN,
     UNITARY,
+    EigenSystem,
     Operator,
     StateVector,
     basis_state,
     evolution_phases,
     evolve,
+    identity,
 )
 from qwire.optimizer import OptimizeConfig, objective, optimize_couplings
 from qwire.pst import (
@@ -56,6 +58,7 @@ from qwire.spinchain import (
     xy_chain_hamiltonian,
 )
 from qwire.weyl import (
+    WeylPair,
     clock_matrix,
     commutation_phase,
     equidistant_hamiltonian,
@@ -198,6 +201,22 @@ SINGLE_CASES = [
     # a bare number where a coupling sequence belongs is not one coupling
     ("ChainSpec-bare-coupling", lambda: ChainSpec(d=3, topology=LINE, E0=0.0, couplings=5), True),
     ("xy_chain_hamiltonian-bare-coupling", lambda: xy_chain_hamiltonian(5), False),
+    # empty or mismatched shapes
+    ("Operator-empty", lambda: Operator(np.zeros((0, 0))), False),
+    ("StateVector-empty", lambda: StateVector([]), False),
+    ("basis_state-index-past-end", lambda: basis_state(3, 3), False),
+    ("EigenSystem-2d-values", lambda: EigenSystem([[1.0]], 0.0), False),
+    ("commutation_phase-dims", lambda: commutation_phase(shift_matrix(3), clock_matrix(4)),
+     False),
+    # an amplitude A*sqrt(j(d-j)) beyond the float range (at d = 3 it stays finite)
+    ("pst_couplings-overflow", lambda: pst_couplings(5, 1e308), True),
+    # pairs that fail certification raised a bare ValueError before
+    ("WeylPair-shift-not-order-d",
+     lambda: WeylPair(shift=Operator(2 * np.eye(4)), clock=clock_matrix(4)), True),
+    ("WeylPair-identity-pair", lambda: WeylPair(shift=identity(4), clock=identity(4)), True),
+    ("WeylPair-phase-not-primitive",
+     lambda: WeylPair(shift=shift_matrix(4),
+                      clock=Operator(np.diag([1.0, -1.0, 1.0, -1.0]), tag=UNITARY)), True),
 ]
 
 # a dimension, count or index that is not an integer was refused by numpy,
