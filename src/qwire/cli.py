@@ -7,9 +7,13 @@ Subcommands
     sector-check  2^n exchange chain vs its n-site one-excitation block
     optimize      coupling-profile search at a fixed transfer time
 
-Exit codes follow the error's type: 0 success, 1 ArithmeticError (a
-tolerance, convergence or certification failure), 2 QwireError (an
-argument the library refuses; the CLI adds only pst's own flag rules and
+The library computes and the CLI formats: each number a command prints
+comes from lattice, pst, spinchain, weyl or optimizer (dispersion's
+rank matching, sector-check's reference chain and pst's period
+pi/vartheta among them).  Exit codes follow the error's type: 0
+success, 1 ArithmeticError (a tolerance, convergence or certification
+failure), 2 QwireError (an argument the library refuses; the CLI adds
+only pst's own flag rules for --vartheta, --t-max and --samples and
 names optimize's --t-target when it is not positive and finite, while a
 finite one at or above OptimizeConfig's limit is refused under the field
 name t_target), 3 RegisterTooLargeError (resource cap).
@@ -26,7 +30,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -41,7 +44,7 @@ from .errors import (
     require_dim,
     require_real,
 )
-from .numerics import hermitian_eig, max_abs
+from .numerics import max_abs
 from .optimizer import OptimizeConfig, optimize_couplings
 
 EXIT_OK = 0
@@ -96,13 +99,7 @@ def _csv(header: list[str], columns) -> str:
 
 def cmd_dispersion(args) -> Result:
     spec = lattice.uniform_chain(args.d, args.topology, args.E0, args.A)
-    j, kb = lattice.wave_numbers(args.topology, args.d)
-    energies = lattice.dispersion(args.topology, args.d, args.E0, args.A)
-    eigenvalues = hermitian_eig(lattice.build_hamiltonian(spec)).values
-
-    # pair each closed-form energy with the eigenvalue of the same rank
-    matched = np.empty_like(eigenvalues)
-    matched[np.argsort(energies, kind="stable")] = eigenvalues
+    j, kb, energies, matched = lattice._modes(spec)
     deviations = np.abs(energies - matched)
 
     header = ["j", "k_b", "energy", "eigenvalue", "deviation"]
@@ -144,8 +141,8 @@ def cmd_weyl_check(args) -> Result:
 
 def cmd_pst(args) -> Result:
     d, vartheta = args.d, require_real(args.vartheta, "vartheta", QwireError, positive=True)
-    t_max = args.t_max if args.t_max is not None else math.pi / vartheta
-    t_max = require_real(t_max, "t-max", QwireError, positive=True)
+    t_max = (pst._period(vartheta) if args.t_max is None  # names vartheta when inf
+             else require_real(args.t_max, "t-max", QwireError, positive=True))
     if args.samples < 2:
         raise QwireError(f"samples must be >= 2, got {args.samples}")
     grid = np.linspace(0.0, t_max, args.samples)  # t_max > 0: a nonzero time
@@ -153,9 +150,7 @@ def cmd_pst(args) -> Result:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
         curve = pst.fidelity_curve(lattice.build_hamiltonian(spec), grid, 0, d - 1)
         t_star, peak = curve.peak
-        period = math.pi / vartheta
-        if not math.isfinite(period):  # the rule of pst's crossing
-            raise QwireError(f"the period pi/vartheta must be finite, got vartheta={vartheta!r}")
+        period = pst._period(vartheta)
     else:
         # one eigensolve for both; ArithmeticError (exit 1) when the
         # crossing misses fidelity 1
@@ -176,20 +171,12 @@ def cmd_sector_check(args) -> Result:
     if n > SECTOR_CLI_CAP:
         raise RegisterTooLargeError(f"n = {n} exceeds the sector-check cap {SECTOR_CLI_CAP}")
     require_dim(n, "n")
-    if args.pst:
-        couplings = pst.pst_couplings(n, 1.0)
-        reference = pst.pst_hamiltonian(n, 1.0).matrix
-    else:
-        spec = lattice.uniform_chain(n, lattice.LINE, 0.0, 1.0)
-        couplings = spec.couplings
-        gauge = np.diag((-1.0) ** np.arange(n))
-        # alternating sign gauge maps the lattice -A convention onto the
-        # +A hopping the exchange chain produces
-        reference = gauge @ lattice.build_hamiltonian(spec).matrix @ gauge
-
+    couplings = pst.pst_couplings(n, 1.0) if args.pst else np.ones(n - 1)
     full = spinchain.xy_chain_hamiltonian(couplings)
     block = spinchain.single_excitation_sector(full, spinchain.sector_map(n))
-    deviation = max_abs(block.matrix - reference)
+    # the exchange chain hops with +J_j on bond j: a line chain with A_j = -J_j
+    reference = lattice.build_hamiltonian(lattice.ChainSpec(n, lattice.LINE, 0.0, -couplings))
+    deviation = max_abs(block.matrix - reference.matrix)
     holds = bool(deviation <= SECTOR_LIMIT)
     payload = {"n": int(n), "pst": bool(args.pst), "max_deviation": float(deviation),
                "holds": holds}

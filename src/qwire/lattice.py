@@ -112,23 +112,39 @@ def dispersion(topology: str, d: int, E0: float, A: float) -> np.ndarray:
     wave numbers of `wave_numbers`, in j order (not sorted).  The chain's
     own rules refuse d, the topology, E0 and A as `ChainSpec` does, and
     InvalidConfigError is raised when the band edge |E0| + 2|A| overflows."""
-    spec = uniform_chain(d, topology, E0, A)
+    return _band(uniform_chain(d, topology, E0, A))[2]
+
+
+def _band(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(j, k_j b, E_j) of a uniform chain, as `wave_numbers` and
+    `dispersion` give them."""
     E0, A = spec.E0, spec.couplings[0]
     # Python floats: an overflowing sum becomes inf without a numpy warning
     if not math.isfinite(abs(E0) + 2 * abs(A)):
         raise InvalidConfigError(f"band edge |E0| + 2|A| overflows: E0={E0!r}, A={A!r}")
-    _, kb = wave_numbers(topology, d)
-    return E0 - 2 * A * np.cos(kb)
+    j, kb = wave_numbers(spec.topology, spec.d)
+    return j, kb, E0 - 2 * A * np.cos(kb)
+
+
+def _modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(j, k_j b, E_j, eigenvalue) for each mode of a uniform chain, in j
+    order: the closed-form energy beside the eigenvalue of the built
+    Hamiltonian that has its rank (a stable sort of the energies, so the
+    first of two equal energies takes the lower eigenvalue)."""
+    if not spec.is_uniform:
+        raise InvalidConfigError("dispersion_check requires uniform couplings")
+    j, kb, energies = _band(spec)  # refuses an overflowing band before any build
+    eigenvalues = hermitian_eig(build_hamiltonian(spec)).values
+    matched = np.empty_like(eigenvalues)
+    matched[np.argsort(energies, kind="stable")] = eigenvalues
+    return j, kb, energies, matched
 
 
 def dispersion_check(spec: ChainSpec) -> float:
-    """Max deviation between the eigenvalues of the built Hamiltonian and
-    the closed-form dispersion, both sorted (uniform couplings only)."""
-    if not spec.is_uniform:
-        raise InvalidConfigError("dispersion_check requires uniform couplings")
-    closed_form = np.sort(dispersion(spec.topology, spec.d, spec.E0, spec.couplings[0]))
-    eigensystem = hermitian_eig(build_hamiltonian(spec))
-    return float(np.max(np.abs(eigensystem.values - closed_form)))
+    """Max deviation between each closed-form energy and the eigenvalue of
+    the built Hamiltonian of the same rank (uniform couplings only)."""
+    _, _, energies, matched = _modes(spec)
+    return float(np.max(np.abs(energies - matched)))
 
 
 def ring_position_spread(state: StateVector) -> float:

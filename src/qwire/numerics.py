@@ -270,10 +270,12 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     with y's last entry as the middle row of an even column; an odd
     column has a zero middle row.  The columns are merged by a stable
     argsort of the two spectra, so the values stay ascending.  Row i of V
-    is gathered from row min(i, d-1-i) of each block's eigenvectors and
-    its columns are permuted in place, 64 rows at a time, so asked for
-    rows the route makes no d x d array, and for the whole V no second
-    one."""
+    is gathered from row min(i, d-1-i) of each block's eigenvectors, its
+    odd half scaled by sqrt(1/2) for i < h and by -sqrt(1/2) past the
+    middle, one scalar multiply per run of requested rows on one side,
+    and its columns are permuted in place, 64 rows at a time, so asked
+    for rows the route makes no d x d array, and for the whole V no
+    second one."""
     d = matrix.shape[0]
     if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
         values, vectors = _eigh(matrix)
@@ -297,8 +299,10 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     r = math.sqrt(0.5)
     vectors = np.empty((i.size, d), dtype=matrix.dtype)
     np.multiply(even_vectors[k], r, out=vectors[:, : d - h])
-    np.multiply(odd_vectors.take(k, axis=0, mode="clip"), np.where(i < h, r, -r)[:, None],
-                out=vectors[:, d - h :])
+    odd, upper = odd_vectors.take(k, axis=0, mode="clip"), i < h
+    cuts = [0, *np.flatnonzero(upper[1:] != upper[:-1]) + 1, i.size]
+    for start, stop in zip(cuts, cuts[1:]):  # one scalar per run of rows on one side
+        np.multiply(odd[start:stop], r if upper[start] else -r, out=vectors[start:stop, d - h :])
     vectors[middle, : d - h] = even_vectors[k[middle]]
     vectors[middle, d - h :] = 0.0
     for start in range(0, i.size, 64):

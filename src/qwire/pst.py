@@ -124,6 +124,12 @@ def fidelity_curve(hamiltonian: Operator, t_grid, source: int, target: int) -> F
     # _evolution_factors refuses complex times
     pair, values, times = _evolution_factors(hamiltonian, np.asarray(t_grid).reshape(-1),
                                              (source, target))
+    return _curve(pair, values, times, source, target)
+
+
+def _curve(pair: np.ndarray, values: np.ndarray, times, source: int, target: int) -> FidelityCurve:
+    """The `FidelityCurve` of the amplitudes `_amplitudes` contracts at
+    each grid time: |a|^2 as re^2 + im^2, clipped at 1."""
     amplitudes = _amplitudes(pair, values, times)
     fidelities = np.minimum(amplitudes.real ** 2 + amplitudes.imag ** 2, 1.0)
     return FidelityCurve(times=times, fidelities=fidelities, source=source, target=target)
@@ -193,6 +199,16 @@ class TransferReport:
         return 2 * self.t_star
 
 
+def _period(vartheta: float) -> float:
+    """The period pi/vartheta of a transfer chain's rotation, for a
+    vartheta already checked positive and finite; ZeroThetaError, naming
+    vartheta, when it overflows (then so does 2*t*)."""
+    period = math.pi / float(vartheta)
+    if not math.isfinite(period):
+        raise ZeroThetaError(f"the period pi/vartheta must be finite, got vartheta={vartheta!r}")
+    return period
+
+
 def transfer_time(d: int, vartheta: float) -> TransferReport:
     """Perfect-transfer report: the excitation crosses at t* = pi/(2*vartheta)
     and returns to its start after the period pi/vartheta."""
@@ -208,25 +224,22 @@ def _curve_and_crossing(d: int, vartheta: float,
     eigensolve, and the two agree to rounding.
 
     t* goes to `_evolution_factors` after the grid times, under the same
-    checks; ZeroThetaError is raised first when the period 2*t* is not
-    finite.  The fidelity at t* is transfer_fidelity's, bit for bit, and
-    ArithmeticError is raised when it misses 1 by more than
-    PEAK_FIDELITY_FLOOR."""
+    checks; ZeroThetaError is raised first when the period pi/vartheta
+    overflows (`_period`).  The fidelity at t* is transfer_fidelity's,
+    bit for bit, and ArithmeticError is raised when it misses 1 by more
+    than PEAK_FIDELITY_FLOOR."""
     hamiltonian = pst_hamiltonian(d, vartheta)  # checks vartheta before it divides
-    t_star = (np.pi / 2) / float(vartheta)  # 2*vartheta could overflow
-    if not math.isfinite(2 * t_star):
-        raise ZeroThetaError(f"the period pi/vartheta must be finite, got vartheta={vartheta!r}")
+    _period(vartheta)
+    # not 2*vartheta, which could overflow, nor the period / 2, which
+    # rounds twice where pi/vartheta is subnormal
+    t_star = (np.pi / 2) / float(vartheta)
     pair, values, times = _evolution_factors(hamiltonian, np.append(t_grid, t_star), (0, d - 1))
     peak = min(abs(complex(_amplitudes(pair, values, times[-1]))) ** 2, 1.0)
     if peak < 1.0 - PEAK_FIDELITY_FLOOR:
         raise ArithmeticError(f"transfer chain d={d} missed perfect fidelity: {peak!r}")
     report = TransferReport(d=d, vartheta=vartheta, t_star=t_star, peak_fidelity=peak)
     grid = times[:-1]
-    if not grid.size:
-        return None, report
-    amplitudes = _amplitudes(pair, values, grid)
-    fidelities = np.minimum(amplitudes.real ** 2 + amplitudes.imag ** 2, 1.0)
-    return FidelityCurve(times=grid, fidelities=fidelities, source=0, target=d - 1), report
+    return (_curve(pair, values, grid, 0, d - 1) if grid.size else None), report
 
 
 def mirror_check(hamiltonian: Operator) -> bool:

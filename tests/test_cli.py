@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwire import cli, numerics, pst
+from qwire import cli, lattice, numerics, pst, spinchain
 from qwire.errors import RegisterTooLargeError
 
 
@@ -81,6 +85,21 @@ class TestDispersionCommand:
         payload = json.loads(proc.stdout)
         assert payload["max_deviation"] <= 1e-10
         assert len(payload["rows"]) == 4
+
+    # d from 128 up takes the parity-block solve
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(topology=st.sampled_from(["ring", "line"]),
+           d=st.one_of(st.integers(2, 40), st.sampled_from([128, 129, 256, 257])),
+           E0=st.floats(-1e6, 1e6), A=st.floats(-1e6, 1e6))
+    def test_max_deviation_is_dispersion_check(self, topology, d, E0, A):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["dispersion", "--topology", topology, "--d", str(d),
+                             f"--E0={E0!r}", f"--A={A!r}", "--format", "json"])
+        assert code in (0, 1)
+        reported = json.loads(out.getvalue())["max_deviation"]
+        expected = lattice.dispersion_check(lattice.uniform_chain(d, topology, E0, A))
+        assert reported.hex() == expected.hex()
 
 
 class TestWeylCheckCommand:
@@ -161,6 +180,15 @@ class TestPstCommand:
         assert "finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # without --t-max the period pi/vartheta is the default t-max; its
+    # overflow was reported as "t-max must be positive and finite, got inf"
+    @pytest.mark.parametrize("flags", [(), ("--uniform",)], ids=["transfer", "uniform"])
+    def test_overflowing_default_t_max_names_vartheta(self, capsys, flags):
+        code = cli.main(["pst", "--d", "4", "--vartheta", "1e-308", *flags])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: the period pi/vartheta must be finite, got vartheta=1e-308\n"
+
     def test_bad_samples_rejected(self):
         proc = run_cli("pst", "--d", "4", "--samples", "1")
         assert proc.returncode == 2
@@ -205,6 +233,29 @@ class TestSectorCheckCommand:
         payload = json.loads(proc.stdout)
         assert payload["pst"] is True
         assert payload["holds"] is True
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 9, 10])
+    @pytest.mark.parametrize("flags", [(), ("--pst",)], ids=["uniform", "pst"])
+    def test_block_equals_the_reference_exactly(self, capsys, n, flags):
+        assert cli.main(["sector-check", "--n", str(n), *flags, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["max_deviation"] == 0.0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("profile", [False, True], ids=["seeded", "pst"])
+    def test_gauge_conjugated_chain_equals_the_block(self, n, profile):
+        # the reference the command built before: the lattice chain (-A_j on
+        # bond j) under the alternating sign gauge, or with --pst the
+        # transfer Hamiltonian
+        rng = np.random.default_rng(n)
+        rate = rng.uniform(0.5, 2.0)
+        couplings = pst.pst_couplings(n, rate) if profile else rng.uniform(-2.0, 2.0, n - 1)
+        full = spinchain.xy_chain_hamiltonian(couplings)
+        block = spinchain.single_excitation_sector(full, spinchain.sector_map(n)).matrix
+        chain = lattice.build_hamiltonian(lattice.ChainSpec(n, lattice.LINE, 0.0, couplings))
+        gauge = np.diag((-1.0) ** np.arange(n))
+        assert np.array_equal(gauge @ chain.matrix @ gauge, block)
+        if profile:
+            assert np.array_equal(pst.pst_hamiltonian(n, rate).matrix, block)
 
     def test_n1_rejected(self):
         assert run_cli("sector-check", "--n", "1").returncode == 2

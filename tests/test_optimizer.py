@@ -296,6 +296,14 @@ class TestOptimize:
         assert result.iterations == 3
         assert result.stop_reason == "budget"
 
+    def test_all_zero_best_point_is_reported_unscaled(self):
+        # at t = 1e-200 every sin^2(J t) underflows to 0, so nothing beats the
+        # zero start, and a zero profile has no largest coupling to divide by
+        result = optimize_couplings(OptimizeConfig(d=2, t_target=1e-200), [0.0])
+        assert result.couplings == (0.0,)
+        assert result.fidelity == 0.0 and result.gradient_norm == 0.0
+        assert not result.converged
+
     def test_start_on_the_bound_is_searched(self):
         # every coordinate at +COUPLING_BOUND: the first simplex used to be
         # n+1 copies of the start, reported converged after one iteration

@@ -340,3 +340,20 @@ class TestWeylPair:
         nan_shift = Operator(np.full((3, 3), np.nan))
         with pytest.raises(ValueError, match=r"shift\^d deviates from identity by nan"):
             WeylPair(shift=nan_shift, clock=clock_matrix(3))
+
+    # U = diag(u1, u2) and an anti-diagonal V with V^2 = I: lambda = u1/u2 is
+    # read at V U's larger entry, and the other entry's residual is
+    # |b| |u2^2 - u1^2| / |u2|, which a small b keeps within 1e-12 while
+    # lambda is off the unit circle, or on it but not a square root of 1
+    def test_rejects_measured_phase_off_the_unit_circle(self):
+        shift = Operator(np.diag([1.0 + 2e-12, -1.0]))
+        clock = Operator(np.array([[0.0, 10.0], [0.1, 0.0]]))
+        with pytest.raises(ValueError, match=r"must be unit modulus, got \(-1\.000000000002"):
+            WeylPair(shift=shift, clock=clock)
+
+    def test_rejects_measured_phase_that_is_not_a_root_of_unity(self):
+        # lambda = -exp(-5e-12 i): |lambda^2 - 1| = 1e-11 exceeds 2e-12
+        shift = Operator(np.diag([1.0, -np.exp(5e-12j)]))
+        clock = Operator(np.array([[0.0, 20.0], [0.05, 0.0]]))
+        with pytest.raises(ValueError, match="is not a d-th root of unity"):
+            WeylPair(shift=shift, clock=clock)
