@@ -13,10 +13,11 @@ rank matching, sector-check's reference chain and pst's period
 pi/vartheta among them).  Exit codes follow the error's type: 0
 success, 1 ArithmeticError (a tolerance, convergence or certification
 failure), 2 QwireError (an argument the library refuses; the CLI adds
-only pst's own flag rules for --vartheta, --t-max and --samples and
-names optimize's --t-target when it is not positive and finite, while a
-finite one at or above OptimizeConfig's limit is refused under the field
-name t_target), 3 RegisterTooLargeError (resource cap).
+only pst's own flag rules for --vartheta (with --uniform, its band edge
+too), --t-max and --samples and names optimize's --t-target when it is
+not positive and finite, while a finite one at or above OptimizeConfig's
+limit is refused under the field name t_target), 3 RegisterTooLargeError
+(resource cap).
 optimize also exits 1 when its search is not certified (the payload's
 "converged" is false: the budget ran out, or the Newton polish found no
 strict local maximum) or its fidelity is below 0.999.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -148,16 +150,21 @@ def cmd_pst(args) -> Result:
     grid = np.linspace(0.0, t_max, args.samples)  # t_max > 0: a nonzero time
     if args.uniform:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
+        # the line's levels reach +-2*vartheta*cos(pi/(d+1)); past the float
+        # range the solve returns infinite ones
+        if not math.isfinite(2 * math.cos(math.pi / (d + 1)) * vartheta):
+            raise QwireError(f"the band edge 2*vartheta*cos(pi/(d+1)) overflows: "
+                             f"vartheta={vartheta!r} at d={d}")
         curve = pst.fidelity_curve(lattice.build_hamiltonian(spec), grid, 0, d - 1)
         t_star, peak = curve.peak
-        period = pst._period(vartheta)
     else:
         # one eigensolve for both; ArithmeticError (exit 1) when the
         # crossing misses fidelity 1
         curve, report = pst._curve_and_crossing(d, vartheta, grid)
-        t_star, peak, period = report.t_star, report.peak_fidelity, report.period
+        t_star, peak = report.t_star, report.peak_fidelity
     summary = {"d": int(d), "vartheta": float(vartheta), "t_star": t_star,
-               "peak_fidelity": peak, "period": period, "uniform": bool(args.uniform)}
+               "peak_fidelity": peak, "period": pst._period(vartheta),
+               "uniform": bool(args.uniform)}
     payload = {"source": 0, "target": int(d - 1), "times": curve.times.tolist(),
                "fidelities": curve.fidelities.tolist()}
     return Result(payload, True, (["t", "fidelity"], (curve.times, curve.fidelities)), summary)

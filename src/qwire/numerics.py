@@ -9,17 +9,28 @@ enter only through their product.
 An `Operator` stores its matrix as float64 when every imaginary part is
 exactly zero and as complex128 otherwise, so a real symmetric
 Hamiltonian is diagonalized in real arithmetic by the same `_eigh` that
-a complex one goes to.  `_eigh` is the package's only eigensolver call:
-it goes straight to the LAPACK gufunc behind `numpy.linalg.eigh`,
-without that wrapper's argument handling (where a numpy release has
-moved the gufunc, it calls the wrapper).  `hermitian_eig` and
-`evolution_phases` reach it through `_hermitian_solve`, which makes one
+a complex one goes to.  `_eigh` and its values-only counterpart
+`_eigvalsh` are the package's only eigensolver calls: they go straight
+to the LAPACK gufuncs behind `numpy.linalg.eigh` and `eigvalsh`, without
+those wrappers' argument handling (where a numpy release has moved
+either gufunc, both call the wrappers).  `hermitian_eig` and
+`evolution_phases` reach them through `_hermitian_solve`, which makes one
 `_eigh` call on H, or, for a mirror-symmetric H of at least
 `_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks, from
 which one gather builds the rows of V it is asked for (all of them by
 default).  `hermitian_eig`, `evolve` and `evolution_phases` get the whole
 V; `hermitian_eig` checks it and returns only the eigenvalues, with the
 residual that certified them.
+
+Asked for rows 0 and d-1 alone of a real mirror-symmetric chain
+(tridiagonal, every bond nonzero) of that size, `_hermitian_solve`
+first takes a values-only route: `_eigvalsh` on the two parity blocks,
+and V[0,k]^2 from the eigenvalues and bonds alone (de Boor & Golub,
+1978), with V[d-1,k] = +-V[0,k] by parity.  It is certified: the squares
+of each parity must sum to 1/2 within EIG_RTOL, as the rows of two
+orthonormal block eigenvector matrices do.  A chain that fails (pairs of
+levels closer than rounding resolves, as on strongly disordered chains)
+takes the eigenvector route, byte for byte as without it.
 
 All time evolution goes through `_evolution_factors`, one path for one
 time or an array of times: it refuses a complex or non-finite time,
@@ -89,9 +100,9 @@ GENERAL = "general"
 
 _TAGS = (HERMITIAN, UNITARY, GENERAL)
 
-# `_eigh` calls numpy's private eigh gufunc, or the public wrapper where a
-# numpy release has moved the gufunc.
-if not hasattr(_umath_linalg, "eigh_lo"):
+# `_eigh` and `_eigvalsh` call numpy's private eigh and eigvalsh gufuncs,
+# or the public wrappers where a numpy release has moved either gufunc.
+if not (hasattr(_umath_linalg, "eigh_lo") and hasattr(_umath_linalg, "eigvalsh_lo")):
     _umath_linalg = None
 
 # Mirror-symmetric matrices from this size up are diagonalized in two
@@ -251,15 +262,39 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a finite hermitian float64 or complex128
+    matrix, read from its lower triangle: byte for byte what
+    `numpy.linalg.eigvalsh` returns, from the gufunc it calls, or from
+    `numpy.linalg.eigvalsh` itself where numpy has no such gufunc.  A NaN
+    first eigenvalue raises LinAlgError, as in `_eigh`."""
+    if _umath_linalg is None:
+        values = np.linalg.eigvalsh(matrix)
+    else:
+        signature = "D->d" if matrix.dtype.kind == "c" else "d->d"
+        values = _umath_linalg.eigvalsh_lo(matrix, signature=signature)
+    if math.isnan(values[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return values
+
+
 def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """(ascending eigenvalues, orthonormal eigenvectors) of a finite
     hermitian matrix: one `_eigh` call, or two on its parity blocks when it
     is mirror-symmetric (M equals M reversed along both axes) and has at
     least `_PARITY_SPLIT_DIM` rows.  With `rows`, a sequence of row
     indices, only those rows of V are returned, in that order, byte for
-    byte V[rows]: the transfer amplitudes in `pst` ask for rows source
-    and target.  Without it, as for `hermitian_eig`, `evolution_phases`
+    byte V[rows] but on the end-row route below: the transfer amplitudes
+    in `pst` ask for rows source and target.  Without it, as for `hermitian_eig`, `evolution_phases`
     and `evolve`, the whole d x d V is returned.
+
+    When every requested row is 0 or d-1 and the split matrix is a real
+    chain (float64, tridiagonal, every bond nonzero), `_end_rows` reads
+    them from the blocks' eigenvalues alone; where its certificate holds
+    the eigenvalues are eigvalsh's, within rounding of eigh's, and the
+    rows are V[rows] up to each column's sign, within rounding.  Where it
+    fails, the eigenvector route below runs, and its result is byte for
+    byte V[rows].
 
     With d = 2h + p (p = 0 or 1), JMJ = M makes M block diagonal in the
     basis (e_i +- e_{d-1-i})/sqrt(2), with e_h itself in the even half
@@ -289,6 +324,10 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
         even[:h, h] = math.sqrt(2.0) * matrix[:h, h]
         even[h, :h] = math.sqrt(2.0) * matrix[h, :h]
         even[h, h] = matrix[h, h]
+    if rows is not None and set(rows) <= {0, d - 1} and _is_chain(matrix):
+        ends = _end_rows(np.diagonal(matrix, 1), rows, even, top - folded)
+        if ends is not None:
+            return ends
     even_values, even_vectors = _eigh(even)
     odd_values, odd_vectors = _eigh(top - folded)
     values = np.concatenate((even_values, odd_values))
@@ -309,6 +348,61 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
         block = vectors[start : start + 64]
         block[...] = block[:, order]
     return values[order], vectors
+
+
+def _is_chain(matrix: np.ndarray) -> bool:
+    """True for a float64 tridiagonal matrix with every bond nonzero,
+    checked without a d x d temporary: the d-1 bonds above the diagonal
+    and their mirrors below it are its only off-diagonal nonzeros."""
+    d = matrix.shape[0]
+    return (matrix.dtype == np.float64 and bool(np.diagonal(matrix, 1).all())
+            and np.count_nonzero(matrix)
+            == 2 * (d - 1) + np.count_nonzero(np.diagonal(matrix)))
+
+
+def _end_rows(bonds: np.ndarray, rows, even: np.ndarray,
+              odd: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(ascending eigenvalues, rows 0 and d-1 of V as `rows` asks for them)
+    of a mirror-symmetric chain with nonzero bonds J, from the eigenvalues
+    of its parity blocks `even` and `odd` alone, or None when they are
+    not certified.
+
+    For a tridiagonal matrix with nonzero bonds, V[0,k] V[d-1,k] =
+    prod J / prod_{j != k} (lambda_k - lambda_j) (de Boor & Golub, Linear
+    Algebra Appl. 21, 245 (1978)), and on a mirror-symmetric one
+    V[d-1,k] = +V[0,k] for a column of the even block and -V[0,k] for
+    one of the odd block.  So s_k = V[0,k]^2 = exp(sum log|J| -
+    sum_{j != k} log|lambda_k - lambda_j|), the differences taken 64 rows
+    at a time and scaled by a power of two near max |J|, which is exact,
+    so the logs stay small whatever the chain's scale.  Each block's
+    eigenvectors are orthonormal, so the s_k of each parity sum to 1/2.
+    When both do within EIG_RTOL they are rescaled to 1/2 exactly, and
+    row 0 is sqrt(s) and row d-1 is +-sqrt(s); otherwise (close pairs
+    of levels, which the logs resolve poorly) the caller solves for the
+    eigenvectors."""
+    d = bonds.size + 1
+    values = np.concatenate((_eigvalsh(even), _eigvalsh(odd)))
+    shift = -math.frexp(float(np.abs(bonds).max()))[1]
+    # an overflowing or coinciding level gives an inf or NaN weight, which
+    # fails the certificate below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = np.ldexp(values, shift)
+        logs = np.empty(d)
+        for start in range(0, d, 64):
+            block = np.abs(np.subtract.outer(scaled[start : start + 64], scaled))
+            block.reshape(-1)[start :: d + 1] = 1.0  # drop j = k: log 1 = 0
+            logs[start : start + 64] = np.log(block, out=block).sum(axis=1)
+        weights = np.exp(np.log(np.abs(np.ldexp(bonds, shift))).sum() - logs)
+    halves = weights[: even.shape[0]], weights[even.shape[0] :]
+    sums = [float(half.sum()) for half in halves]
+    if not all(abs(total - 0.5) <= EIG_RTOL for total in sums):
+        return None
+    for half, total in zip(halves, sums):
+        half *= 0.5 / total
+    order = np.argsort(values, kind="stable")
+    top = np.sqrt(weights[order])
+    bottom = np.where(order < even.shape[0], top, -top)
+    return values[order], np.where((np.asarray(rows) == 0)[:, None], top, bottom)
 
 
 def hermitian_eig(operator: Operator) -> EigenSystem:
@@ -338,7 +432,8 @@ def _evolution_factors(hamiltonian: Operator, times,
     """(V, eigenvalues, times as float64) behind exp(-i H t), after every
     check `evolution_phases` documents; with `rows`, a sequence of row
     indices, V[rows] in place of V, which the parity solve builds without
-    forming V (see `_hermitian_solve`).  When every time is zero no
+    forming V, or, for a chain's two end rows, from its spectrum alone
+    (see `_hermitian_solve`).  When every time is zero no
     eigensolve is made: V is the identity (or its rows) and the values are
     zeros, so every phase angle lambda_k t is exactly 0."""
     if hamiltonian.tag != HERMITIAN:

@@ -167,6 +167,25 @@ class TestPstCommand:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["peak_fidelity"] >= 1 - 1e-10
 
+    # 2 * t* = 2 * ((pi/2)/vartheta) misses pi/vartheta by an ulp where it
+    # is subnormal, so both branches print pi/vartheta itself
+    @pytest.mark.parametrize("vartheta", ["1.4203703703703703e+308", "1.7e308", "0.3"])
+    def test_both_branches_print_one_period(self, capsys, vartheta):
+        periods = []
+        for flags in [(), ("--uniform",)]:
+            assert cli.main(["pst", "--d", "2", "--vartheta", vartheta, "--samples", "3",
+                             "--format", "json", *flags]) == 0
+            periods.append(json.loads(capsys.readouterr().err)["period"])
+        assert periods[0].hex() == periods[1].hex() == pst._period(float(vartheta)).hex()
+
+    # the uniform line's levels overflow: the refusal names vartheta, not the time
+    def test_overflowing_uniform_band_edge_names_vartheta(self, capsys):
+        assert cli.main(["pst", "--d", "4", "--uniform", "--vartheta", "1.7e308",
+                         "--samples", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the band edge")
+        assert "vartheta=1.7e+308" in err
+
     # a period pi/vartheta that overflows was a ValueError traceback at
     # 5e-324, and "period": Infinity at 1e-308
     @pytest.mark.parametrize("flags", [

@@ -238,6 +238,9 @@ class TestStateVector:
         assert e1.amplitudes[1] == 1.0
         assert e1.norm == 1.0
 
+    def test_repr_names_the_dimension(self):
+        assert repr(basis_state(3, 0)) == "StateVector(dim=3)"
+
 
 class TestHermitianEig:
     def test_already_diagonal(self):
@@ -480,6 +483,33 @@ class TestEigh:
         with pytest.raises(np.linalg.LinAlgError):
             copy._eigh(np.eye(3, dtype=dtype))
 
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_eigvalsh_byte_equal_to_numpy(self, dtype):
+        h = _degenerate_hermitian(np.random.default_rng(11), 40, dtype)
+        values, reference = numerics._eigvalsh(h), np.linalg.eigvalsh(h)
+        assert (values.dtype, values.tobytes()) == (reference.dtype, reference.tobytes())
+
+    def test_unconverged_eigvalsh_gufunc_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_umath_linalg",
+                            SimpleNamespace(eigvalsh_lo=lambda a, signature: np.full(3, math.nan)))
+        with pytest.raises(np.linalg.LinAlgError):
+            numerics._eigvalsh(np.eye(3))
+
+    def test_without_the_eigvalsh_gufunc_both_call_numpy(self, monkeypatch):
+        # the module-level guard: either gufunc missing sends both solvers
+        # to the public wrappers
+        spec = importlib.util.spec_from_file_location("qwire._numerics_copy", numerics.__file__)
+        copy = importlib.util.module_from_spec(spec)
+        with monkeypatch.context() as patch:
+            patch.delattr(numerics._umath_linalg, "eigvalsh_lo")
+            patch.setitem(sys.modules, spec.name, copy)  # dataclasses look it up
+            spec.loader.exec_module(copy)
+        assert copy._umath_linalg is None
+        h = _degenerate_hermitian(np.random.default_rng(5), 6, float)
+        assert copy._eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            copy._eigvalsh(np.full((3, 3), math.nan))
+
 
 def _random_chain(topology: str, d: int) -> Operator:
     rng = np.random.default_rng(d)
@@ -586,6 +616,38 @@ def _recorded_eigh_shapes(monkeypatch, call):
     monkeypatch.setattr(numerics, "_eigh", recording_eigh)
     call()
     return shapes
+
+
+def _recorded_solve(monkeypatch, h, rows):
+    """(shapes `_eigh` was called on, eigenvalues, rows of V) of
+    `_hermitian_solve(h, rows)`."""
+    solved = []
+    shapes = _recorded_eigh_shapes(
+        monkeypatch, lambda: solved.append(numerics._hermitian_solve(h, rows)))
+    return (shapes, *solved[0])
+
+
+DISORDER = st.sampled_from([0.0, 1e-3, 0.1, 1.0])
+
+
+@st.composite
+def mirror_chain(draw):
+    """(H, uniform): a real mirror-symmetric tridiagonal H with nonzero
+    bonds |J| of 1 +- disorder and signs +-1, on-site energies of the
+    drawn size, all scaled by 1e-3 ... 1e3; uniform when both are 0."""
+    d = draw(st.sampled_from([128, 129, 200, 256, 257, 512, 513]))
+    disorder, onsite = draw(DISORDER), draw(DISORDER)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = 1.0 + disorder * rng.uniform(-0.45, 0.45, d - 1)
+    signs = rng.choice([-1.0, 1.0], d - 1)
+    # each sum and product is the same two terms either way, so exact palindromes
+    bonds = (sizes + sizes[::-1]) * (signs * signs[::-1])
+    energies = onsite * rng.normal(size=d)
+    energies = energies + energies[::-1]
+    h = (np.diag(energies) + np.diag(bonds, 1) + np.diag(bonds, -1)) * 10.0 ** draw(
+        st.floats(-3.0, 3.0))
+    assert np.array_equal(h, h[::-1, ::-1])
+    return h, disorder == onsite == 0.0
 
 
 class TestParitySolve:
@@ -719,6 +781,75 @@ class TestParitySolve:
             assert picked.tobytes() == identity_v[list(rows)].tobytes()
             assert picked.dtype == h.matrix.dtype
             assert row_values.tobytes() == values.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(chain=mirror_chain())
+    def test_end_rows_from_the_spectrum(self, chain):
+        # rows 0 and d-1 alone come from the eigenvalues, up to each column's
+        # sign; an uncertified chain takes the eigenvector route
+        h, uniform = chain
+        d = h.shape[0]
+        scale = max_abs(h)
+        ref_values, ref_vectors = np.linalg.eigh(h)
+        gaps = np.minimum(np.diff(ref_values, prepend=-np.inf), np.diff(ref_values, append=np.inf))
+        for rows in [(0, d - 1), (d - 1, 0), (0, 0)]:
+            with pytest.MonkeyPatch.context() as patch:
+                shapes, values, picked = _recorded_solve(patch, h, rows)
+            if shapes:
+                assert not uniform
+                full_values, vectors = numerics._hermitian_solve(h)
+                assert values.tobytes() == full_values.tobytes()
+                assert picked.tobytes() == vectors[list(rows)].tobytes()
+                continue
+            assert (values.dtype, picked.dtype, picked.shape) == (h.dtype, h.dtype, (2, d))
+            assert max_abs(values - ref_values) <= 4 * EPS * d * scale
+            j = rows.index(0)
+            top, partner = picked[j], picked[1 - j]
+            # Davis-Kahan, as in test_blocks_match_the_full_solve
+            for got, ref in ((top * partner, ref_vectors[0] * ref_vectors[rows[1 - j]]),
+                             (top**2, ref_vectors[0] ** 2)):
+                assert (np.abs(got - ref) * gaps <= 4 * EPS * d * scale).all()
+
+    @pytest.mark.parametrize("call", [
+        lambda: transfer_time(512, 0.9),
+        lambda: fidelity_curve(build_hamiltonian(uniform_chain(300, LINE, 0.0, 1.1)),
+                               np.linspace(0.0, 40.0, 200), 0, 299),
+    ], ids=["transfer_time", "uniform_line_curve"])
+    def test_transfer_rows_need_no_eigenvectors(self, monkeypatch, call):
+        assert _recorded_eigh_shapes(monkeypatch, call) == []
+
+    @pytest.mark.parametrize("rows", [(0, 511), (511, 0), (0, 0)])
+    def test_uncertified_chain_falls_back_byte_for_byte(self, monkeypatch, rows):
+        # disordered bonds put pairs of end-localized levels within rounding
+        # of each other, which the logs of differences cannot resolve
+        bonds = np.random.default_rng(2).normal(size=511)
+        spec = ChainSpec(d=512, topology=LINE, E0=0.0, couplings=bonds + bonds[::-1])
+        h = build_hamiltonian(spec).matrix
+        values, vectors = numerics._hermitian_solve(h)
+        shapes, row_values, picked = _recorded_solve(monkeypatch, h, rows)
+        assert shapes == [(256, 256), (256, 256)]
+        assert row_values.tobytes() == values.tobytes()
+        assert picked.tobytes() == vectors[list(rows)].tobytes()
+
+    @pytest.mark.parametrize("vartheta", [1e-300, 1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("d", [128, 513])
+    def test_end_rows_keep_transfer_perfect_at_any_scale(self, monkeypatch, d, vartheta):
+        # the differences are scaled before their logs; a RuntimeWarning fails the test
+        report = []
+        shapes = _recorded_eigh_shapes(monkeypatch,
+                                       lambda: report.append(transfer_time(d, vartheta)))
+        assert shapes == []
+        assert report[0].peak_fidelity >= 1 - 1e-12
+
+    @pytest.mark.parametrize("d", [256, 257])
+    def test_end_rows_without_the_gufunc(self, monkeypatch, d):
+        h = pst_hamiltonian(d, 0.9).matrix
+        values, rows = numerics._hermitian_solve(h, (0, d - 1))
+        monkeypatch.setattr(numerics, "_umath_linalg", None)
+        shapes, wrapper_values, wrapper_rows = _recorded_solve(monkeypatch, h, (0, d - 1))
+        assert shapes == []
+        assert wrapper_values.tobytes() == values.tobytes()
+        assert wrapper_rows.tobytes() == rows.tobytes()
 
 
 HUGE = 10**400  # a Python int with no float value
