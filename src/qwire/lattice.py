@@ -111,7 +111,8 @@ def dispersion(topology: str, d: int, E0: float, A: float) -> np.ndarray:
     """Closed-form single-particle energies E_j = E0 - 2A cos(k_j b) at the
     wave numbers of `wave_numbers`, in j order (not sorted).  The chain's
     own rules refuse d, the topology, E0 and A as `ChainSpec` does, and
-    InvalidConfigError is raised when the band edge |E0| + 2|A| overflows."""
+    InvalidConfigError is raised when the band edge |E0| + 2|A| max|cos k_j b|
+    overflows: |E0| + 2|A| on a ring, |E0| + 2|A| cos(pi/(d+1)) on a line."""
     return _band(uniform_chain(d, topology, E0, A))[2]
 
 
@@ -119,11 +120,15 @@ def _band(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(j, k_j b, E_j) of a uniform chain, as `wave_numbers` and
     `dispersion` give them."""
     E0, A = spec.E0, spec.couplings[0]
-    # Python floats: an overflowing sum becomes inf without a numpy warning
-    if not math.isfinite(abs(E0) + 2 * abs(A)):
-        raise InvalidConfigError(f"band edge |E0| + 2|A| overflows: E0={E0!r}, A={A!r}")
     j, kb = wave_numbers(spec.topology, spec.d)
-    return j, kb, E0 - 2 * A * np.cos(kb)
+    cosines = np.cos(kb)
+    reach = float(np.abs(cosines).max())
+    # Python floats: an overflowing sum becomes inf without a numpy warning;
+    # 2 * (A * cos) is 2A cos wherever it is finite, and no energy exceeds the edge
+    if not math.isfinite(abs(E0) + 2 * (abs(A) * reach)):
+        raise InvalidConfigError(
+            f"band edge |E0| + 2|A| max|cos k_j b| overflows: E0={E0!r}, A={A!r}")
+    return j, kb, E0 - 2 * (A * cosines)
 
 
 def _modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -18,15 +18,22 @@ either gufunc, both call the wrappers).  `hermitian_eig` and
 `_eigh` call on H, or, for a mirror-symmetric H of at least
 `_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks, from
 which one gather builds the rows of V it is asked for (all of them by
-default).  `hermitian_eig`, `evolve` and `evolution_phases` get the whole
-V; `hermitian_eig` checks it and returns only the eigenvalues, with the
-residual that certified them.
+default).  At even d, a real H with one on-site energy c and no entry
+joining two sites of the same sublattice (i + j even) is bipartite, so
+its spectrum is symmetric about c (Coulson & Rushbrooke, Proc. Camb.
+Phil. Soc. 36, 193 (1940)): the sublattice sign S = diag((-1)^i)
+anticommutes with the mirror J there and carries the even block onto the
+odd one, which is c - S(even - c)S, so only the even block is solved and
+the odd one is its reflection.  `hermitian_eig`, `evolve` and
+`evolution_phases` get the whole V; `hermitian_eig` checks it and
+returns only the eigenvalues, with the residual that certified them.
 
 Asked for rows 0 and d-1 alone of a real mirror-symmetric chain
 (tridiagonal, every bond nonzero) of that size, `_hermitian_solve`
-first takes a values-only route: `_eigvalsh` on the two parity blocks,
-and V[0,k]^2 from the eigenvalues and bonds alone (de Boor & Golub,
-1978), with V[d-1,k] = +-V[0,k] by parity.  It is certified: the squares
+first takes a values-only route: `_eigvalsh` on the two parity blocks
+(on the even one alone where the odd one is its reflection), and
+V[0,k]^2 from the eigenvalues and bonds alone (de Boor & Golub, 1978),
+with V[d-1,k] = +-V[0,k] by parity.  It is certified: the squares
 of each parity must sum to 1/2 within EIG_RTOL, as the rows of two
 orthonormal block eigenvector matrices do.  A chain that fails (pairs of
 levels closer than rounding resolves, as on strongly disordered chains)
@@ -280,13 +287,15 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
 def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """(ascending eigenvalues, orthonormal eigenvectors) of a finite
-    hermitian matrix: one `_eigh` call, or two on its parity blocks when it
-    is mirror-symmetric (M equals M reversed along both axes) and has at
-    least `_PARITY_SPLIT_DIM` rows.  With `rows`, a sequence of row
-    indices, only those rows of V are returned, in that order, byte for
-    byte V[rows] but on the end-row route below: the transfer amplitudes
-    in `pst` ask for rows source and target.  Without it, as for `hermitian_eig`, `evolution_phases`
-    and `evolve`, the whole d x d V is returned.
+    hermitian matrix: one `_eigh` call, or one on each of its parity
+    blocks when it is mirror-symmetric (M equals M reversed along both
+    axes) and has at least `_PARITY_SPLIT_DIM` rows, or one on the even
+    block alone when the odd one is its reflection (below).  With `rows`,
+    a sequence of row indices, only those rows of V are returned, in that
+    order, byte for byte V[rows] but on the end-row route below: the
+    transfer amplitudes in `pst` ask for rows source and target.  Without
+    it, as for `hermitian_eig`, `evolution_phases` and `evolve`, the whole
+    d x d V is returned.
 
     When every requested row is 0 or d-1 and the split matrix is a real
     chain (float64, tridiagonal, every bond nonzero), `_end_rows` reads
@@ -310,7 +319,21 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     middle, one scalar multiply per run of requested rows on one side,
     and its columns are permuted in place, 64 rows at a time, so asked
     for rows the route makes no d x d array, and for the whole V no
-    second one."""
+    second one.
+
+    Only the even block is solved when the odd one is its reflection
+    (`_chiral_centre`): at even d, a float64 M with every diagonal entry c
+    and no entry joining two sites of the same sublattice (i + j even,
+    i != j) is bipartite, so its spectrum is symmetric about c (Coulson &
+    Rushbrooke, Proc. Camb. Phil. Soc. 36, 193 (1940)).  There the
+    sublattice sign S = diag((-1)^i) anticommutes with J (JSJ has
+    (-1)^(d-1-i) = -(-1)^i on its diagonal), and the odd block is
+    c - S(even - c)S, with S restricted to the first h sites.  So the odd
+    block's eigenvalues are 2c - even_values[::-1], computed as
+    c - (value - c), and its eigenvectors are the even block's columns
+    reversed with every odd row negated.  One `_eigh`, or on the end-row
+    route one `_eigvalsh`, then serves both blocks; everything after it is
+    unchanged."""
     d = matrix.shape[0]
     if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
         values, vectors = _eigh(matrix)
@@ -324,12 +347,22 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
         even[:h, h] = math.sqrt(2.0) * matrix[:h, h]
         even[h, :h] = math.sqrt(2.0) * matrix[h, :h]
         even[h, h] = matrix[h, h]
-    if rows is not None and set(rows) <= {0, d - 1} and _is_chain(matrix):
-        ends = _end_rows(np.diagonal(matrix, 1), rows, even, top - folded)
+    chain = rows is not None and set(rows) <= {0, d - 1} and _is_chain(matrix)
+    centre = _chiral_centre(matrix, chain)
+    if chain:
+        even_values = _eigvalsh(even)
+        odd_values = (_eigvalsh(top - folded) if centre is None
+                      else _reflected(even_values, centre))
+        ends = _end_rows(np.diagonal(matrix, 1), rows, even_values, odd_values)
         if ends is not None:
             return ends
     even_values, even_vectors = _eigh(even)
-    odd_values, odd_vectors = _eigh(top - folded)
+    if centre is None:
+        odd_values, odd_vectors = _eigh(top - folded)
+    else:
+        odd_values = _reflected(even_values, centre)
+        odd_vectors = even_vectors[:, ::-1].copy()
+        odd_vectors[1::2] *= -1.0  # S y: the odd sublattice negated
     values = np.concatenate((even_values, odd_values))
     order = np.argsort(values, kind="stable")
     i = np.arange(d) if rows is None else np.asarray(rows)
@@ -360,12 +393,41 @@ def _is_chain(matrix: np.ndarray) -> bool:
             == 2 * (d - 1) + np.count_nonzero(np.diagonal(matrix)))
 
 
-def _end_rows(bonds: np.ndarray, rows, even: np.ndarray,
-              odd: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _chiral_centre(matrix: np.ndarray, tridiagonal: bool) -> float | None:
+    """c when the mirror-symmetric `matrix` is float64 of even size, with
+    every diagonal entry c and no nonzero entry joining two sites of the
+    same sublattice (i + j even, i != j); None otherwise.  Mirror symmetry
+    carries row and column 2k onto d-1-2k, which is odd at even d, so the
+    even sites' submatrix M[::2, ::2] = c I settles both sublattices; on a
+    `tridiagonal` matrix only its diagonal is read, O(d)."""
+    d = matrix.shape[0]
+    if d % 2 or matrix.dtype != np.float64:
+        return None
+    c = matrix[0, 0]
+    same = matrix[::2, ::2]
+    diagonal = np.diagonal(same)
+    if not (diagonal == c).all():  # NaN fails too
+        return None
+    if not tridiagonal and np.count_nonzero(same) != np.count_nonzero(diagonal):
+        return None
+    return float(c)
+
+
+def _reflected(values: np.ndarray, centre: float) -> np.ndarray:
+    """Ascending 2c - values[::-1], as c - (value - c), which overflows
+    only where the reflected value itself does (to +-inf, without a numpy
+    warning; every caller refuses an infinite eigenvalue); exactly
+    -values[::-1] at c = 0."""
+    with np.errstate(over="ignore"):
+        return centre - (values[::-1] - centre)
+
+
+def _end_rows(bonds: np.ndarray, rows, even_values: np.ndarray,
+              odd_values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(ascending eigenvalues, rows 0 and d-1 of V as `rows` asks for them)
-    of a mirror-symmetric chain with nonzero bonds J, from the eigenvalues
-    of its parity blocks `even` and `odd` alone, or None when they are
-    not certified.
+    of a mirror-symmetric chain with nonzero bonds J, from the ascending
+    eigenvalues of its even and odd parity blocks alone, or None when
+    they are not certified.
 
     For a tridiagonal matrix with nonzero bonds, V[0,k] V[d-1,k] =
     prod J / prod_{j != k} (lambda_k - lambda_j) (de Boor & Golub, Linear
@@ -381,7 +443,7 @@ def _end_rows(bonds: np.ndarray, rows, even: np.ndarray,
     of levels, which the logs resolve poorly) the caller solves for the
     eigenvectors."""
     d = bonds.size + 1
-    values = np.concatenate((_eigvalsh(even), _eigvalsh(odd)))
+    values = np.concatenate((even_values, odd_values))
     shift = -math.frexp(float(np.abs(bonds).max()))[1]
     # an overflowing or coinciding level gives an inf or NaN weight, which
     # fails the certificate below
@@ -393,7 +455,7 @@ def _end_rows(bonds: np.ndarray, rows, even: np.ndarray,
             block.reshape(-1)[start :: d + 1] = 1.0  # drop j = k: log 1 = 0
             logs[start : start + 64] = np.log(block, out=block).sum(axis=1)
         weights = np.exp(np.log(np.abs(np.ldexp(bonds, shift))).sum() - logs)
-    halves = weights[: even.shape[0]], weights[even.shape[0] :]
+    halves = weights[: even_values.size], weights[even_values.size :]
     sums = [float(half.sum()) for half in halves]
     if not all(abs(total - 0.5) <= EIG_RTOL for total in sums):
         return None
@@ -401,7 +463,7 @@ def _end_rows(bonds: np.ndarray, rows, even: np.ndarray,
         half *= 0.5 / total
     order = np.argsort(values, kind="stable")
     top = np.sqrt(weights[order])
-    bottom = np.where(order < even.shape[0], top, -top)
+    bottom = np.where(order < even_values.size, top, -top)
     return values[order], np.where((np.asarray(rows) == 0)[:, None], top, bottom)
 
 

@@ -61,7 +61,21 @@ class TestDispersionCommand:
         code = cli.main(["dispersion", *flags])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.startswith("error: band edge |E0| + 2|A| overflows") and err.count("\n") == 1
+        assert err.startswith("error: band edge |E0| + 2|A| max|cos k_j b| overflows")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [("--d", "4", "--A", "1e308"),
+                                       ("--d", "4", "--A=-1e308"),
+                                       ("--d", "2", "--E0=-1e308", "--A", "7.7e307")])
+    def test_line_below_the_ring_edge_is_solved(self, capsys, flags):
+        # a line's levels reach |E0| + 2|A| cos(pi/(d+1)), short of the
+        # ring's |E0| + 2|A|, which overflows for these flags
+        code = cli.main(["dispersion", "--topology", "line", *flags, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        energies = [abs(r["energy"]) for r in payload["rows"]]
+        assert not math.isfinite(abs(payload["E0"]) + 2 * abs(payload["A"]))
+        assert code == 0 and math.isfinite(payload["max_deviation"])
+        assert payload["max_deviation"] <= 1e-10 * max(energies)
 
     @pytest.mark.parametrize("flags", [("--A", "3e5"), ("--E0", "1e6")])
     def test_large_energies_pass_the_relative_limit(self, capsys, flags):
@@ -579,6 +593,16 @@ class TestColumnEmitter:
     def test_edge_tables(self, columns):
         expected = _reference_csv(["a", "b"], list(zip(*columns)))
         assert cli._csv(["a", "b"], columns) == expected
+
+    def test_float64_array_taken_by_its_dtype(self):
+        class Uniterable(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("a float64 array was scanned cell by cell")
+
+        cells = np.array([0.1, -0.0, 5e-324, -1.7976931348623157e308, math.inf, math.nan, 1e16])
+        column = cells.view(Uniterable)
+        expected = _reference_csv(["a", "b"], list(zip(cells.tolist(), range(7))))
+        assert cli._csv(["a", "b"], (column, range(7))) == expected
 
 
 class TestRejectionTable:

@@ -605,17 +605,21 @@ def _persymmetric(d, dtype, seed, exponent):
     return h
 
 
+def _recorded_block_solves(monkeypatch, call):
+    """(("eigh" or "eigvalsh", shape) for each eigensolve `call` makes, in
+    order, and what `call` returns)."""
+    calls = []
+    for name in ("_eigh", "_eigvalsh"):
+        def recording(a, name=name, solve=getattr(numerics, name)):
+            calls.append((name[1:], a.shape))
+            return solve(a)
+        monkeypatch.setattr(numerics, name, recording)
+    return calls, call()
+
+
 def _recorded_eigh_shapes(monkeypatch, call):
-    shapes = []
-    eigh = numerics._eigh
-
-    def recording_eigh(a):
-        shapes.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(numerics, "_eigh", recording_eigh)
-    call()
-    return shapes
+    calls, _ = _recorded_block_solves(monkeypatch, call)
+    return [shape for name, shape in calls if name == "eigh"]
 
 
 def _recorded_solve(monkeypatch, h, rows):
@@ -625,6 +629,41 @@ def _recorded_solve(monkeypatch, h, rows):
     shapes = _recorded_eigh_shapes(
         monkeypatch, lambda: solved.append(numerics._hermitian_solve(h, rows)))
     return (shapes, *solved[0])
+
+
+def _disordered_chain() -> np.ndarray:
+    """The 512-site mirror-symmetric line chain with normal random bonds
+    (seed 2) and every on-site energy 0, whose end rows are uncertified."""
+    bonds = np.random.default_rng(2).normal(size=511)
+    spec = ChainSpec(d=512, topology=LINE, E0=0.0, couplings=bonds + bonds[::-1])
+    return build_hamiltonian(spec).matrix
+
+
+def _bipartite_mirror(d, kind, centre, seed, exponent, disorder=1.0, dtype=float):
+    """A hermitian H == H[::-1, ::-1] exactly, with `centre` on the diagonal
+    and no entry joining two sites i != j with i + j even: a dense matrix,
+    a line chain with bonds |J| of 1 +- disorder and signs +-1, or that
+    chain closed into a ring (at even d), all scaled by 10**exponent."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        x = rng.normal(size=(d, d)).astype(dtype)
+        if dtype == complex:
+            x += 1j * rng.normal(size=(d, d))
+        x = x + x.conj().T
+        x = x + x[::-1, ::-1]  # each sum is the same two terms either way
+        i = np.arange(d)
+        x[(i[:, None] + i) % 2 == 0] = 0.0  # a mirror-symmetric mask
+    else:
+        sizes = 1.0 + disorder * rng.uniform(-0.45, 0.45, d - 1)
+        signs = rng.choice([-1.0, 1.0], d - 1)
+        bonds = (sizes + sizes[::-1]) * (signs * signs[::-1])
+        x = np.diag(bonds, 1) + np.diag(bonds, -1)
+        if kind == "ring":
+            x[0, d - 1] = x[d - 1, 0] = 1.0 + disorder * rng.uniform(-0.45, 0.45)
+    x[np.diag_indices(d)] = centre
+    h = x * 10.0 ** exponent
+    assert np.array_equal(h, h[::-1, ::-1]) and np.array_equal(h, h.conj().T)
+    return h
 
 
 DISORDER = st.sampled_from([0.0, 1e-3, 0.1, 1.0])
@@ -677,7 +716,7 @@ class TestParitySolve:
         assert (row_error * gaps <= 4 * EPS * d * scale).all()
 
     @pytest.mark.parametrize("d, shapes", [
-        (127, [(127, 127)]), (128, [(64, 64), (64, 64)]), (129, [(65, 65), (64, 64)]),
+        (127, [(127, 127)]), (128, [(64, 64)]), (129, [(65, 65), (64, 64)]),
     ])
     def test_split_from_128_up(self, monkeypatch, d, shapes):
         h = pst_hamiltonian(d, 0.8)
@@ -821,13 +860,24 @@ class TestParitySolve:
     @pytest.mark.parametrize("rows", [(0, 511), (511, 0), (0, 0)])
     def test_uncertified_chain_falls_back_byte_for_byte(self, monkeypatch, rows):
         # disordered bonds put pairs of end-localized levels within rounding
-        # of each other, which the logs of differences cannot resolve
-        bonds = np.random.default_rng(2).normal(size=511)
-        spec = ChainSpec(d=512, topology=LINE, E0=0.0, couplings=bonds + bonds[::-1])
-        h = build_hamiltonian(spec).matrix
+        # of each other, which the logs of differences cannot resolve; the
+        # on-site energies vary, so both blocks are solved
+        energies = 0.1 * np.random.default_rng(0).normal(size=512)
+        h = _disordered_chain() + np.diag(energies + energies[::-1])
         values, vectors = numerics._hermitian_solve(h)
         shapes, row_values, picked = _recorded_solve(monkeypatch, h, rows)
         assert shapes == [(256, 256), (256, 256)]
+        assert row_values.tobytes() == values.tobytes()
+        assert picked.tobytes() == vectors[list(rows)].tobytes()
+
+    @pytest.mark.parametrize("rows", [(0, 511), (511, 0), (0, 0)])
+    def test_uncertified_chiral_chain_falls_back_to_one_block(self, monkeypatch, rows):
+        # the same bonds with every on-site energy 0: the odd block is reflected
+        h = _disordered_chain()
+        values, vectors = numerics._hermitian_solve(h)
+        calls, (row_values, picked) = _recorded_block_solves(
+            monkeypatch, lambda: numerics._hermitian_solve(h, rows))
+        assert calls == [("eigvalsh", (256, 256)), ("eigh", (256, 256))]
         assert row_values.tobytes() == values.tobytes()
         assert picked.tobytes() == vectors[list(rows)].tobytes()
 
@@ -850,6 +900,89 @@ class TestParitySolve:
         assert shapes == []
         assert wrapper_values.tobytes() == values.tobytes()
         assert wrapper_rows.tobytes() == rows.tobytes()
+
+
+class TestReflectedBlock:
+    """At even d, a real mirror-symmetric H with one on-site energy c and no
+    bond inside a sublattice has its odd block c - S(even - c)S, S the
+    sublattice sign, so only the even block is solved."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.integers(64, 150).map(lambda h: 2 * h),
+           kind=st.sampled_from(["dense", "chain", "ring"]),
+           centre=st.sampled_from([0.0, 0.37, -2.5, 9.0]), disorder=DISORDER,
+           seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0))
+    def test_matches_numpy(self, d, kind, centre, disorder, seed, exponent):
+        h = _bipartite_mirror(d, kind, centre, seed, exponent, disorder)
+        block = (d // 2, d // 2)
+        scale = max_abs(h)
+        bound = 4 * EPS * d * scale  # as in TestParitySolve
+        ref_values, ref_vectors = np.linalg.eigh(h)
+        gaps = np.minimum(np.diff(ref_values, prepend=-np.inf), np.diff(ref_values, append=np.inf))
+        with pytest.MonkeyPatch.context() as patch:
+            calls, (values, vectors) = _recorded_block_solves(
+                patch, lambda: numerics._hermitian_solve(h))
+        assert calls == [("eigh", block)]
+        assert max_abs(values - ref_values) <= bound
+        assert max_abs(h - (vectors * values) @ vectors.T) <= 1e-10 * max(1.0, scale)
+        assert max_abs(vectors.T @ vectors - np.eye(d)) <= 1e-10
+        # every row, up to each column's sign (Davis-Kahan)
+        signs = np.sign(np.einsum("ij,ij->j", ref_vectors, vectors))
+        assert (np.abs(vectors - ref_vectors * signs).max(axis=0) * gaps <= bound).all()
+        with pytest.MonkeyPatch.context() as patch:
+            calls, (values, ends) = _recorded_block_solves(
+                patch, lambda: numerics._hermitian_solve(h, (0, d - 1)))
+        routes = ([[("eigvalsh", block)], [("eigvalsh", block), ("eigh", block)]]
+                  if kind == "chain" else [[("eigh", block)]])
+        assert calls in routes
+        assert max_abs(values - ref_values) <= bound
+        for got, ref in ((ends[0] * ends[1], ref_vectors[0] * ref_vectors[d - 1]),
+                         (ends[0] ** 2, ref_vectors[0] ** 2)):
+            assert (np.abs(got - ref) * gaps <= bound).all()
+
+    @pytest.mark.parametrize("case, blocks", [
+        ("pst chain", 1), ("line c=0.37", 1), ("ring c=-0.4", 1), ("dense", 1),
+        ("odd d", 2), ("one on-site energy moved", 2), ("one bond inside a sublattice", 2),
+        ("complex", 2),
+    ])
+    def test_one_block_solve_exactly_when_chiral(self, monkeypatch, case, blocks):
+        def line(*entries, value=0.0):  # the uniform line, each entry and its mirror set
+            h = build_hamiltonian(uniform_chain(256, LINE, 0.37, 1.1)).matrix.copy()
+            for i, j in entries:
+                h[i, j] = h[255 - i, 255 - j] = value
+            return h
+
+        h = {
+            "pst chain": lambda: pst_hamiltonian(256, 0.8).matrix,
+            "line c=0.37": line,
+            "ring c=-0.4": lambda: build_hamiltonian(uniform_chain(256, RING, -0.4, 0.9)).matrix,
+            "dense": lambda: _bipartite_mirror(256, "dense", 0.0, 5, 0.0),
+            "odd d": lambda: pst_hamiltonian(257, 0.8).matrix,
+            "one on-site energy moved": lambda: line((100, 100), value=0.5),
+            "one bond inside a sublattice": lambda: line((0, 2), (2, 0), value=0.5),
+            "complex": lambda: _bipartite_mirror(256, "dense", 0.0, 5, 0.0, dtype=complex),
+        }[case]()
+        assert np.array_equal(h, h[::-1, ::-1])
+        d = h.shape[0]
+        calls, _ = _recorded_block_solves(monkeypatch, lambda: numerics._hermitian_solve(h))
+        assert [name for name, _ in calls] == ["eigh"] * blocks
+        calls.clear()
+        numerics._hermitian_solve(h, (0, d - 1))  # certified wherever it is a chain
+        route = "eigvalsh" if numerics._is_chain(h) else "eigh"
+        assert [name for name, _ in calls] == [route] * blocks
+        assert (route == "eigvalsh") == (case in ("pst chain", "line c=0.37", "odd d",
+                                                  "one on-site energy moved"))
+
+    def test_reflected_values_overflow_only_where_the_spectrum_does(self):
+        values = np.array([-1.0, 0.5, 1.7e308])
+        assert numerics._reflected(values, 0.0).tobytes() == (-values[::-1]).tobytes()
+        # 2c would overflow; c - (value - c) does not
+        values = np.array([0.5e308, 1e308, 1.7e308])
+        assert numerics._reflected(values, 1e308).tolist() == [
+            1e308 - (1.7e308 - 1e308), 1e308, 1e308 - (0.5e308 - 1e308)]
+        # 2c - value is beyond the float range: -inf, without a warning
+        assert numerics._reflected(np.array([-1.0, 1.7e308]), -1e308).tolist() == [
+            -math.inf, -1e308 - (-1.0 - -1e308)]
 
 
 HUGE = 10**400  # a Python int with no float value

@@ -290,6 +290,13 @@ def test_numpy_integer_dimension_accepted(d):
     assert ChainSpec(d=d, topology=LINE, E0=0.0, couplings=(1.0,) * (d - 1)).d == d
 
 
+def test_line_band_reaches_only_its_own_edge():
+    # a line's levels reach |E0| + 2|A| cos(pi/(d+1)); the ring's |E0| + 2|A|
+    # overflows here
+    assert np.isfinite(dispersion(LINE, 4, 0.0, 1e308)).all()
+    assert dispersion_check(uniform_chain(4, LINE, 0.0, 1e308)) <= 1e-10 * 1.7e308
+
+
 def test_largest_finite_band_accepted():
     # |E0| + 2|A| just below the float limit: finite energies, no warning
     energies = dispersion(RING, 4, 1.7e308 - 2 * 5e306, 5e306)
