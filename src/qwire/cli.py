@@ -13,11 +13,11 @@ rank matching, sector-check's reference chain and pst's period
 pi/vartheta among them).  Exit codes follow the error's type: 0
 success, 1 ArithmeticError (a tolerance, convergence or certification
 failure), 2 QwireError (an argument the library refuses; the CLI adds
-only pst's own flag rules for --vartheta (with --uniform, its band edge
-too), --t-max and --samples and names optimize's --t-target when it is
-not positive and finite, while a finite one at or above OptimizeConfig's
-limit is refused under the field name t_target), 3 RegisterTooLargeError
-(resource cap).
+only pst's own flag rules for --vartheta (with --uniform, lattice's
+band-edge refusal renamed for it), --t-max and --samples and names
+optimize's --t-target when it is not positive and finite, while a finite
+one at or above OptimizeConfig's limit is refused under the field name
+t_target), 3 RegisterTooLargeError (resource cap).
 optimize also exits 1 when its search is not certified (the payload's
 "converged" is false: the budget ran out, or the Newton polish found no
 strict local maximum) or its fidelity is below 0.999.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -40,6 +39,7 @@ import numpy as np
 
 from . import lattice, pst, spinchain, weyl
 from .errors import (
+    InvalidConfigError,
     NotProportionalError,
     QwireError,
     RegisterTooLargeError,
@@ -153,11 +153,13 @@ def cmd_pst(args) -> Result:
     grid = np.linspace(0.0, t_max, args.samples)  # t_max > 0: a nonzero time
     if args.uniform:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
-        # the line's levels reach +-2*vartheta*cos(pi/(d+1)); past the float
-        # range the solve returns infinite ones
-        if not math.isfinite(2 * math.cos(math.pi / (d + 1)) * vartheta):
+        # the line's own band-edge rule, renamed for the flag: past the float
+        # range the solve returns infinite levels
+        try:
+            lattice._band(spec)
+        except InvalidConfigError:
             raise QwireError(f"the band edge 2*vartheta*cos(pi/(d+1)) overflows: "
-                             f"vartheta={vartheta!r} at d={d}")
+                             f"vartheta={vartheta!r} at d={d}") from None
         curve = pst.fidelity_curve(lattice.build_hamiltonian(spec), grid, 0, d - 1)
         t_star, peak = curve.peak
     else:

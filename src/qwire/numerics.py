@@ -13,31 +13,28 @@ a complex one goes to.  `_eigh` and its values-only counterpart
 `_eigvalsh` are the package's only eigensolver calls: they go straight
 to the LAPACK gufuncs behind `numpy.linalg.eigh` and `eigvalsh`, without
 those wrappers' argument handling (where a numpy release has moved
-either gufunc, both call the wrappers).  `hermitian_eig` and
-`evolution_phases` reach them through `_hermitian_solve`, which makes one
-`_eigh` call on H, or, for a mirror-symmetric H of at least
-`_PARITY_SPLIT_DIM` rows, one on each of its two parity blocks, from
-which one gather builds the rows of V it is asked for (all of them by
-default).  At even d, a real H with one on-site energy c and no entry
-joining two sites of the same sublattice (i + j even) is bipartite, so
-its spectrum is symmetric about c (Coulson & Rushbrooke, Proc. Camb.
-Phil. Soc. 36, 193 (1940)): the sublattice sign S = diag((-1)^i)
-anticommutes with the mirror J there and carries the even block onto the
-odd one, which is c - S(even - c)S, so only the even block is solved and
-the odd one is its reflection.  `hermitian_eig`, `evolve` and
-`evolution_phases` get the whole V; `hermitian_eig` checks it and
-returns only the eigenvalues, with the residual that certified them.
+either gufunc, both call the wrappers).
 
-Asked for rows 0 and d-1 alone of a real mirror-symmetric chain
-(tridiagonal, every bond nonzero) of that size, `_hermitian_solve`
-first takes a values-only route: `_eigvalsh` on the two parity blocks
-(on the even one alone where the odd one is its reflection), and
-V[0,k]^2 from the eigenvalues and bonds alone (de Boor & Golub, 1978),
-with V[d-1,k] = +-V[0,k] by parity.  It is certified: the squares
-of each parity must sum to 1/2 within EIG_RTOL, as the rows of two
-orthonormal block eigenvector matrices do.  A chain that fails (pairs of
-levels closer than rounding resolves, as on strongly disordered chains)
-takes the eigenvector route, byte for byte as without it.
+`hermitian_eig`, `evolution_phases`, `evolve` and the transfer
+amplitudes in `pst` reach them through `_hermitian_solve`, whose routes
+are these (its docstring, `_end_rows`' and `_reflected`'s hold the math):
+- below `_PARITY_SPLIT_DIM` rows, or when H is not mirror-symmetric:
+  one `_eigh` on H;
+- a mirror-symmetric H of that size: one `_eigh` on each of its two
+  parity blocks, from which one gather builds the rows of V it is asked
+  for (all of them by default);
+- the same at even d for a real H with one on-site energy c and no entry
+  joining two sites of the same sublattice: one `_eigh` on the even
+  block, whose reflection about c is the odd block;
+- rows 0 and d-1 alone of a real mirror-symmetric chain (tridiagonal,
+  every bond nonzero) of that size: `_eigvalsh` on the blocks it would
+  solve, and V[0,k]^2 from the eigenvalues and bonds alone, certified
+  by each parity summing to 1/2; a chain that fails takes the
+  eigenvector route, byte for byte as without it.
+The split routes return the even block's eigenpairs, then the odd
+block's, each in its solver's order.  Everything downstream sums over k,
+so only `hermitian_eig` sorts: it checks the whole V, then returns the
+ascending eigenvalues with the residual that certified them.
 
 All time evolution goes through `_evolution_factors`, one path for one
 time or an array of times: it refuses a complex or non-finite time,
@@ -286,11 +283,13 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending eigenvalues, orthonormal eigenvectors) of a finite
-    hermitian matrix: one `_eigh` call, or one on each of its parity
-    blocks when it is mirror-symmetric (M equals M reversed along both
-    axes) and has at least `_PARITY_SPLIT_DIM` rows, or one on the even
-    block alone when the odd one is its reflection (below).  With `rows`,
+    """(eigenvalues, orthonormal eigenvectors V) of a finite hermitian
+    matrix.  Below `_PARITY_SPLIT_DIM` rows, or when it is not
+    mirror-symmetric (M equals M reversed along both axes), that is one
+    `_eigh` call, with ascending values.  Otherwise it is solved in its
+    two parity blocks, or in the even block alone when the odd one is its
+    reflection (below), and (eigenvalues, V) are in block order, even
+    block first, each block's pairs in its solver's order.  With `rows`,
     a sequence of row indices, only those rows of V are returned, in that
     order, byte for byte V[rows] but on the end-row route below: the
     transfer amplitudes in `pst` ask for rows source and target.  Without
@@ -312,14 +311,11 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     M[:h, :h] + M[:h, :h]J, bordered for odd d by sqrt(2) M[:h, h] and
     M[h, h].  A block eigenvector y becomes V's column (y, +-Jy)/sqrt(2),
     with y's last entry as the middle row of an even column; an odd
-    column has a zero middle row.  The columns are merged by a stable
-    argsort of the two spectra, so the values stay ascending.  Row i of V
-    is gathered from row min(i, d-1-i) of each block's eigenvectors, its
-    odd half scaled by sqrt(1/2) for i < h and by -sqrt(1/2) past the
-    middle, one scalar multiply per run of requested rows on one side,
-    and its columns are permuted in place, 64 rows at a time, so asked
-    for rows the route makes no d x d array, and for the whole V no
-    second one.
+    column has a zero middle row.  Row i of V is gathered from row
+    min(i, d-1-i) of each block's eigenvectors, its even half scaled by
+    sqrt(1/2) and its odd half by one column of +-sqrt(1/2), negative
+    past the middle, so asked for rows the route makes no d x d array,
+    and for the whole V no second one.
 
     Only the even block is solved when the odd one is its reflection
     (`_chiral_centre`): at even d, a float64 M with every diagonal entry c
@@ -329,11 +325,10 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     sublattice sign S = diag((-1)^i) anticommutes with J (JSJ has
     (-1)^(d-1-i) = -(-1)^i on its diagonal), and the odd block is
     c - S(even - c)S, with S restricted to the first h sites.  So the odd
-    block's eigenvalues are 2c - even_values[::-1], computed as
-    c - (value - c), and its eigenvectors are the even block's columns
-    reversed with every odd row negated.  One `_eigh`, or on the end-row
-    route one `_eigvalsh`, then serves both blocks; everything after it is
-    unchanged."""
+    block's eigenvalues are `_reflected(even_values, c)`, and its
+    eigenvectors are the even block's with every odd row negated, a sign
+    the gather's column carries.  One `_eigh`, or on the end-row route
+    one `_eigvalsh`, then serves both blocks."""
     d = matrix.shape[0]
     if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
         values, vectors = _eigh(matrix)
@@ -356,31 +351,23 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
         ends = _end_rows(np.diagonal(matrix, 1), rows, even_values, odd_values)
         if ends is not None:
             return ends
-    even_values, even_vectors = _eigh(even)
-    if centre is None:
-        odd_values, odd_vectors = _eigh(top - folded)
-    else:
-        odd_values = _reflected(even_values, centre)
-        odd_vectors = even_vectors[:, ::-1].copy()
-        odd_vectors[1::2] *= -1.0  # S y: the odd sublattice negated
-    values = np.concatenate((even_values, odd_values))
-    order = np.argsort(values, kind="stable")
     i = np.arange(d) if rows is None else np.asarray(rows)
     k = np.minimum(i, d - 1 - i)  # row d-1-k mirrors row k, odd half negated
     middle = k == h  # the middle row of an odd d: unscaled, zero in the odd half
     r = math.sqrt(0.5)
+    scale = np.where(i < h, r, -r)[:, None]
+    even_values, even_vectors = _eigh(even)
+    if centre is None:
+        odd_values, odd_vectors = _eigh(top - folded)
+    else:  # S y: the even block's vectors, the odd sublattice negated by its scale
+        odd_values, odd_vectors = _reflected(even_values, centre), even_vectors
+        scale[k % 2 == 1] *= -1.0
     vectors = np.empty((i.size, d), dtype=matrix.dtype)
     np.multiply(even_vectors[k], r, out=vectors[:, : d - h])
-    odd, upper = odd_vectors.take(k, axis=0, mode="clip"), i < h
-    cuts = [0, *np.flatnonzero(upper[1:] != upper[:-1]) + 1, i.size]
-    for start, stop in zip(cuts, cuts[1:]):  # one scalar per run of rows on one side
-        np.multiply(odd[start:stop], r if upper[start] else -r, out=vectors[start:stop, d - h :])
+    np.multiply(odd_vectors.take(k, axis=0, mode="clip"), scale, out=vectors[:, d - h :])
     vectors[middle, : d - h] = even_vectors[k[middle]]
     vectors[middle, d - h :] = 0.0
-    for start in range(0, i.size, 64):
-        block = vectors[start : start + 64]
-        block[...] = block[:, order]
-    return values[order], vectors
+    return np.concatenate((even_values, odd_values)), vectors
 
 
 def _is_chain(matrix: np.ndarray) -> bool:
@@ -414,20 +401,20 @@ def _chiral_centre(matrix: np.ndarray, tridiagonal: bool) -> float | None:
 
 
 def _reflected(values: np.ndarray, centre: float) -> np.ndarray:
-    """Ascending 2c - values[::-1], as c - (value - c), which overflows
-    only where the reflected value itself does (to +-inf, without a numpy
-    warning; every caller refuses an infinite eigenvalue); exactly
-    -values[::-1] at c = 0."""
+    """2c - values, element by element and in the same order, as
+    c - (value - c), which overflows only where the reflected value itself
+    does (to +-inf, without a numpy warning; every caller refuses an
+    infinite eigenvalue); exactly -values at c = 0."""
     with np.errstate(over="ignore"):
-        return centre - (values[::-1] - centre)
+        return centre - (values - centre)
 
 
 def _end_rows(bonds: np.ndarray, rows, even_values: np.ndarray,
               odd_values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(ascending eigenvalues, rows 0 and d-1 of V as `rows` asks for them)
-    of a mirror-symmetric chain with nonzero bonds J, from the ascending
-    eigenvalues of its even and odd parity blocks alone, or None when
-    they are not certified.
+    """(eigenvalues, rows 0 and d-1 of V as `rows` asks for them) of a
+    mirror-symmetric chain with nonzero bonds J, in block order, even
+    block first, from the eigenvalues of its even and odd parity blocks
+    alone, or None when they are not certified.
 
     For a tridiagonal matrix with nonzero bonds, V[0,k] V[d-1,k] =
     prod J / prod_{j != k} (lambda_k - lambda_j) (de Boor & Golub, Linear
@@ -461,16 +448,16 @@ def _end_rows(bonds: np.ndarray, rows, even_values: np.ndarray,
         return None
     for half, total in zip(halves, sums):
         half *= 0.5 / total
-    order = np.argsort(values, kind="stable")
-    top = np.sqrt(weights[order])
-    bottom = np.where(order < even_values.size, top, -top)
-    return values[order], np.where((np.asarray(rows) == 0)[:, None], top, bottom)
+    top = np.sqrt(weights)
+    bottom = np.concatenate((top[: even_values.size], -top[even_values.size :]))
+    return values, np.where((np.asarray(rows) == 0)[:, None], top, bottom)
 
 
 def hermitian_eig(operator: Operator) -> EigenSystem:
     """Ascending eigenvalues of a hermitian operator, with their residual.
 
-    The solver's eigenvectors V are checked, then dropped: ArithmeticError
+    The solver's eigenvectors V are checked, then dropped, and its values
+    sorted, the only sort of eigenvalues in this module: ArithmeticError
     unless max |V^dag V - I| <= 1e-10 (reconstruction alone passes wrong
     values on repeated columns) and max |H - V diag V^dag| <= 1e-10 *
     max(1, max |H|)."""
@@ -486,18 +473,19 @@ def hermitian_eig(operator: Operator) -> EigenSystem:
             f"eigendecomposition residual {residual:.3e} (bound {bound:.3e}), "
             f"max |V^dag V - I| = {orth:.3e} (bound {UNITARY_ATOL:.0e})"
         )
-    return EigenSystem(values=values, residual=residual)
+    return EigenSystem(values=np.sort(values, kind="stable"), residual=residual)
 
 
 def _evolution_factors(hamiltonian: Operator, times,
                        rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V, eigenvalues, times as float64) behind exp(-i H t), after every
-    check `evolution_phases` documents; with `rows`, a sequence of row
-    indices, V[rows] in place of V, which the parity solve builds without
-    forming V, or, for a chain's two end rows, from its spectrum alone
-    (see `_hermitian_solve`).  When every time is zero no
-    eigensolve is made: V is the identity (or its rows) and the values are
-    zeros, so every phase angle lambda_k t is exactly 0."""
+    """(V, eigenvalues, times as float64) behind exp(-i H t), in
+    `_hermitian_solve`'s order, after every check `evolution_phases`
+    documents; with `rows`, a sequence of row indices, V[rows] in place
+    of V, which the parity solve builds without forming V, or, for a
+    chain's two end rows, from its spectrum alone (see
+    `_hermitian_solve`).  When every time is zero no eigensolve is made:
+    V is the identity (or its rows) and the values are zeros, so every
+    phase angle lambda_k t is exactly 0."""
     if hamiltonian.tag != HERMITIAN:
         raise NonHermitianInputError("time evolution requires a hermitian-tagged operator")
     times = require_reals(times, "evolution times")
@@ -507,7 +495,7 @@ def _evolution_factors(hamiltonian: Operator, times,
         return vectors if rows is None else vectors[list(rows)], np.zeros(d), times
     values, vectors = _hermitian_solve(hamiltonian.matrix, rows)
     # Python floats: an overflowing product becomes inf without a numpy warning
-    scale = max(abs(float(values[0])), abs(float(values[-1]))) * float(abs(times).max())
+    scale = float(abs(values).max()) * float(abs(times).max())
     if not math.isfinite(scale):
         raise InvalidConfigError(f"evolution phases overflow: max |lambda| * max |t| = {scale}")
     return vectors, values, times
@@ -517,12 +505,15 @@ def evolution_phases(hamiltonian: Operator, times) -> tuple[np.ndarray, np.ndarr
     """Spectral factors of exp(-i H t) = V diag(phases) V^dag.
 
     Returns (V, phases), where phases has shape times.shape + (d,) and V
-    has H's dtype.  Raises NonHermitianInputError unless H is tagged
-    hermitian, and InvalidConfigError (a ValueError) for a complex or
-    non-finite time or an overflowing max |lambda| * max |t|.  When every
-    time is zero no eigensolve is made: V is the identity, the eigenvalues
-    are taken as zeros and every phase is exp(-i 0) = 1 - 0j, so the
-    propagator is exactly the identity.
+    has H's dtype; the eigenvalues behind V's columns and the phases'
+    last axis ascend, except on a split mirror-symmetric H, where they
+    come in parity blocks (see `_hermitian_solve`).  Raises
+    NonHermitianInputError unless H is tagged hermitian, and
+    InvalidConfigError (a ValueError) for a complex or non-finite time or
+    an overflowing max |lambda| * max |t|.  When every time is zero no
+    eigensolve is made: V is the identity, the eigenvalues are taken as
+    zeros and every phase is exp(-i 0) = 1 - 0j, so the propagator is
+    exactly the identity.
     """
     vectors, values, times = _evolution_factors(hamiltonian, times)
     return vectors, _phases(values, times)

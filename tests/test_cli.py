@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwire import cli, lattice, numerics, pst, spinchain
-from qwire.errors import RegisterTooLargeError
+from qwire.errors import InvalidConfigError, RegisterTooLargeError
 
 
 def run_cli(*args):
@@ -199,6 +199,24 @@ class TestPstCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: the band edge")
         assert "vartheta=1.7e+308" in err
+
+    # at d = 13, np.cos(pi/14) rounds one ulp above math.cos: the line's own
+    # band-edge rule refuses this vartheta before any eigensolve
+    def test_uniform_band_edge_is_the_line_rule(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an eigensolve was made")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "_hermitian_solve", refuse)
+            assert cli.main(["pst", "--d", "13", "--uniform", "--vartheta",
+                             "9.219620817087893e+307", "--t-max", "1", "--samples", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the band edge")
+        assert "vartheta=9.219620817087893e+307 at d=13" in err
+        with pytest.raises(InvalidConfigError):
+            lattice.dispersion(lattice.LINE, 13, 0.0, 9.219620817087893e+307)
+        assert cli.main(["pst", "--d", "4", "--uniform", "--vartheta", "1e308",
+                         "--samples", "3"]) == 0
 
     # a period pi/vartheta that overflows was a ValueError traceback at
     # 5e-324, and "period": Infinity at 1e-308

@@ -13,6 +13,7 @@ from conftest import expm_series, random_hermitian
 from qwire import numerics
 from qwire.errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     NonHermitianInputError,
     NotNormalizedError,
     ZeroThetaError,
@@ -639,6 +640,16 @@ def _disordered_chain() -> np.ndarray:
     return build_hamiltonian(spec).matrix
 
 
+def _mirror_line(d: int, seed: int) -> Operator:
+    """A d-site mirror-symmetric line chain whose bonds and on-site
+    energies are exact palindromes, made from U(0.5, 1.5) and 0.1 N(0, 1)
+    draws."""
+    rng = np.random.default_rng(seed)
+    bonds, energies = rng.uniform(0.5, 1.5, d - 1), 0.1 * rng.normal(size=d)
+    bonds, energies = bonds + bonds[::-1], energies + energies[::-1]
+    return Operator(np.diag(energies) + np.diag(bonds, 1) + np.diag(bonds, -1), tag=HERMITIAN)
+
+
 def _bipartite_mirror(d, kind, centre, seed, exponent, disorder=1.0, dtype=float):
     """A hermitian H == H[::-1, ::-1] exactly, with `centre` on the diagonal
     and no entry joining two sites i != j with i + j even: a dense matrix,
@@ -700,6 +711,8 @@ class TestParitySolve:
         d = h.shape[0]
         values, vectors = numerics._hermitian_solve(h)
         assert (values.dtype, vectors.dtype) == (np.dtype(float), h.dtype)
+        order = np.argsort(values, kind="stable")  # the pairs come in block order
+        values, vectors = values[order], vectors[:, order]
         scale = max_abs(h)
         # both solvers are backward stable: eigenvalues within O(eps ||H||)
         ref_values, ref_vectors = np.linalg.eigh(h)
@@ -757,8 +770,31 @@ class TestParitySolve:
     def test_transfer_time_stays_perfect(self, d):
         assert transfer_time(d, 0.9).peak_fidelity >= 1 - 1e-12
 
+    @pytest.mark.parametrize("case", ["chiral chain", "generic even chain", "odd d", "ring"])
+    def test_only_hermitian_eig_sorts(self, case):
+        h = {
+            "chiral chain": lambda: pst_hamiltonian(256, 0.8),  # the reflected route
+            "generic even chain": lambda: _mirror_line(256, 11),  # two blocks
+            "odd d": lambda: _mirror_line(257, 12),
+            "ring": lambda: build_hamiltonian(uniform_chain(256, RING, -0.4, 0.9)),
+        }[case]()
+        values = hermitian_eig(h).values
+        assert (values[1:] >= values[:-1]).all()
+        block_values = numerics._hermitian_solve(h.matrix)[0]
+        assert values.tobytes() == np.sort(block_values, kind="stable").tobytes()
+
+    def test_phase_overflow_reads_every_level(self):
+        # block order puts -123 and 131 at the ends, and max |lambda| = 133 at
+        # index 64; a guard reading only the ends would pass this time
+        h = Operator(pst_hamiltonian(129, 1.0).matrix + 5.0 * np.eye(129), tag=HERMITIAN)
+        values = numerics._hermitian_solve(h.matrix)[0]
+        assert np.allclose(values[[0, -1, 64]], [-123.0, 131.0, 133.0], rtol=0.0, atol=1e-9)
+        assert np.argmax(abs(values)) == 64
+        with pytest.raises(InvalidConfigError, match="evolution phases overflow"):
+            evolution_phases(h, 1.7976931348623157e308 / 132.5)
+
     @pytest.mark.parametrize("d", [512, 513])
-    def test_columns_permuted_in_place(self, d):
+    def test_whole_v_needs_no_second_array(self, d):
         # a gathered copy of V would add a d x d array to the peak
         matrix = pst_hamiltonian(d, 0.9).matrix
         tracemalloc.start()
@@ -841,6 +877,8 @@ class TestParitySolve:
                 assert picked.tobytes() == vectors[list(rows)].tobytes()
                 continue
             assert (values.dtype, picked.dtype, picked.shape) == (h.dtype, h.dtype, (2, d))
+            order = np.argsort(values, kind="stable")  # the pairs come in block order
+            values, picked = values[order], picked[:, order]
             assert max_abs(values - ref_values) <= 4 * EPS * d * scale
             j = rows.index(0)
             top, partner = picked[j], picked[1 - j]
@@ -923,6 +961,8 @@ class TestReflectedBlock:
             calls, (values, vectors) = _recorded_block_solves(
                 patch, lambda: numerics._hermitian_solve(h))
         assert calls == [("eigh", block)]
+        order = np.argsort(values, kind="stable")  # the pairs come in block order
+        values, vectors = values[order], vectors[:, order]
         assert max_abs(values - ref_values) <= bound
         assert max_abs(h - (vectors * values) @ vectors.T) <= 1e-10 * max(1.0, scale)
         assert max_abs(vectors.T @ vectors - np.eye(d)) <= 1e-10
@@ -935,6 +975,8 @@ class TestReflectedBlock:
         routes = ([[("eigvalsh", block)], [("eigvalsh", block), ("eigh", block)]]
                   if kind == "chain" else [[("eigh", block)]])
         assert calls in routes
+        order = np.argsort(values, kind="stable")
+        values, ends = values[order], ends[:, order]
         assert max_abs(values - ref_values) <= bound
         for got, ref in ((ends[0] * ends[1], ref_vectors[0] * ref_vectors[d - 1]),
                          (ends[0] ** 2, ref_vectors[0] ** 2)):
@@ -974,15 +1016,16 @@ class TestReflectedBlock:
                                                   "one on-site energy moved"))
 
     def test_reflected_values_overflow_only_where_the_spectrum_does(self):
+        # each value is reflected in place, in the order it came
         values = np.array([-1.0, 0.5, 1.7e308])
-        assert numerics._reflected(values, 0.0).tobytes() == (-values[::-1]).tobytes()
+        assert numerics._reflected(values, 0.0).tobytes() == (-values).tobytes()
         # 2c would overflow; c - (value - c) does not
         values = np.array([0.5e308, 1e308, 1.7e308])
         assert numerics._reflected(values, 1e308).tolist() == [
-            1e308 - (1.7e308 - 1e308), 1e308, 1e308 - (0.5e308 - 1e308)]
+            1e308 - (0.5e308 - 1e308), 1e308, 1e308 - (1.7e308 - 1e308)]
         # 2c - value is beyond the float range: -inf, without a warning
         assert numerics._reflected(np.array([-1.0, 1.7e308]), -1e308).tolist() == [
-            -math.inf, -1e308 - (-1.0 - -1e308)]
+            -1e308 - (-1.0 - -1e308), -math.inf]
 
 
 HUGE = 10**400  # a Python int with no float value

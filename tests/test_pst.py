@@ -27,6 +27,7 @@ from qwire.numerics import (
     hermitian_eig,
     max_abs,
 )
+from qwire.optimizer import OptimizeConfig, _search
 from qwire.pst import (
     FidelityCurve,
     TransferReport,
@@ -396,6 +397,98 @@ class TestAmplitudeOracle:
         for t, fid in zip(curve.times, curve.fidelities):
             oracle = abs(expm_series(-1j * h.matrix * t)[target, source]) ** 2
             assert abs(fid - oracle) <= 1e-12
+
+
+ORACLE_SIZES = [*range(2, 11), 64, 127, 128, 129, 256, 257]
+
+
+def _oracle_atol(h: np.ndarray, t_max: float) -> float:
+    """32 eps (1 + ||H|| t_max), ||H|| the largest absolute row sum: each
+    phase carries its eigenvalue's rounding, about eps max|lambda|, times
+    t.  The worst deviation seen was about 7 eps (1 + ||H|| t)."""
+    return 32 * np.finfo(float).eps * (1.0 + np.abs(h).sum(axis=1).max() * t_max)
+
+
+def _spectral_amplitudes(h: np.ndarray, times) -> np.ndarray:
+    """<d-1| exp(-iHt) |0> of a real chain with nonzero bonds J, from its
+    eigenvalues alone: sum_k w_k exp(-i lambda_k t) with
+    w_k = V[0,k] V[d-1,k] = prod J / prod_{j != k} (lambda_k - lambda_j)
+    (de Boor & Golub, Linear Algebra Appl. 21, 245 (1978)), formed from
+    log-magnitudes and a sign count."""
+    values = np.linalg.eigvalsh(h)
+    bonds = np.diagonal(h, 1)
+    gaps = np.subtract.outer(values, values)
+    np.fill_diagonal(gaps, 1.0)  # drop j = k
+    logs = np.log(np.abs(bonds)).sum() - np.log(np.abs(gaps)).sum(axis=1)
+    negative = np.count_nonzero(bonds < 0) + np.count_nonzero(gaps < 0, axis=1)
+    weights = np.where(negative % 2, -1.0, 1.0) * np.exp(logs)
+    return np.exp(-1j * np.multiply.outer(times, values)) @ weights
+
+
+def _palindrome(x: np.ndarray) -> np.ndarray:
+    """x with its second half replaced by its first half reversed."""
+    i = np.arange(x.size)
+    return np.where(2 * i < x.size, x, x[::-1])
+
+
+@st.composite
+def oracle_chain(draw):
+    """A real chain matrix with bonds from U(0.5, 1.5), with or without
+    on-site energies of size 0.1, mirror-symmetric or not.
+
+    Independent mirror-symmetric disorder pairs each localized state with
+    its mirror image; from d = 64 up many pairs split by less than
+    rounding, and the weights would divide by a zero gap.  A
+    mirror-symmetric chain of that size takes a smooth profile drawn from
+    the same ranges instead: bonds a + (b - a) sin(pi n/d) with a < b
+    from U(0.5, 1.5), and on-site energies c + s (b - a) sin(pi i/(d-1))
+    with c from 0.1 N(0, 1) and s from U(-1, 1), whose single well at
+    each band edge keeps every level apart."""
+    d = draw(st.sampled_from(ORACLE_SIZES))
+    mirror, onsite = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if mirror and d >= 64:
+        a, b = np.sort(rng.uniform(0.5, 1.5, 2))
+        bonds = a + (b - a) * np.sin(np.pi * np.arange(1, d) / d)
+        energies = 0.1 * rng.normal() + (b - a) * rng.uniform(-1.0, 1.0) * np.sin(
+            np.pi * np.arange(d) / (d - 1))
+    else:
+        bonds, energies = rng.uniform(0.5, 1.5, d - 1), 0.1 * rng.normal(size=d)
+    if not onsite:
+        energies = np.zeros(d)
+    if mirror:
+        bonds, energies = _palindrome(bonds), _palindrome(energies)
+    return np.diag(energies) + np.diag(bonds, 1) + np.diag(bonds, -1)
+
+
+class TestSpectralOracle:
+    """Transfer fidelities from (0, d-1) against the amplitude the chain's
+    eigenvalues give alone, never an eigenvector, across the parity split
+    at d = 128 and both parity routes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(h=oracle_chain(), fraction=st.floats(0.01, 1.0))
+    def test_fidelities(self, h, fraction):
+        d = h.shape[0]
+        op = Operator(h, tag=HERMITIAN)
+        times = np.linspace(0.0, d, 201)  # the front reaches site d-1 near t = d/2
+        expected = np.abs(_spectral_amplitudes(h, times)) ** 2
+        curve = fidelity_curve(op, times, 0, d - 1).fidelities
+        assert np.abs(curve - expected).max() <= _oracle_atol(h, d)
+        t = fraction * d
+        expected = abs(_spectral_amplitudes(h, t)) ** 2
+        assert abs(transfer_fidelity(op, t, 0, d - 1) - expected) <= _oracle_atol(h, t)
+        if d <= 10 and not np.diagonal(h).any():  # the search's chain has no on-site energy
+            negated, _ = _search(OptimizeConfig(d=d, t_target=t))
+            assert abs(-negated(-np.diagonal(h, 1)) - expected) <= _oracle_atol(h, t)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(d=st.sampled_from(ORACLE_SIZES), vartheta=st.floats(0.5, 1.5))
+    def test_transfer_time(self, d, vartheta):
+        report = transfer_time(d, vartheta)
+        h = pst_hamiltonian(d, vartheta).matrix
+        amplitude = _spectral_amplitudes(h, report.t_star)
+        assert abs(report.peak_fidelity - abs(amplitude) ** 2) <= _oracle_atol(h, report.t_star)
 
 
 class TestTransferTime:
