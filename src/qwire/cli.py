@@ -82,15 +82,12 @@ def _fmt_cell(value) -> str:
 
 def _fmt_column(column) -> list[str]:
     """Each cell of one CSV column as `_fmt_cell` writes it.  A float64
-    array, the bulk of every table, is taken by its dtype; another column
-    with no bool or integer cell is cast to float64 once.  Either way each
-    Python float is printed by its repr, as repr(float(v)) writes it; a
-    column with a bool or integer cell goes cell by cell."""
-    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
-        if any(issubclass(kind, (int, np.integer)) for kind in set(map(type, column))):
-            return list(map(_fmt_cell, column))
-        column = np.asarray(column, dtype=float)
-    return list(map(repr, column.tolist()))
+    array, the bulk of every table, is printed as the repr of each Python
+    float its `tolist()` gives, as repr(float(v)) writes it; any other
+    column goes cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    return list(map(_fmt_cell, column))
 
 
 def _csv(header: list[str], columns) -> str:

@@ -9,11 +9,12 @@ enter only through their product.
 An `Operator` stores its matrix as float64 when every imaginary part is
 exactly zero and as complex128 otherwise, so a real symmetric
 Hamiltonian is diagonalized in real arithmetic by the same `_eigh` that
-a complex one goes to.  `_eigh` and its values-only counterpart
-`_eigvalsh` are the package's only eigensolver calls: they go straight
-to the LAPACK gufuncs behind `numpy.linalg.eigh` and `eigvalsh`, without
-those wrappers' argument handling (where a numpy release has moved
-either gufunc, both call the wrappers).
+a complex one goes to.  `_eigh` and, on the values-only route below,
+`numpy.linalg.eigvalsh` are the package's only eigensolver calls.
+`_eigh` goes straight to the LAPACK gufunc behind `numpy.linalg.eigh`,
+without that wrapper's argument handling (where a numpy release has
+moved the gufunc, it calls the wrapper): `eigh_lo` is the one private
+numpy name used, because the coupling search pays for it.
 
 `hermitian_eig`, `evolution_phases`, `evolve` and the transfer
 amplitudes in `pst` reach them through `_hermitian_solve`, whose routes
@@ -27,10 +28,10 @@ are these (its docstring, `_end_rows`' and `_reflected`'s hold the math):
   joining two sites of the same sublattice: one `_eigh` on the even
   block, whose reflection about c is the odd block;
 - rows 0 and d-1 alone of a real mirror-symmetric chain (tridiagonal,
-  every bond nonzero) of that size: `_eigvalsh` on the blocks it would
-  solve, and V[0,k]^2 from the eigenvalues and bonds alone, certified
-  by each parity summing to 1/2; a chain that fails takes the
-  eigenvector route, byte for byte as without it.
+  every bond nonzero) of that size: `numpy.linalg.eigvalsh` on the
+  blocks it would solve, and V[0,k]^2 from the eigenvalues and bonds
+  alone, certified by each parity summing to 1/2; a chain that fails
+  takes the eigenvector route, byte for byte as without it.
 The split routes return the even block's eigenpairs, then the odd
 block's, each in its solver's order.  Everything downstream sums over k,
 so only `hermitian_eig` sorts: it checks the whole V, then returns the
@@ -104,9 +105,10 @@ GENERAL = "general"
 
 _TAGS = (HERMITIAN, UNITARY, GENERAL)
 
-# `_eigh` and `_eigvalsh` call numpy's private eigh and eigvalsh gufuncs,
-# or the public wrappers where a numpy release has moved either gufunc.
-if not (hasattr(_umath_linalg, "eigh_lo") and hasattr(_umath_linalg, "eigvalsh_lo")):
+# `_eigh` calls numpy's private eigh gufunc, the one private numpy name
+# used (the coupling search pays for it), or the public wrapper where a
+# numpy release has moved it.
+if not hasattr(_umath_linalg, "eigh_lo"):
     _umath_linalg = None
 
 # Mirror-symmetric matrices from this size up are diagonalized in two
@@ -266,22 +268,6 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a finite hermitian float64 or complex128
-    matrix, read from its lower triangle: byte for byte what
-    `numpy.linalg.eigvalsh` returns, from the gufunc it calls, or from
-    `numpy.linalg.eigvalsh` itself where numpy has no such gufunc.  A NaN
-    first eigenvalue raises LinAlgError, as in `_eigh`."""
-    if _umath_linalg is None:
-        values = np.linalg.eigvalsh(matrix)
-    else:
-        signature = "D->d" if matrix.dtype.kind == "c" else "d->d"
-        values = _umath_linalg.eigvalsh_lo(matrix, signature=signature)
-    if math.isnan(values[0]):
-        raise LinAlgError("Eigenvalues did not converge")
-    return values
-
-
 def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, orthonormal eigenvectors V) of a finite hermitian
     matrix.  Below `_PARITY_SPLIT_DIM` rows, or when it is not
@@ -328,7 +314,7 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     block's eigenvalues are `_reflected(even_values, c)`, and its
     eigenvectors are the even block's with every odd row negated, a sign
     the gather's column carries.  One `_eigh`, or on the end-row route
-    one `_eigvalsh`, then serves both blocks."""
+    one `numpy.linalg.eigvalsh`, then serves both blocks."""
     d = matrix.shape[0]
     if d < _PARITY_SPLIT_DIM or not np.array_equal(matrix, matrix[::-1, ::-1]):
         values, vectors = _eigh(matrix)
@@ -345,8 +331,8 @@ def _hermitian_solve(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndar
     chain = rows is not None and set(rows) <= {0, d - 1} and _is_chain(matrix)
     centre = _chiral_centre(matrix, chain)
     if chain:
-        even_values = _eigvalsh(even)
-        odd_values = (_eigvalsh(top - folded) if centre is None
+        even_values = np.linalg.eigvalsh(even)
+        odd_values = (np.linalg.eigvalsh(top - folded) if centre is None
                       else _reflected(even_values, centre))
         ends = _end_rows(np.diagonal(matrix, 1), rows, even_values, odd_values)
         if ends is not None:

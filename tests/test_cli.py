@@ -621,6 +621,18 @@ class TestColumnEmitter:
         column = cells.view(Uniterable)
         expected = _reference_csv(["a", "b"], list(zip(cells.tolist(), range(7))))
         assert cli._csv(["a", "b"], (column, range(7))) == expected
+        assert cli._fmt_column(column) == [repr(v) for v in cells.tolist()]
+
+    @pytest.mark.parametrize("column", [
+        (0.1, -0.0, 1e300, math.inf),
+        [np.float64(5e-324), 0.5],
+        range(1, 5),
+        [True],
+        [7],
+        [0.1],
+    ], ids=["float-tuple", "list-with-float64", "range", "bool-cell", "int-cell", "float-cell"])
+    def test_any_other_column_goes_cell_by_cell(self, column):
+        assert cli._fmt_column(column) == [cli._fmt_cell(v) for v in column]
 
 
 class TestRejectionTable:

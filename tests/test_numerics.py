@@ -459,15 +459,9 @@ class TestEigh:
 
     @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
     def test_without_the_gufunc_calls_numpy_eigh(self, dtype, monkeypatch):
-        # a numpy release without the private gufunc: a fresh copy of the
-        # module, loaded while the name is hidden, solves through
+        # a numpy release without the private gufunc: `_eigh` solves through
         # np.linalg.eigh (which needs the name back to run here)
-        spec = importlib.util.spec_from_file_location("qwire._numerics_copy", numerics.__file__)
-        copy = importlib.util.module_from_spec(spec)
-        with monkeypatch.context() as patch:
-            patch.delattr(numerics._umath_linalg, "eigh_lo")
-            patch.setitem(sys.modules, spec.name, copy)  # dataclasses look it up
-            spec.loader.exec_module(copy)
+        copy = _reloaded_numerics(monkeypatch, "eigh_lo")
         assert copy._umath_linalg is None
         rng = np.random.default_rng(7)
         h = rng.normal(size=(6, 6)).astype(dtype)
@@ -484,32 +478,32 @@ class TestEigh:
         with pytest.raises(np.linalg.LinAlgError):
             copy._eigh(np.eye(3, dtype=dtype))
 
-    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-    def test_eigvalsh_byte_equal_to_numpy(self, dtype):
-        h = _degenerate_hermitian(np.random.default_rng(11), 40, dtype)
-        values, reference = numerics._eigvalsh(h), np.linalg.eigvalsh(h)
-        assert (values.dtype, values.tobytes()) == (reference.dtype, reference.tobytes())
+    @pytest.mark.parametrize("d", [128, 257])
+    def test_without_the_eigvalsh_gufunc_eigh_keeps_its_own(self, monkeypatch, d):
+        # `eigh_lo` is the only private name the module reads: the values-only
+        # route calls np.linalg.eigvalsh, so a numpy release without the
+        # private eigvalsh gufunc changes neither `_eigh` nor the end rows
+        copy = _reloaded_numerics(monkeypatch, "eigvalsh_lo")
+        assert copy._umath_linalg is numerics._umath_linalg
+        h = pst_hamiltonian(d, 0.9).matrix
+        for rows in ((0, d - 1), (d - 1, 0)):
+            got, reference = copy._hermitian_solve(h, rows), numerics._hermitian_solve(h, rows)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in reference]
+        got, reference = copy._eigh(h[:64, :64]), np.linalg.eigh(h[:64, :64])
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in reference]
 
-    def test_unconverged_eigvalsh_gufunc_raises(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_umath_linalg",
-                            SimpleNamespace(eigvalsh_lo=lambda a, signature: np.full(3, math.nan)))
-        with pytest.raises(np.linalg.LinAlgError):
-            numerics._eigvalsh(np.eye(3))
 
-    def test_without_the_eigvalsh_gufunc_both_call_numpy(self, monkeypatch):
-        # the module-level guard: either gufunc missing sends both solvers
-        # to the public wrappers
-        spec = importlib.util.spec_from_file_location("qwire._numerics_copy", numerics.__file__)
-        copy = importlib.util.module_from_spec(spec)
-        with monkeypatch.context() as patch:
-            patch.delattr(numerics._umath_linalg, "eigvalsh_lo")
-            patch.setitem(sys.modules, spec.name, copy)  # dataclasses look it up
-            spec.loader.exec_module(copy)
-        assert copy._umath_linalg is None
-        h = _degenerate_hermitian(np.random.default_rng(5), 6, float)
-        assert copy._eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
-        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            copy._eigvalsh(np.full((3, 3), math.nan))
+def _reloaded_numerics(monkeypatch, hidden: str):
+    """A fresh copy of `numerics`, loaded while numpy's private
+    `_umath_linalg.<hidden>` is missing, as on a numpy release that has
+    moved it; the name is back once this returns."""
+    spec = importlib.util.spec_from_file_location("qwire._numerics_copy", numerics.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    with monkeypatch.context() as patch:
+        patch.delattr(numerics._umath_linalg, hidden)
+        patch.setitem(sys.modules, spec.name, copy)  # dataclasses look it up
+        spec.loader.exec_module(copy)
+    return copy
 
 
 def _random_chain(topology: str, d: int) -> Operator:
@@ -607,14 +601,15 @@ def _persymmetric(d, dtype, seed, exponent):
 
 
 def _recorded_block_solves(monkeypatch, call):
-    """(("eigh" or "eigvalsh", shape) for each eigensolve `call` makes, in
-    order, and what `call` returns)."""
+    """(("eigh" or "eigvalsh", shape) for each `numerics._eigh` and
+    `numpy.linalg.eigvalsh` call that `call` makes, in order, and what
+    `call` returns)."""
     calls = []
-    for name in ("_eigh", "_eigvalsh"):
-        def recording(a, name=name, solve=getattr(numerics, name)):
-            calls.append((name[1:], a.shape))
+    for owner, name in ((numerics, "_eigh"), (np.linalg, "eigvalsh")):
+        def recording(a, name=name.lstrip("_"), solve=getattr(owner, name)):
+            calls.append((name, a.shape))
             return solve(a)
-        monkeypatch.setattr(numerics, name, recording)
+        monkeypatch.setattr(owner, name, recording)
     return calls, call()
 
 
@@ -893,6 +888,18 @@ class TestParitySolve:
                                np.linspace(0.0, 40.0, 200), 0, 299),
     ], ids=["transfer_time", "uniform_line_curve"])
     def test_transfer_rows_need_no_eigenvectors(self, monkeypatch, call):
+        assert _recorded_eigh_shapes(monkeypatch, call) == []
+
+    @pytest.mark.parametrize("vartheta", [0.5, 0.9, 1.3, 2.0])
+    @pytest.mark.parametrize("d", [128, 129, 200, 256, 257, 300, 511, 512, 513])
+    @pytest.mark.parametrize("chain", ["transfer", "uniform"])
+    def test_smooth_chains_never_fall_back(self, monkeypatch, chain, d, vartheta):
+        # the fallback solves a block a second time (eigvalsh, then eigh),
+        # but the transfer chain and the uniform line are certified at every
+        # split size, so their end rows never pay for it
+        h = (pst_hamiltonian(d, vartheta) if chain == "transfer"
+             else build_hamiltonian(uniform_chain(d, LINE, 0.0, vartheta)))
+        call = lambda: transfer_fidelity(h, 1.0, 0, d - 1)
         assert _recorded_eigh_shapes(monkeypatch, call) == []
 
     @pytest.mark.parametrize("rows", [(0, 511), (511, 0), (0, 0)])
