@@ -17,16 +17,22 @@ once.  The polish forms one Hessian per accepted point, from the
 eigenpairs that accepted the trial, tries its steps on the value alone
 and takes damped Newton steps inside the +-COUPLING_BOUND box; the
 final gradient forms no Hessian.
-Where F's Hessian is not negative definite it takes the modified Newton
-step, each eigenvalue lambda replaced by |lambda| floored relative to
-max |lambda| (Nocedal & Wright, Numerical Optimization, 3.4), which
-climbs but certifies nothing.  A point is certified when F's Hessian
-is negative definite on the free coordinates and the Newton decrement is
-at most tol (Boyd & Vandenberghe, Convex Optimization, 9.5; Nocedal &
-Wright, Numerical Optimization, Thm 2.4); only then has the search
-converged, and only then do the restarts stop early.  The known optimum
-is the sqrt(j(d-j)) profile, which the search should rediscover from a
-uniform start and certify, unmoved, when given as the initial point.
+Where F's Hessian is not negative definite the polish climbs with the
+Newton step of -log F, which has F's maximizers where F > 0: its
+Hessian, up to the factor 1/F, is F's less grad F grad F^T / F, and the
+step is taken where that is negative definite on the free coordinates.
+It leaves the flat, indefinite region near F = 0 in a few steps.  Where
+that matrix is not negative definite either, the polish takes the
+modified Newton step, each eigenvalue lambda of F's Hessian replaced by
+|lambda| floored relative to max |lambda| (Nocedal & Wright, Numerical
+Optimization, 3.4).  Neither certifies anything.  A point is certified
+when F's own Hessian is negative definite on the free coordinates and
+the Newton decrement is at most tol (Boyd & Vandenberghe, Convex
+Optimization, 9.5; Nocedal & Wright, Numerical Optimization, Thm 2.4);
+only then has the search converged, and only then do the restarts stop
+early.  The known optimum is the sqrt(j(d-j)) profile, which the search
+should rediscover from a uniform start and certify, unmoved, when given
+as the initial point.
 """
 
 from __future__ import annotations
@@ -492,7 +498,9 @@ def _newton_step(free: np.ndarray, g: np.ndarray, hessian: np.ndarray) -> tuple[
     modified Newton step, each eigenvalue lambda of H replaced by |lambda|
     floored at _EIGEN_FLOOR * max(1, max |lambda|) (Nocedal & Wright,
     Numerical Optimization, 3.4): a descent direction of the negated
-    objective, with decrement inf, since no certificate holds there."""
+    objective, with decrement inf, since no certificate holds there.
+    `_polish` also calls it with -log F's Hessian H + g g^T / F in place
+    of H, and takes that step only when its decrement is finite."""
     if not free.any():
         return np.zeros_like(g), 0.0
     everywhere = free.all()  # then H and g need no gather, and the step no scatter
@@ -519,16 +527,34 @@ def _polish(negated: Callable[[np.ndarray], float], derivatives: _Derivatives,
 
     Each of at most _NEWTON_STEPS iterations forms one Hessian, with the
     value and gradient, from one `derivatives` call at its point; the
-    trial points in between need only `negated`.  An uncertified point's
-    step, the modified one where the Hessian is not positive definite, is
-    projected onto the box and halved until it lowers the negated
-    objective; the polish ends when none does.  A certified point still
-    takes its full Newton step when that lowers the value, then the
+    trial points in between need only `negated`.  Where H, the negated
+    objective's Hessian, is not positive definite on the free
+    coordinates, the step is the Newton step of -log F when the matrix
+    H + r r^T, r = g / sqrt(F), is finite and positive definite there.
+    -log F has the negated objective's minimizers where F > 0, its
+    gradient is g / F and its Hessian (H + r r^T) / F, so its Newton step
+    is -(H + r r^T)^-1 g; it costs one more eigensolve.  Otherwise the
+    step is `_newton_step`'s own, the modified one where H is not
+    positive definite.  An uncertified point's step is projected onto the
+    box and halved until it lowers the negated objective; the polish ends
+    when none does.  The certificate reads H alone: a certified point
+    still takes its full Newton step when that lowers the value, then the
     polish ends.  The decrement returned is that of the last Hessian's
     point."""
     for hessians in range(1, _NEWTON_STEPS + 1):
         f, g, hessian = derivatives(x)
-        step, decrement = _newton_step(_free(x, g), g, hessian)
+        free = _free(x, g)
+        step, decrement = _newton_step(free, g, hessian)
+        if decrement == math.inf:
+            # F times -log F's Hessian, H + r r^T with r = g / sqrt(F): no
+            # g g^T to overflow, and F = 0 gives a non-finite matrix, refused
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                r = g / math.sqrt(-f)
+                curved = hessian + np.multiply.outer(r, r)
+            if np.isfinite(curved).all():
+                log_step, log_decrement = _newton_step(free, g, curved)
+                if log_decrement < math.inf:
+                    step = log_step
         certified = decrement <= tol
         for _ in range(1 if certified else _BACKTRACKS):
             trial = _clip(x + step)
