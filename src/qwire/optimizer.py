@@ -132,9 +132,11 @@ CERTIFIED = "certified"
 class OptimizeResult:
     """Best profile found, gauge-normalized to max |A_j| = 1.
 
-    fidelity is re-evaluated from the reported couplings at the
-    gauge-adjusted time scale*t_target, where scale is the normalization
-    factor that was divided out (the rescaling leaves the physics fixed).
+    fidelity is the search's own value at its best point, the one the
+    restarts and the certificate read.  By the joint rescaling (see
+    `objective`) it equals, to rounding, the fidelity of the reported
+    couplings at the gauge-adjusted time scale*t_target, where scale is
+    the normalization factor that was divided out.
     stop_reason is "certified" when the Newton polish certified the best
     point, and otherwise why the last simplex run stopped (collapse,
     plateau or budget); only a certified search has converged.  Certified
@@ -623,16 +625,10 @@ def optimize_couplings(config: OptimizeConfig, initial) -> OptimizeResult:
 
     best_x = best.x
     scale = float(np.max(np.abs(best_x)))
-    if scale > 0:
-        reported = best_x / scale
-        fidelity = objective(reported, scale * config.t_target, config.d)
-    else:
-        reported = best_x
-        fidelity = -best.f
     g = derivatives(best_x, False)[1]
     return OptimizeResult(
-        couplings=tuple(reported),
-        fidelity=float(np.clip(fidelity, 0.0, 1.0)),
+        couplings=tuple(best_x / scale if scale > 0 else best_x),
+        fidelity=-best.f,
         iterations=iterations,
         stop_reason=CERTIFIED if best.certified else run.stop_reason,
         restarts=runs - 1,

@@ -25,7 +25,7 @@ from .errors import (
 from .lattice import _line_matrix
 from .numerics import Operator, _evolution_factors, _phases
 
-MIRROR_ATOL = 1e-12
+MIRROR_RTOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
 
 
@@ -181,7 +181,7 @@ def _progression_amplitudes(w: np.ndarray, values: np.ndarray, times: np.ndarray
 @dataclass(frozen=True)
 class TransferReport:
     """End-to-end transfer summary: crossing time, its fidelity, and the
-    full circulation period (twice the crossing time)."""
+    full circulation period pi/vartheta (`_period`)."""
 
     d: int
     vartheta: float
@@ -193,10 +193,12 @@ class TransferReport:
             raise ValueError(f"peak fidelity {self.peak_fidelity!r} outside [0, 1]")
         if not 0.0 < self.t_star < math.inf:  # NaN fails too
             raise ValueError(f"transfer time must be positive and finite, got {self.t_star!r}")
+        if not 0.0 < self.vartheta < math.inf:  # the period divides by it
+            raise ValueError(f"vartheta must be positive and finite, got {self.vartheta!r}")
 
     @property
     def period(self) -> float:
-        return 2 * self.t_star
+        return _period(self.vartheta)
 
 
 def _period(vartheta: float) -> float:
@@ -244,6 +246,8 @@ def _curve_and_crossing(d: int, vartheta: float,
 
 def mirror_check(hamiltonian: Operator) -> bool:
     """True when the Hamiltonian is invariant under site reversal, the
-    symmetry every perfect-transfer chain must have."""
-    reversed_h = hamiltonian.matrix[::-1, ::-1]
-    return bool(np.max(np.abs(reversed_h - hamiltonian.matrix)) <= MIRROR_ATOL)
+    symmetry every perfect-transfer chain must have: max |H - JHJ| at
+    most MIRROR_RTOL * max |H|, a rule that no rescaling of H changes,
+    and that NaN fails."""
+    m = hamiltonian.matrix
+    return bool(np.max(np.abs(m[::-1, ::-1] - m)) <= MIRROR_RTOL * np.max(np.abs(m)))

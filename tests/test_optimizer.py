@@ -304,6 +304,35 @@ class TestOptimize:
         assert result.fidelity == 0.0 and result.gradient_norm == 0.0
         assert not result.converged
 
+    @pytest.mark.parametrize("config, start, stop_reason", [
+        (OptimizeConfig(d=8, t_target=math.pi / 2), np.ones(7), CERTIFIED),
+        (OptimizeConfig(d=4, t_target=1.5, max_iters=1), np.ones(3), BUDGET),
+        (OptimizeConfig(d=2, t_target=1e-200), [0.0], COLLAPSE),  # the all-zero best point
+    ])
+    def test_fidelity_is_the_search_value(self, config, start, stop_reason, monkeypatch):
+        # the result reports the value the search computed at its best point,
+        # the one its certificate read, with no second evaluation route
+        def refused(*args):
+            raise AssertionError("optimize_couplings evaluated objective")
+
+        seen = []
+        search = optimizer._search
+
+        def recording(c):
+            negated, derivatives = search(c)
+
+            def recorded(x):
+                value = negated(x)
+                seen.append(value.hex())
+                return value
+            return recorded, derivatives
+
+        monkeypatch.setattr(optimizer, "objective", refused)
+        monkeypatch.setattr(optimizer, "_search", recording)
+        result = optimize_couplings(config, start)
+        assert result.stop_reason == stop_reason
+        assert (-result.fidelity).hex() in seen
+
     def test_start_on_the_bound_is_searched(self):
         # every coordinate at +COUPLING_BOUND: the first simplex used to be
         # n+1 copies of the start, reported converged after one iteration

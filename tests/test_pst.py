@@ -552,9 +552,20 @@ class TestTransferTime:
         assert math.isfinite(transfer_time(4, 1e-300).period)
 
     def test_report_invariants(self):
-        assert TransferReport(d=4, vartheta=1.0, t_star=1.5, peak_fidelity=1.0).period == 3.0
+        report = TransferReport(d=4, vartheta=1.0, t_star=math.pi / 2, peak_fidelity=1.0)
+        assert report.period == math.pi
         with pytest.raises(ValueError):
             TransferReport(d=4, vartheta=1.0, t_star=1.0, peak_fidelity=1.5)
+
+    @pytest.mark.parametrize("vartheta", [1.2e308, 1.4203703703703703e308, 0.3])
+    def test_period_is_pi_over_vartheta_bit_for_bit(self, vartheta):
+        # where pi/vartheta is subnormal, 2 t* rounds differently from it
+        assert transfer_time(2, vartheta).period.hex() == pst._period(vartheta).hex()
+
+    @pytest.mark.parametrize("vartheta", [0.0, -1.0, math.nan, math.inf])
+    def test_report_rejects_vartheta_outside_positive_finite(self, vartheta):
+        with pytest.raises(ValueError, match="vartheta must be positive and finite"):
+            TransferReport(d=4, vartheta=vartheta, t_star=1.0, peak_fidelity=1.0)
 
     @pytest.mark.parametrize("t_star", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_report_rejects_t_star_outside_positive_finite(self, t_star):
@@ -625,3 +636,20 @@ class TestMirrorCheck:
     def test_lopsided_chain_is_not(self):
         spec = ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1.0, 2.0))
         assert not mirror_check(build_hamiltonian(spec))
+
+    def test_tiny_lopsided_chain_is_not(self):
+        # an absolute tolerance passed every chain whose entries are below it
+        spec = ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1e-13, 3e-13))
+        assert not mirror_check(build_hamiltonian(spec))
+
+    @pytest.mark.parametrize("exponent", range(-200, 201, 25))
+    def test_verdict_does_not_depend_on_scale(self, exponent):
+        scale = 10.0 ** exponent
+        assert mirror_check(pst_hamiltonian(8, scale))
+        spec = ChainSpec(d=4, topology=LINE, E0=0.0, couplings=(scale, 3 * scale, 1.5 * scale))
+        assert not mirror_check(build_hamiltonian(spec))
+
+    def test_nan_fails(self):
+        matrix = np.zeros((3, 3))
+        matrix[1, 1] = math.nan  # on the mirror axis, where H - JHJ reads nan - nan
+        assert not mirror_check(Operator(matrix, GENERAL))
