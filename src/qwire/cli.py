@@ -147,7 +147,10 @@ def cmd_pst(args) -> Result:
              else require_real(args.t_max, "t-max", QwireError, positive=True))
     if args.samples < 2:
         raise QwireError(f"samples must be >= 2, got {args.samples}")
-    grid = np.linspace(0.0, t_max, args.samples)  # t_max > 0: a nonzero time
+    # t_max > 0: a nonzero time.  Only the last point (N-1)*(t_max/(N-1))
+    # can overflow, and linspace then sets it to t_max itself
+    with np.errstate(over="ignore"):
+        grid = np.linspace(0.0, t_max, args.samples)
     if args.uniform:
         spec = lattice.uniform_chain(d, lattice.LINE, 0.0, vartheta)
         # the line's own band-edge rule, renamed for the flag: past the float

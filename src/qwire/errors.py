@@ -1,6 +1,13 @@
 """Exception types shared across the qwire modules, and the two argument
 rules: `require_integer` for every count, dimension and index, and
-`require_reals` (`require_real` for one number) for every real one."""
+`require_reals` (`require_real` for one number) for every real one.
+
+The numeric fields of the four result types, `numerics.EigenSystem`,
+`pst.FidelityCurve`, `pst.TransferReport` and `optimizer.OptimizeResult`,
+go through the same rules (an optimizer decrement, which may be inf,
+excepted).  Each type checks only what no rule expresses, such as
+ascending eigenvalues or a fidelity in [0, 1], and raises
+InvalidConfigError for it."""
 
 import operator
 from numbers import Real

@@ -237,13 +237,10 @@ class EigenSystem:
     residual: float
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise DimensionMismatchError("eigenvalues must be a 1-d array")
-        # neighbours are compared, not subtracted, so nothing overflows; NaN fails
-        if not (np.isfinite(vals).all() and (vals[1:] >= vals[:-1]).all()
-                and 0.0 <= self.residual < math.inf):
-            raise ValueError("eigenvalues must be finite and ascending, the residual finite, >= 0")
+        vals = np.array(require_reals(self.values, "eigenvalues", ndim=1))
+        # neighbours are compared, not subtracted, so nothing overflows
+        if not ((vals[1:] >= vals[:-1]).all() and require_real(self.residual, "residual") >= 0):
+            raise InvalidConfigError("eigenvalues must be ascending, the residual >= 0")
         object.__setattr__(self, "values", _freeze(vals))
 
 

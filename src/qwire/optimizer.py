@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, require_integer, require_real
+from .errors import InvalidConfigError, require_integer, require_real, require_reals
 from .lattice import LINE, ChainSpec, build_hamiltonian
 from .numerics import _eigh
 from .pst import transfer_fidelity
@@ -165,17 +164,19 @@ class OptimizeResult:
     newton_steps: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity {self.fidelity!r} outside [0, 1]")
+        couplings = require_reals(self.couplings, "couplings", ndim=1)
+        if not 0.0 <= require_real(self.fidelity, "fidelity") <= 1.0 + 1e-12:
+            raise InvalidConfigError(f"fidelity {self.fidelity!r} outside [0, 1]")
         if self.stop_reason not in (CERTIFIED, COLLAPSE, PLATEAU, BUDGET):
-            raise ValueError(f"unknown stop reason {self.stop_reason!r}")
-        if not (isinstance(self.newton_steps, Integral) and self.newton_steps >= 0):
-            raise ValueError(f"newton_steps must be an integer >= 0, got {self.newton_steps!r}")
-        # written so that NaN fails
-        if not (0.0 <= self.gradient_norm < math.inf and 0.0 <= self.decrement):
-            raise ValueError(f"gradient norm {self.gradient_norm!r} outside [0, inf) "
-                             f"or decrement {self.decrement!r} outside [0, inf]")
-        object.__setattr__(self, "couplings", tuple(float(a) for a in self.couplings))
+            raise InvalidConfigError(f"unknown stop reason {self.stop_reason!r}")
+        for name in ("iterations", "restarts", "newton_steps"):
+            if require_integer(getattr(self, name), name) < 0:
+                raise InvalidConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # the decrement may be inf; NaN fails
+        if not (require_real(self.gradient_norm, "gradient norm") >= 0 and self.decrement >= 0):
+            raise InvalidConfigError(f"gradient norm {self.gradient_norm!r} outside [0, inf) "
+                                     f"or decrement {self.decrement!r} outside [0, inf]")
+        object.__setattr__(self, "couplings", tuple(couplings.tolist()))
 
     @property
     def converged(self) -> bool:

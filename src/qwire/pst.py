@@ -21,9 +21,10 @@ from .errors import (
     require_dim,
     require_integer,
     require_real,
+    require_reals,
 )
 from .lattice import _line_matrix
-from .numerics import Operator, _evolution_factors, _phases
+from .numerics import Operator, _evolution_factors, _freeze, _phases
 
 MIRROR_RTOL = 1e-12
 PEAK_FIDELITY_FLOOR = 1e-10
@@ -91,20 +92,18 @@ class FidelityCurve:
     target: int
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        fidelities = np.array(self.fidelities, dtype=float)
-        if times.shape != fidelities.shape or times.ndim != 1 or not times.size:
-            raise InvalidConfigError(
-                "times and fidelities must be non-empty 1-d arrays of equal length")
-        # written so that NaN fails each check
-        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        times = np.array(require_reals(self.times, "times", ndim=1))
+        fidelities = np.array(require_reals(self.fidelities, "fidelities", ndim=1))
+        if times.shape != fidelities.shape or not times.size:
+            raise InvalidConfigError("times and fidelities must be non-empty and of equal length")
+        if not (np.diff(times) > 0).all():
             raise InvalidConfigError("times must be finite and strictly increasing")
         if not ((0 <= fidelities) & (fidelities <= 1 + 1e-12)).all():
-            raise ValueError("fidelities must lie in [0, 1]")
-        for arr in (times, fidelities):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "fidelities", fidelities)
+            raise InvalidConfigError("fidelities must lie in [0, 1]")
+        if min(require_integer(self.source, "source"), require_integer(self.target, "target")) < 0:
+            raise InvalidConfigError(f"sites must be >= 0, got {self.source!r}, {self.target!r}")
+        object.__setattr__(self, "times", _freeze(times))
+        object.__setattr__(self, "fidelities", _freeze(fidelities))
 
     @property
     def peak(self) -> tuple[float, float]:
@@ -189,12 +188,11 @@ class TransferReport:
     peak_fidelity: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.peak_fidelity <= 1.0 + 1e-12:
-            raise ValueError(f"peak fidelity {self.peak_fidelity!r} outside [0, 1]")
-        if not 0.0 < self.t_star < math.inf:  # NaN fails too
-            raise ValueError(f"transfer time must be positive and finite, got {self.t_star!r}")
-        if not 0.0 < self.vartheta < math.inf:  # the period divides by it
-            raise ValueError(f"vartheta must be positive and finite, got {self.vartheta!r}")
+        require_dim(self.d)
+        require_real(self.t_star, "transfer time", positive=True)
+        require_real(self.vartheta, "vartheta", positive=True)  # the period divides by it
+        if not 0.0 <= require_real(self.peak_fidelity, "peak fidelity") <= 1.0 + 1e-12:
+            raise InvalidConfigError(f"peak fidelity {self.peak_fidelity!r} outside [0, 1]")
 
     @property
     def period(self) -> float:

@@ -147,12 +147,13 @@ class ClassicalityGap(NamedTuple):
 
 def classicality_gap(N: int) -> ClassicalityGap:
     """State-count comparison for N two-level systems: 2^N quantum basis
-    states versus 2N classical arrow parameters, and their difference."""
+    states versus 2N classical arrow parameters, and their difference,
+    for 1 <= N <= 62 (RegisterTooLargeError above that cap)."""
     N = require_integer(N, "N")
     if N < 1:
         raise InvalidConfigError(f"N must be >= 1, got {N}")
     if N > 62:
-        raise OverflowError(f"N = {N} exceeds the exact-integer cap of 62")
+        raise RegisterTooLargeError(f"N = {N} exceeds the cap of 62")
     quantum = 2**N
     classical = 2 * N
     return ClassicalityGap(quantum=quantum, classical=classical, gap=quantum - classical)

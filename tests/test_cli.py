@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -695,3 +696,75 @@ class TestRejectionTable:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: d must be >= 2, got {d}\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--uniform", "--vartheta", "5e-324")],
+                             ids=["transfer", "uniform"])
+    def test_largest_t_max_refused_in_one_line(self, flags):
+        # linspace's last point 9*(t_max/9) overflows before linspace sets it
+        # to t_max; numpy's overflow warning printed two lines before the error
+        proc = run_cli("pst", "--d", "4", "--t-max", "1.7976931348623157e308",
+                       "--samples", "10", *flags)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+# flag values at the edges of the float range, and small integers
+_REAL_VALUES = ["nan", "inf", "-inf", "0", "-0", "5e-324", "1e-308", "1e308",
+               "1.7976931348623157e308", "2.25e14", *map(str, range(-3, 4))]
+_REALS = st.sampled_from(_REAL_VALUES)
+_OPTIONAL_REALS = st.sampled_from([None, *_REAL_VALUES])  # None leaves the flag out
+_DIMS = st.integers(-1, 8).map(str)
+
+# subcommand -> flag -> its strategy (a bool draws a switch)
+_ARGV_FLAGS = {
+    "dispersion": {"--topology": st.sampled_from(["ring", "line"]), "--d": _DIMS,
+                   "--E0": _OPTIONAL_REALS, "--A": _OPTIONAL_REALS},
+    "weyl-check": {"--d": _DIMS},
+    "pst": {"--d": _DIMS, "--vartheta": _OPTIONAL_REALS, "--t-max": _OPTIONAL_REALS,
+            "--samples": st.sampled_from(["2", "3", "10", "50"]), "--uniform": st.booleans()},
+    "sector-check": {"--n": st.sampled_from([*map(str, range(-1, 7)), "11"]),
+                     "--pst": st.booleans()},
+    "optimize": {"--d": _DIMS, "--t-target": _REALS,
+                 "--max-iters": st.integers(-1, 50).map(str), "--tol": _OPTIONAL_REALS,
+                 "--seed": st.integers(0, 3).map(str),
+                 "--init": st.sampled_from(["uniform", "random"])},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    argv = [command, "--format", draw(st.sampled_from(["csv", "json"]))]
+    for flag, strategy in _ARGV_FLAGS[command].items():
+        value = draw(strategy)
+        if value is True:
+            argv.append(flag)
+        elif value not in (None, False):
+            argv.append(f"{flag}={value}")  # argparse reads a bare -inf as a flag
+    return argv
+
+
+class TestArgvProperty:
+    """Any argv built from edge values of every flag ends in an exit code
+    the CLI documents: 2 and 3 print one `error:` line and nothing on
+    stdout, and JSON output parses with no NaN or Infinity.  A warning or
+    an uncaught exception fails the run."""
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    def test_exit_code_and_streams(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        elif out and argv[2] == "json":
+            json.loads(out, parse_constant=_reject_constant)

@@ -40,8 +40,10 @@ from qwire.numerics import (
     evolve,
     identity,
 )
-from qwire.optimizer import OptimizeConfig, objective, optimize_couplings
+from qwire.optimizer import OptimizeConfig, OptimizeResult, objective, optimize_couplings
 from qwire.pst import (
+    FidelityCurve,
+    TransferReport,
     fidelity_curve,
     pst_couplings,
     pst_hamiltonian,
@@ -154,6 +156,14 @@ SITE_ARGUMENTS = {
 
 NOT_UNIFORM = ChainSpec(d=3, topology=LINE, E0=0.0, couplings=(1.0, 2.0))
 
+
+def _optimize_result(**fields):
+    """An OptimizeResult from valid fields, some replaced."""
+    return OptimizeResult(**{"couplings": (1.0,), "fidelity": 0.5, "iterations": 1,
+                             "stop_reason": "plateau", "restarts": 0, "gradient_norm": 0.0,
+                             "decrement": math.inf, **fields})
+
+
 # (id, call, whether it raised ValueError before)
 SINGLE_CASES = [
     # unknown topology or tag
@@ -217,6 +227,31 @@ SINGLE_CASES = [
     ("WeylPair-phase-not-primitive",
      lambda: WeylPair(shift=shift_matrix(4),
                       clock=Operator(np.diag([1.0, -1.0, 1.0, -1.0]), tag=UNITARY)), True),
+    # a result type's field that is not real, or not an integer: a complex
+    # value was cast to its real part with a ComplexWarning, a string raised
+    # numpy's ValueError or a TypeError, and a string d or negative count
+    # was accepted
+    ("EigenSystem-complex-values", lambda: EigenSystem(np.array([1 + 1j]), 0.0), False),
+    ("EigenSystem-str-values", lambda: EigenSystem(["x"], 0.0), True),
+    ("EigenSystem-complex-residual", lambda: EigenSystem([1.0], 1j), False),
+    ("FidelityCurve-complex-times",
+     lambda: FidelityCurve(np.array([0, 1 + 1j]), [0.5, 0.5], 0, 1), False),
+    ("FidelityCurve-complex-fidelities",
+     lambda: FidelityCurve([0.0, 1.0], np.array([0.5, 0.5 + 1j]), 0, 1), False),
+    ("FidelityCurve-str-times", lambda: FidelityCurve(["a"], [0.5], 0, 1), True),
+    ("FidelityCurve-negative-source", lambda: FidelityCurve([0.0], [0.5], -1, 1), False),
+    ("FidelityCurve-float-target", lambda: FidelityCurve([0.0], [0.5], 0, 1.0), False),
+    ("TransferReport-complex-t_star", lambda: TransferReport(4, 1.0, 1 + 1j, 1.0), False),
+    ("TransferReport-str-d", lambda: TransferReport("x", 1.0, 1.0, 1.0), False),
+    ("TransferReport-small-d", lambda: TransferReport(1, 1.0, 1.0, 1.0), False),
+    ("OptimizeResult-complex-coupling", lambda: _optimize_result(couplings=(1 + 1j,)), False),
+    ("OptimizeResult-complex-fidelity", lambda: _optimize_result(fidelity=0.5 + 0j), False),
+    ("OptimizeResult-negative-iterations", lambda: _optimize_result(iterations=-3), False),
+    ("OptimizeResult-negative-restarts", lambda: _optimize_result(restarts=-1), False),
+    ("OptimizeResult-float-restarts", lambda: _optimize_result(restarts=1.0), False),
+    # 2^63 is an exact Python int: the cap of 62 is a size rule, not an
+    # overflow (a bare OverflowError before)
+    ("classicality_gap-above-cap", lambda: classicality_gap(63), False),
 ]
 
 # a dimension, count or index that is not an integer was refused by numpy,

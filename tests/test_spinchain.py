@@ -269,5 +269,5 @@ class TestClassicalityGap:
     def test_bounds(self):
         with pytest.raises(ValueError):
             classicality_gap(0)
-        with pytest.raises(OverflowError):
+        with pytest.raises(RegisterTooLargeError, match="^N = 63 exceeds the cap of 62$"):
             classicality_gap(63)
