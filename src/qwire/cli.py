@@ -44,6 +44,7 @@ from .errors import (
     QwireError,
     RegisterTooLargeError,
     require_dim,
+    require_integer,
     require_real,
 )
 from .numerics import max_abs
@@ -145,8 +146,7 @@ def cmd_pst(args) -> Result:
     d, vartheta = args.d, require_real(args.vartheta, "vartheta", QwireError, positive=True)
     t_max = (pst._period(vartheta) if args.t_max is None  # names vartheta when inf
              else require_real(args.t_max, "t-max", QwireError, positive=True))
-    if args.samples < 2:
-        raise QwireError(f"samples must be >= 2, got {args.samples}")
+    require_integer(args.samples, "samples", 2, error=QwireError)
     # t_max > 0: a nonzero time.  Only the last point (N-1)*(t_max/(N-1))
     # can overflow, and linspace then sets it to t_max itself
     with np.errstate(over="ignore"):

@@ -2,15 +2,24 @@
 rules: `require_integer` for every count, dimension and index, and
 `require_reals` (`require_real` for one number) for every real one.
 
+`require_integer` also holds the bounds of an integer: low <= n < high,
+either bound optional, each refused under the caller's error class with
+one wording, "{name} must be >= {low}, got {n}" (or "< {high}").
+`require_dim` is its d >= 2 case.  Only the size caps (`MAX_QUBITS`,
+`classicality_gap`'s N <= 62 and the CLI's sector-check cap) are checked
+apart from it.
+
 The numeric fields of the four result types, `numerics.EigenSystem`,
 `pst.FidelityCurve`, `pst.TransferReport` and `optimizer.OptimizeResult`,
-go through the same rules (an optimizer decrement, which may be inf,
+go through the same rules (an optimizer decrement of exactly +inf
 excepted).  Each type checks only what no rule expresses, such as
 ascending eigenvalues or a fidelity in [0, 1], and raises
-InvalidConfigError for it."""
+InvalidConfigError for it.  The entries of `numerics.Operator` and
+`numerics.StateVector` pass the dtype test of `require_reals` with
+complex admitted."""
 
 import operator
-from numbers import Real
+from numbers import Complex, Real
 
 import numpy as np
 
@@ -59,26 +68,46 @@ class InvalidConfigError(QwireError, ValueError):
     """An argument outside its domain (also a ValueError)."""
 
 
-def require_integer(value, name: str) -> int:
+def require_integer(value, name: str, low: int | None = None, high: int | None = None,
+                    error=InvalidConfigError) -> int:
     """operator.index(value), the integer rule of every count, dimension
-    and index argument (numpy integers pass): InvalidConfigError naming the
-    argument for a value that is not an integer, such as 2.5, 4.0 or NaN."""
+    and index argument (numpy integers pass), within low <= n < high where
+    either bound is given: InvalidConfigError naming the argument for a
+    value that is not an integer, such as 2.5, 4.0 or NaN, and `error`
+    for one outside the bounds.  The result is a Python int, so products
+    with it cannot overflow in numpy."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and n < low:
+        raise error(f"{name} must be >= {low}, got {n}")
+    if high is not None and n >= high:
+        raise error(f"{name} must be < {high}, got {n}")
+    return n
 
 
 def require_dim(d, name: str = "d") -> int:
-    """operator.index(d) under the integer d >= 2 rule of every chain,
-    dispersion and shift/clock builder: InvalidConfigError naming the
-    argument for a d that is not an integer, DimensionTooSmallError for
-    one below 2.  The result is a Python int, so products with it cannot
-    overflow in numpy."""
-    dim = require_integer(d, name)
-    if dim < 2:
-        raise DimensionTooSmallError(f"{name} must be >= 2, got {d}")
-    return dim
+    """The integer rule for d >= 2, that of every chain, dispersion and
+    shift/clock builder, with DimensionTooSmallError below 2."""
+    return require_integer(d, name, 2, error=DimensionTooSmallError)
+
+
+def _numbers(values, name: str, error=InvalidConfigError, complex_ok: bool = False):
+    """np.asarray(values) when its dtype is bool, integer, float, complex
+    if `complex_ok`, or objects that are all numbers.Real (numbers.Complex
+    if `complex_ok`): `error` naming the argument otherwise, a ragged
+    sequence included.  No cast is made, so a complex value raises no
+    ComplexWarning."""
+    kinds, number = ("biufc", Complex) if complex_ok else ("biuf", Real)
+    try:
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if kind in kinds or kind == "O" and all(isinstance(v, number) for v in array.flat):
+            return array
+    except ValueError:  # a ragged sequence
+        pass
+    raise error(f"{name} must be {'numeric' if complex_ok else 'real'}, got {values!r}")
 
 
 def require_reals(values, name: str, error=InvalidConfigError, positive: bool = False,
@@ -89,13 +118,7 @@ def require_reals(values, name: str, error=InvalidConfigError, positive: bool = 
     if given, with finite entries, positive too if asked.  `error` naming
     the argument is raised otherwise; no cast comes before the dtype
     check, so a complex value raises no ComplexWarning."""
-    try:
-        array = np.asarray(values)
-    except ValueError:  # a ragged sequence
-        raise error(f"{name} must be real, got {values!r}") from None
-    kind = array.dtype.kind
-    if kind not in "biufO" or kind == "O" and not all(isinstance(v, Real) for v in array.flat):
-        raise error(f"{name} must be real, got {values!r}")
+    array = _numbers(values, name, error)
     if ndim is not None and array.ndim != ndim:
         shape = "one real number" if ndim == 0 else "a sequence of real numbers"
         raise error(f"{name} must be {shape}, got {values!r}")

@@ -87,6 +87,7 @@ from .errors import (
     InvalidConfigError,
     NonHermitianInputError,
     NotNormalizedError,
+    _numbers,
     require_integer,
     require_real,
     require_reals,
@@ -112,7 +113,13 @@ if not hasattr(_umath_linalg, "eigh_lo"):
     _umath_linalg = None
 
 # Mirror-symmetric matrices from this size up are diagonalized in two
-# parity blocks (see `_hermitian_solve`); below it one full solve is faster.
+# parity blocks (see `_hermitian_solve`).  The split is the faster route
+# from about d = 48: rows 0 and d-1 of a transfer chain took 105 vs 129 us
+# split vs full at d = 48, 100 vs 224 us at 64 and 187 vs 522 us at 96,
+# but 78 vs 52 us at 32 (numpy 2.4 on one OpenBLAS thread of a 2-vCPU
+# Xeon; the whole V alike).  128 stays: the blocks' eigenpairs differ
+# from one full solve's in the last bits, so a lower size would change
+# the output of every mirror-symmetric chain below it.
 _PARITY_SPLIT_DIM = 128
 
 
@@ -135,14 +142,15 @@ class Operator:
     The tag is verified at construction: hermitian means every entry is
     finite and max |M[i,j] - conj(M[j,i])| <= 1e-12 * (max entry
     magnitude); unitary means max |M^dag M - I| <= 1e-10.  Use GENERAL
-    when neither structure is claimed.
+    when neither structure is claimed.  Entries that are not numbers, or
+    rows of unequal length, raise InvalidConfigError.
     """
 
     matrix: np.ndarray
     tag: str = GENERAL
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(_numbers(self.matrix, "matrix", complex_ok=True), dtype=complex)
         if not m.imag.any():  # NaN is truthy, so it stays complex and is checked
             m = m.real.copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -186,13 +194,14 @@ class StateVector:
     """Complex amplitude vector over basis states.
 
     Unit norm (within 1e-10) is enforced at construction, so NaN and inf
-    amplitudes are refused too.
+    amplitudes are refused too; entries that are not numbers, or a ragged
+    nesting, raise InvalidConfigError.
     """
 
     __slots__ = ("amplitudes",)
 
     def __init__(self, amplitudes) -> None:
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(_numbers(amplitudes, "amplitudes", complex_ok=True), dtype=complex).ravel()
         if amps.size < 1:
             raise DimensionMismatchError("state vector must have dimension >= 1")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -215,16 +224,17 @@ class StateVector:
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis state |index> in a dim-dimensional space."""
     dim = require_integer(dim, "dim")
-    if not 0 <= require_integer(index, "index") < dim:
-        raise DimensionMismatchError(f"index {index} outside dimension {dim}")
+    require_integer(index, "index", 0, dim, DimensionMismatchError)
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
 
 
 def identity(dim: int) -> Operator:
-    """Identity operator (tagged unitary)."""
-    return Operator(np.eye(dim), tag=UNITARY)
+    """Identity operator (tagged unitary); DimensionMismatchError for a
+    dim below 1."""
+    return Operator(np.eye(require_integer(dim, "dim", 1, error=DimensionMismatchError)),
+                    tag=UNITARY)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -107,9 +108,7 @@ class OptimizeConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("d", 2), ("max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not require_integer(value, name) >= low:
-                raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+            require_integer(getattr(self, name), name, low)
         if not require_real(self.t_target, "t_target", positive=True) < _T_TARGET_LIMIT:
             raise InvalidConfigError(
                 f"t_target must be below {_T_TARGET_LIMIT:.4g}, got {self.t_target!r}")
@@ -170,8 +169,9 @@ class OptimizeResult:
         if self.stop_reason not in (CERTIFIED, COLLAPSE, PLATEAU, BUDGET):
             raise InvalidConfigError(f"unknown stop reason {self.stop_reason!r}")
         for name in ("iterations", "restarts", "newton_steps"):
-            if require_integer(getattr(self, name), name) < 0:
-                raise InvalidConfigError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            require_integer(getattr(self, name), name, 0)
+        if not isinstance(self.decrement, Real):  # a real one may be inf, and is checked below
+            require_real(self.decrement, "decrement")
         # the decrement may be inf; NaN fails
         if not (require_real(self.gradient_norm, "gradient norm") >= 0 and self.decrement >= 0):
             raise InvalidConfigError(f"gradient norm {self.gradient_norm!r} outside [0, inf) "
@@ -327,12 +327,12 @@ def _clustered_differences(a, b, c, t: float):
 
 
 class _Triples(NamedTuple):
-    """Index tables of the second divided differences at dimension d:
-    every index triple lo <= mid <= hi once (ahead and behind are the flat
-    positions of (mid, hi) and (lo, mid) in a d x d matrix, and equal
-    holds the positions of (l, l, l) in order of l), and for each
-    (i, k, j) in C order the position of its sorted triple, where the
-    symmetric difference f[i, k, j] is read."""
+    """Index tables of the second divided differences at dimension d: each
+    index triple (i, k, j) of the d x d x d cube in C order, sorted into
+    lo <= mid <= hi (f[i, k, j] is symmetric, so it is read there; ahead
+    and behind are the flat positions of (mid, hi) and (lo, mid) in a
+    d x d matrix, and equal holds the positions of (l, l, l) in order of
+    l)."""
 
     lo: np.ndarray
     mid: np.ndarray
@@ -340,18 +340,11 @@ class _Triples(NamedTuple):
     ahead: np.ndarray
     behind: np.ndarray
     equal: np.ndarray
-    inverse: np.ndarray
 
 
 def _triples(d: int) -> _Triples:
-    i, k, j = np.indices((d, d, d)).reshape(3, -1)
-    kept = (i <= k) & (k <= j)
-    lo, mid, hi = i[kept], k[kept], j[kept]
-    rank = np.cumsum(kept) - 1  # at a kept triple's flat position, its place among them
-    least = np.minimum(np.minimum(i, k), j)
-    most = np.maximum(np.maximum(i, k), j)
-    inverse = rank[(least * d + (i + k + j - least - most)) * d + most]
-    return _Triples(lo, mid, hi, mid * d + hi, lo * d + mid, np.flatnonzero(lo == hi), inverse)
+    lo, mid, hi = np.sort(np.indices((d, d, d)).reshape(3, -1), axis=0)
+    return _Triples(lo, mid, hi, mid * d + hi, lo * d + mid, np.flatnonzero(lo == hi))
 
 
 def _second_differences(values: np.ndarray, first: np.ndarray, t: float,
@@ -370,7 +363,7 @@ def _second_differences(values: np.ndarray, first: np.ndarray, t: float,
     gap the three eigenvalues form a cluster and go to the Taylor series
     of `_clustered_differences` (McCurdy, Ng & Parlett, Math. Comp. 43,
     501 (1984))."""
-    lo, mid, hi, ahead, behind, equal, _ = triples
+    lo, mid, hi, ahead, behind, equal = triples
     firsts = first.reshape(-1)
     second = firsts[ahead] - firsts[behind]
     span = values[hi] - values[lo]
@@ -465,7 +458,7 @@ def _search(config: OptimizeConfig) -> tuple[Callable[[np.ndarray], float], _Der
         outer = np.multiply.outer(slopes.real, slopes.real)
         outer += np.multiply.outer(slopes.imag, slopes.imag)  # Re(grad a grad a^H)
         second = _second_differences(values, first, t, triples)
-        r3 = (a.conjugate() * second).real[triples.inverse].reshape(d, d * d)
+        r3 = (a.conjugate() * second).real.reshape(d, d * d)
         y = ((vectors * u) @ r3).reshape(d, d, d)
         m = vectors[1:, :, None] * y[:-1]
         m += vectors[:-1, :, None] * y[1:]

@@ -65,8 +65,7 @@ def pst_hamiltonian(d: int, vartheta: float) -> Operator:
 
 def _check_sites(dim: int, source: int, target: int) -> None:
     for name, site in (("source", source), ("target", target)):
-        if not 0 <= require_integer(site, name) < dim:
-            raise IndexOutOfRangeError(f"{name} site {site} outside chain of {dim} sites")
+        require_integer(site, name, 0, dim, IndexOutOfRangeError)
 
 
 def transfer_fidelity(hamiltonian: Operator, t: float, source: int, target: int) -> float:
@@ -100,8 +99,8 @@ class FidelityCurve:
             raise InvalidConfigError("times must be finite and strictly increasing")
         if not ((0 <= fidelities) & (fidelities <= 1 + 1e-12)).all():
             raise InvalidConfigError("fidelities must lie in [0, 1]")
-        if min(require_integer(self.source, "source"), require_integer(self.target, "target")) < 0:
-            raise InvalidConfigError(f"sites must be >= 0, got {self.source!r}, {self.target!r}")
+        require_integer(self.source, "source", 0)
+        require_integer(self.target, "target", 0)
         object.__setattr__(self, "times", _freeze(times))
         object.__setattr__(self, "fidelities", _freeze(fidelities))
 

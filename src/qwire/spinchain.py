@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
-    InvalidConfigError,
     NonHermitianInputError,
     RegisterTooLargeError,
     require_integer,
@@ -47,8 +46,7 @@ class QubitRegister:
     n: int
 
     def __post_init__(self) -> None:
-        if require_integer(self.n, "n") < 1:
-            raise InvalidConfigError(f"register needs n >= 1, got {self.n}")
+        require_integer(self.n, "n", 1)
         if self.n > MAX_QUBITS:
             raise RegisterTooLargeError(f"n = {self.n} exceeds cap {MAX_QUBITS}")
 
@@ -79,8 +77,7 @@ def sector_map(n: int) -> SectorMap:
 def lowering_operator(n: int, site: int) -> Operator:
     """Annihilation operator on one site of an n-qubit register."""
     register = QubitRegister(n)
-    if not 0 <= require_integer(site, "site") < register.n:
-        raise IndexOutOfRangeError(f"site {site} outside register of {n} qubits")
+    require_integer(site, "site", 0, register.n, IndexOutOfRangeError)
     factors = [_LOWER if k == site else _EYE2 for k in range(n)]
     return Operator(reduce(np.kron, factors), tag=GENERAL)
 
@@ -149,9 +146,7 @@ def classicality_gap(N: int) -> ClassicalityGap:
     """State-count comparison for N two-level systems: 2^N quantum basis
     states versus 2N classical arrow parameters, and their difference,
     for 1 <= N <= 62 (RegisterTooLargeError above that cap)."""
-    N = require_integer(N, "N")
-    if N < 1:
-        raise InvalidConfigError(f"N must be >= 1, got {N}")
+    N = require_integer(N, "N", 1)
     if N > 62:
         raise RegisterTooLargeError(f"N = {N} exceeds the cap of 62")
     quantum = 2**N

@@ -542,7 +542,7 @@ class TestInProcessFormats:
         # OptimizeConfig's own rule, not a copy in the CLI, turns the flag away
         code, out, err = self._main(capsys, "optimize", "--d", "3", "--t-target", "1", *flags)
         assert code == 2
-        assert out == "" and err.startswith(f"error: {name} must be an integer >= ")
+        assert out == "" and err.startswith(f"error: {name} must be >= ")
 
     def test_register_cap_in_library_exits_three(self, capsys, monkeypatch):
         # the exit code follows the exception type, wherever it is raised

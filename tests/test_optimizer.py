@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -503,10 +504,9 @@ def _block_hessian(x: np.ndarray, t: float, d: int) -> np.ndarray:
 def _second(values, t: float) -> complex:
     """f[a, b, c] of exp(-i lambda t) through the search's own two steps."""
     values = np.array(values, dtype=float)
-    triples = optimizer._triples(3)
     second = optimizer._second_differences(
-        values, optimizer._first_differences(values, t), t, triples)
-    return complex(second[triples.inverse[np.ravel_multi_index((0, 1, 2), (3, 3, 3))]])
+        values, optimizer._first_differences(values, t), t, optimizer._triples(3))
+    return complex(second[np.ravel_multi_index((0, 1, 2), (3, 3, 3))])
 
 
 class TestHessian:
@@ -515,14 +515,14 @@ class TestHessian:
     whole Hessian against an independent route."""
 
     @pytest.mark.parametrize("d", range(1, 13))
-    def test_triples_match_sorted_unique_keys(self, d):
-        # the tables as sorting each triple and taking the unique flat keys
-        # builds them
-        shape = (d, d, d)
-        ordered = np.sort(np.indices(shape).reshape(3, -1), axis=0)
-        keys, inverse = np.unique(np.ravel_multi_index(ordered, shape), return_inverse=True)
-        lo, mid, hi = np.unravel_index(keys, shape)
-        oracle = (lo, mid, hi, mid * d + hi, lo * d + mid, np.flatnonzero(lo == hi), inverse)
+    def test_triples_match_the_sorted_cube(self, d):
+        # each triple of the index cube in C order, sorted, with the flat
+        # positions of its two pairs and of the triples (l, l, l), built
+        # here one triple at a time
+        ordered = [sorted(triple) for triple in itertools.product(range(d), repeat=3)]
+        lo, mid, hi = (np.array([triple[p] for triple in ordered], dtype=int) for p in range(3))
+        equal = [l * (d * d + d + 1) for l in range(d)]
+        oracle = (lo, mid, hi, mid * d + hi, lo * d + mid, equal)
         triples = optimizer._triples(d)
         for name, got, want in zip(optimizer._Triples._fields, triples, oracle):
             assert np.array_equal(got, want), name

@@ -5,18 +5,23 @@ entry point raised ValueError before the library's rejections became
 `InvalidConfigError`, it still does, so `except ValueError` keeps working.
 """
 
+import argparse
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from qwire import numerics
+from qwire import cli, numerics
 from qwire.errors import (
+    DimensionMismatchError,
+    DimensionTooSmallError,
+    IndexOutOfRangeError,
     InvalidConfigError,
     NonHermitianInputError,
     QwireError,
     ZeroThetaError,
+    require_dim,
     require_real,
     require_reals,
 )
@@ -252,6 +257,18 @@ SINGLE_CASES = [
     # 2^63 is an exact Python int: the cap of 62 is a size rule, not an
     # overflow (a bare OverflowError before)
     ("classicality_gap-above-cap", lambda: classicality_gap(63), False),
+    # entries that are not numbers, or a ragged nesting: numpy's ValueError before
+    ("Operator-str-entry", lambda: Operator([["a"]]), True),
+    ("Operator-ragged", lambda: Operator([[1.0], [1.0, 2.0]]), True),
+    ("Operator-none", lambda: Operator(None), False),
+    ("StateVector-str-entry", lambda: StateVector(["a"]), True),
+    ("StateVector-ragged", lambda: StateVector([[1.0], [0.0, 1.0]]), True),
+    # a decrement that is not a real number: a bare TypeError before
+    ("OptimizeResult-complex-decrement", lambda: _optimize_result(decrement=1j), False),
+    ("OptimizeResult-str-decrement", lambda: _optimize_result(decrement="x"), False),
+    ("OptimizeResult-none-decrement", lambda: _optimize_result(decrement=None), False),
+    # a negative dimension: numpy's ValueError before, the class of identity(0) now
+    ("identity-negative", lambda: identity(-1), False),
 ]
 
 # a dimension, count or index that is not an integer was refused by numpy,
@@ -420,3 +437,69 @@ class TestRealRule:
             ChainSpec(d=2, topology=LINE, E0=0.0, couplings=5)
         with pytest.raises(NonHermitianInputError, match="^exchange couplings must be a sequence"):
             xy_chain_hamiltonian(5)
+
+
+# every bounded integer of the library and the CLI -> (call taking it, the
+# least value accepted, the first value refused above or None, the error
+# class a value out of bounds raises)
+BOUNDED_INTEGERS = {
+    "require_dim": (require_dim, 2, None, DimensionTooSmallError),
+    "identity": (identity, 1, None, DimensionMismatchError),
+    "basis_state-index": (lambda i: basis_state(4, i), 0, 4, DimensionMismatchError),
+    "transfer_fidelity-source": (lambda s: transfer_fidelity(H4, 1.0, s, 3), 0, 4,
+                                 IndexOutOfRangeError),
+    "transfer_fidelity-target": (lambda s: transfer_fidelity(H4, 1.0, 0, s), 0, 4,
+                                 IndexOutOfRangeError),
+    "FidelityCurve-source": (lambda s: FidelityCurve([0.0], [0.5], s, 1), 0, None,
+                             InvalidConfigError),
+    "FidelityCurve-target": (lambda s: FidelityCurve([0.0], [0.5], 0, s), 0, None,
+                             InvalidConfigError),
+    "OptimizeConfig-d": (lambda d: OptimizeConfig(d=d, t_target=1.0), 2, None,
+                         InvalidConfigError),
+    "OptimizeConfig-max_iters": (lambda n: OptimizeConfig(d=3, t_target=1.0, max_iters=n), 1,
+                                 None, InvalidConfigError),
+    "OptimizeConfig-seed": (lambda n: OptimizeConfig(d=3, t_target=1.0, seed=n), 0, None,
+                            InvalidConfigError),
+    "OptimizeResult-iterations": (lambda n: _optimize_result(iterations=n), 0, None,
+                                  InvalidConfigError),
+    "OptimizeResult-restarts": (lambda n: _optimize_result(restarts=n), 0, None,
+                                InvalidConfigError),
+    "OptimizeResult-newton_steps": (lambda n: _optimize_result(newton_steps=n), 0, None,
+                                    InvalidConfigError),
+    "QubitRegister": (QubitRegister, 1, None, InvalidConfigError),
+    "lowering_operator-site": (lambda s: lowering_operator(3, s), 0, 3, IndexOutOfRangeError),
+    "classicality_gap": (classicality_gap, 1, None, InvalidConfigError),
+    "cli-samples": (lambda n: cli.cmd_pst(argparse.Namespace(
+        d=4, vartheta=1.0, t_max=None, samples=n, uniform=False)), 2, None, QwireError),
+}
+
+
+class TestBoundedIntegers:
+    """`require_integer`'s bounds at every site that holds one: the value
+    just past each bound raises the site's own class with the rule's one
+    wording, the bound itself passes, a numpy integer passes and a float
+    is no integer."""
+
+    @pytest.mark.parametrize("name", sorted(BOUNDED_INTEGERS))
+    def test_values_past_the_bounds_refused(self, name):
+        call, low, high, error = BOUNDED_INTEGERS[name]
+        cases = [(low - 1, ">=", low)] + ([(high, "<", high)] if high is not None else [])
+        for value, relation, bound in cases:
+            message = f" must be {relation} {bound}, got {value}$"
+            with pytest.raises(QwireError, match=message) as excinfo:
+                call(value)
+            assert type(excinfo.value) is error
+
+    @pytest.mark.parametrize("name", sorted(BOUNDED_INTEGERS))
+    def test_values_at_the_bounds_accepted(self, name):
+        call, low, high, _ = BOUNDED_INTEGERS[name]
+        call(low)
+        call(np.int64(low))
+        if high is not None:
+            call(high - 1)
+
+    @pytest.mark.parametrize("name", sorted(BOUNDED_INTEGERS))
+    def test_float_refused_as_no_integer(self, name):
+        with pytest.raises(InvalidConfigError, match=" must be an integer, got 2.5$") as excinfo:
+            BOUNDED_INTEGERS[name][0](2.5)
+        assert type(excinfo.value) is InvalidConfigError
